@@ -8,6 +8,10 @@ means the guess is hopeless), the guess doubles and a fresh fractional state
 takes over. Machines opened by the rounding stage stay open across phases;
 the job that triggered a doubling is re-covered in the new phase before
 rounding sees it.
+
+A known guess (the oracle's optimum or a fixed value) is the one-phase case of
+the same controller: with no cost bound (``C=None``) nothing trips, and a
+guess that proves too small raises ``GuessTooSmallError`` instead of doubling.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ def cost_bound(C: float, m: int) -> float:
     return C * m * (1.0 + math.log(m))
 
 
-def _cost_trip(fstate: FractionalState, bound: float, C: float) -> str | None:
+def _cost_trip(fstate: FractionalState, bound: float, C: float | None) -> str | None:
     """Why the phase must end at the current job, or None to go on."""
     cost = fstate.fractional_cost()
     if cost > bound:
@@ -129,13 +133,12 @@ class DoublingResult:
     records: list[JobFraction]
     rounding: RoundingState
     final_guess: float
-    final_state: FractionalState | None
 
 
 def run_with_doubling(
     instance: Instance,
     initial_guess: float | None = None,
-    C: float = DEFAULT_BOUND_CONSTANT,
+    C: float | None = DEFAULT_BOUND_CONSTANT,
     a: float = GROWTH_BASE_DEFAULT,
     seed: int = 0,
     step_cap: int = DEFAULT_STEP_CAP,
@@ -145,6 +148,8 @@ def run_with_doubling(
 ) -> DoublingResult:
     """Run all jobs under guess-and-double control.
 
+    ``C=None`` runs the guess as known: one phase with no cost bound, in
+    which a guess found too small raises ``GuessTooSmallError``.
     ``recover_all`` switches the phase reset from re-covering only the
     triggering job to fractionally re-covering every job seen so far.
     ``on_phase`` fires after each successful pre-processing; ``on_job`` after
@@ -156,21 +161,22 @@ def run_with_doubling(
     if guess <= 0:
         raise ValueError("initial guess must be > 0")
     if n == 0:
-        return DoublingResult([], [], rstate, guess, None)
+        return DoublingResult([], [], rstate, guess)
 
     total_cost = sum(instance.costs())
-    bound = cost_bound(C, m)
+    bound = math.inf if C is None else cost_bound(C, m)
     phases: list[PhaseTrace] = []
     records: list[JobFraction] = []
     phase_idx = 0
     j = 0
-    fstate: FractionalState | None = None
 
     while True:
         int_cost_before = rstate.int_cost
         try:
             fstate = preprocess(instance, guess, a=a, step_cap=step_cap)
         except GuessTooSmallError:
+            if C is None:
+                raise
             phases.append(empty_phase(phase_idx, guess, m))
             if guess > total_cost:
                 raise GuessBoundExceededError(
@@ -208,6 +214,8 @@ def run_with_doubling(
                 kept += 1
                 j += 1
         except GuessTooSmallError as exc:
+            if C is None:
+                raise
             # The job fits on no kept machine: re-cover it at a larger guess.
             trip = str(exc)
         phases.append(
@@ -222,4 +230,4 @@ def run_with_doubling(
         guess *= 2.0
         phase_idx += 1
 
-    return DoublingResult(phases, records, rstate, guess, fstate)
+    return DoublingResult(phases, records, rstate, guess)

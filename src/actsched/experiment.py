@@ -4,21 +4,28 @@ verification, and seed sweeps.
 A run resolves the optimum guess (exact oracle, fixed value, or
 guess-and-double), covers the job stream fractionally, rounds it online, and
 leaves behind a self-contained log directory: the instance, a metadata
-document, per-step and per-job CSV logs, and a one-row report. ``verify``
-re-derives every checkable quantity from those files alone.
+document, per-step and per-job CSV logs, and a one-row report. Every mode
+runs through the guess-and-double controller; a known guess is its one-phase
+case. Each invariant is written once, over the records a run leaves behind
+(``PhaseTrace``, ``JobFraction``, the steps and the integer schedule): the run
+calls these checks live, and ``verify`` loads the same records back from the
+log files alone and calls the same functions.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .doubling import PhaseTrace, run_with_doubling, snapshot_phase
-from .fractional import FractionalState, JobFraction, preprocess
+# snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
+from .doubling import PhaseTrace, run_with_doubling, snapshot_phase  # noqa: F401
+from .fractional import FractionalState, JobFraction
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -57,6 +64,9 @@ STEP_COLUMNS = ("job", "step_idx", "type", "delta_phi", "delta_coverage", "machi
 ASSIGNMENT_COLUMNS = ("job", "machine", "p_ij", "newly_activated_cost", "cum_cost", "int_makespan")
 PHASE_COLUMNS = ("phase", "guess", "jobs_processed", "frac_cost", "int_cost_delta")
 Y_COLUMNS = ("phase", "job", "machine", "y")
+# PhaseTrace fields that meta.json leaves out: int_cost_delta goes to
+# phases.csv, the y rows to y.csv and the steps to steps.csv.
+PHASE_FIELDS_NOT_IN_META = ("int_cost_delta", "covered_y", "step_entries")
 
 
 @dataclass
@@ -110,37 +120,68 @@ def audit_preprocess(fstate: FractionalState) -> list[str]:
     return out
 
 
-def audit_job(fstate: FractionalState, j: int) -> list[str]:
+def audit_job(j: int, yrow: tuple[float, ...], x, discarded) -> list[str]:
+    """One covered job's y row against its phase's activation levels: the
+    coverage re-summed in machine order, y <= 2x, and no y on discarded
+    machines. The engine caps coverage at 1 in its own order of addition, so
+    the re-summed value can pass 1 by rounding only."""
     out = []
-    cov = fstate.coverage[j]
-    if not (1.0 - TOL <= cov <= 1.0):
-        out.append(f"job {j}: coverage {cov!r} outside [1-1e-9, 1]")
-    yrow = fstate.y[j]
-    for i in range(fstate.m):
-        if fstate.discarded[i]:
-            if yrow[i] != 0.0:
-                out.append(f"job {j}: discarded machine {i} holds y={yrow[i]!r}")
+    cov = sum(yrow)
+    if not (1.0 - TOL <= cov <= 1.0 + TOL):
+        out.append(f"job {j}: coverage {cov!r} outside [1-1e-9, 1+1e-9]")
+    for i, y in enumerate(yrow):
+        if y == 0.0:
             continue
-        if yrow[i] > 2.0 * fstate.x[i] + TOL:
-            out.append(f"job {j}, machine {i}: y={yrow[i]!r} > 2x={2*fstate.x[i]!r}")
-    for i in range(fstate.m):
-        if fstate.discarded[i] or fstate.fully_active[i]:
-            continue
-        if fstate.load[i] > 6.0 * fstate.x[i] + TOL:
+        if discarded[i]:
+            out.append(f"job {j}: discarded machine {i} holds y={y!r}")
+        elif y > 2.0 * x[i] + TOL:
+            out.append(f"job {j}, machine {i}: y={y!r} > 2x={2*x[i]!r}")
+    return out
+
+
+def audit_phase(
+    trace: PhaseTrace, p: list[tuple[float, ...]], a: float
+) -> list[tuple[str, str]]:
+    """Every invariant of one finished phase, as (check family, message).
+
+    Feasibility: ``audit_job`` for each covered job against ``x_final``, and
+    load <= 6x on partially active machines. Consistency: loads recomputed
+    from the y rows (``p`` in units of L) against ``load_final``, and the
+    potential recomputed with growth base ``a`` against ``phi``.
+    """
+    where = f"phase {trace.phase}"
+    out = []
+    m = len(trace.x_final)
+    loads = [0.0] * m
+    for j, yrow in trace.covered_y:
+        for msg in audit_job(j, yrow, trace.x_final, trace.discarded):
+            out.append(("feasibility", f"{where}, {msg}"))
+        prow = p[j]
+        for i in range(m):
+            loads[i] += prow[i] * yrow[i]
+    phi = 0.0
+    for i in range(m):
+        load, x = trace.load_final[i], trace.x_final[i]
+        if abs(loads[i] - load) > TOL:
             out.append(
-                f"machine {i}: load {fstate.load[i]!r} > 6x={6*fstate.x[i]!r} while partially active"
+                ("consistency", f"{where}, machine {i}: load {load!r} vs recomputed {loads[i]!r}")
             )
+        if trace.discarded[i]:
+            continue
+        if x < 1.0 and load > 6.0 * x + TOL:
+            msg = f"{where}, machine {i}: load {load!r} > 6x={6*x!r} while partially active"
+            out.append(("feasibility", msg))
+        c = trace.scaled_costs[i]
+        phi += c * a ** (load - 1.0) if x == 1.0 else c * x
+    if abs(phi - trace.phi) > TOL:
+        out.append(("consistency", f"{where}: phi {trace.phi!r} vs recomputed {phi!r}"))
     return out
 
 
 def audit_consistency(fstate: FractionalState) -> list[str]:
+    """O(m) per-job check of the incremental bookkeeping; loads are
+    recomputed once per phase by ``audit_phase``."""
     out = []
-    recomputed = fstate.recompute_loads()
-    for i in range(fstate.m):
-        if abs(recomputed[i] - fstate.load[i]) > TOL:
-            out.append(
-                f"machine {i}: incremental load {fstate.load[i]!r} vs recomputed {recomputed[i]!r}"
-            )
     for i in range(fstate.m):
         if fstate.fully_active[i] != (fstate.x[i] == 1.0):
             out.append(f"machine {i}: fully_active={fstate.fully_active[i]} but x={fstate.x[i]!r}")
@@ -149,40 +190,39 @@ def audit_consistency(fstate: FractionalState) -> list[str]:
     return out
 
 
-def audit_steps(phases: list[PhaseTrace], n: int) -> list[str]:
-    out = []
+def audit_steps(steps: Iterable[tuple[object, object, float]], n: int) -> list[str]:
+    """Steps, given as (job, step_idx, delta_phi), whose potential increase
+    exceeds 2/n."""
     if n == 0:
-        return out
+        return []
     cap = 2.0 / n + TOL
-    for trace in phases:
-        for job, idx, outcome in trace.step_entries:
-            if outcome.delta_potential > cap:
-                out.append(
-                    f"phase {trace.phase}, job {job}, step {idx}: "
-                    f"delta_phi {outcome.delta_potential!r} > 2/n={2.0/n!r}"
-                )
-    return out
+    return [f"job {job}, step {idx}: delta_phi {d!r} > 2/n" for job, idx, d in steps if d > cap]
 
 
-def audit_rounding(rstate: RoundingState, records: list[JobFraction]) -> list[str]:
+def audit_rounding(
+    assignment: dict[int, int],
+    active: list[bool],
+    int_load: list[float],
+    records: list[JobFraction],
+) -> list[str]:
+    """The integer schedule against the kept jobs' records: every job assigned
+    to an active machine its phase kept, and the integer loads recomputed."""
     out = []
-    loads = [0.0] * rstate.m
+    loads = [0.0] * len(active)
     for frac in records:
         j = frac.job
-        if j not in rstate.assignment:
+        if j not in assignment:
             out.append(f"job {j}: never assigned")
             continue
-        i = rstate.assignment[j]
-        if not rstate.active[i]:
+        i = assignment[j]
+        if not active[i]:
             out.append(f"job {j}: assigned to inactive machine {i}")
         if not frac.eligible[i]:
             out.append(f"job {j}: assigned to ineligible machine {i}")
         loads[i] += frac.p_scaled[i]
-    for i in range(rstate.m):
-        if abs(loads[i] - rstate.int_load[i]) > TOL:
-            out.append(
-                f"machine {i}: integer load {rstate.int_load[i]!r} vs recomputed {loads[i]!r}"
-            )
+    for i, load in enumerate(int_load):
+        if abs(loads[i] - load) > TOL:
+            out.append(f"machine {i}: integer load {load!r} vs recomputed {loads[i]!r}")
     return out
 
 
@@ -271,6 +311,9 @@ def build_report_row(
 
 
 def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
+    """One run through the guess-and-double controller. A known guess (oracle
+    or fixed mode) is its one-phase case: no cost bound, so nothing trips, and
+    a guess found too small raises ``GuessTooSmallError``."""
     violations = Violations()
     check = config.checks.__contains__
 
@@ -279,53 +322,45 @@ def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
             violations.extend("potential", audit_preprocess(fstate))
 
     def on_job(fstate: FractionalState, j: int) -> None:
-        if check("feasibility"):
-            violations.extend("feasibility", audit_job(fstate, j))
         if check("consistency"):
             violations.extend("consistency", audit_consistency(fstate))
 
     if config.alpha_mode == "double":
-        result = run_with_doubling(
-            instance,
-            initial_guess=config.alpha_value,
-            C=config.C,
-            a=config.a,
-            seed=config.seed,
-            step_cap=config.step_cap,
-            recover_all=config.recover_all,
-            on_phase=on_phase,
-            on_job=on_job,
-        )
-        B = None
-        alpha = result.final_guess
-        phases, records, rounding = result.phases, result.records, result.rounding
+        B, guess, C = None, config.alpha_value, config.C
     else:
-        B, alpha = resolve_alpha(instance, config)
-        fstate = preprocess(instance, alpha, a=config.a, step_cap=config.step_cap)
-        on_phase(fstate)
-        rounding = RoundingState(instance, config.seed)
-        records = []
-        int_before = rounding.int_cost
-        for j in range(instance.n_declared):
-            fstate.process_job(j)
-            on_job(fstate, j)
-            frac = fstate.job_fraction(j)
-            records.append(frac)
-            rounding.process_job(frac)
-        phases = [
-            snapshot_phase(fstate, 0, alpha, instance.n_declared, rounding.int_cost - int_before)
-        ]
+        B, guess = resolve_alpha(instance, config)
+        C = None  # a known guess: one phase, nothing trips
+    result = run_with_doubling(
+        instance,
+        initial_guess=guess,
+        C=C,
+        a=config.a,
+        seed=config.seed,
+        step_cap=config.step_cap,
+        recover_all=config.recover_all,
+        on_phase=on_phase,
+        on_job=on_job,
+    )
+    phases, records, rounding = result.phases, result.records, result.rounding
 
+    if check("feasibility") or check("consistency"):
+        p = instance.scaled_ptimes()
+        for trace in phases:
+            for family, msg in audit_phase(trace, p, config.a):
+                if check(family):
+                    violations.add(family, msg)
     if check("potential"):
-        violations.extend("potential", audit_steps(phases, instance.n_declared))
+        steps = ((job, idx, o.delta_potential) for t in phases for job, idx, o in t.step_entries)
+        violations.extend("potential", audit_steps(steps, instance.n_declared))
     if check("rounding"):
-        violations.extend("rounding", audit_rounding(rounding, records))
+        problems = audit_rounding(rounding.assignment, rounding.active, rounding.int_load, records)
+        violations.extend("rounding", problems)
 
     row = build_report_row(config, instance, B, phases, rounding, violations)
     return RunArtifacts(
         instance=instance,
         config=config,
-        alpha=alpha,
+        alpha=result.final_guess,
         B=B,
         phases=phases,
         records=records,
@@ -405,36 +440,14 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
     write_report_csv(logdir / "report.csv", [artifacts.row])
 
     meta = {
-        "config": {
-            "alpha_mode": artifacts.config.alpha_mode,
-            "alpha_value": artifacts.config.alpha_value,
-            "seed": artifacts.config.seed,
-            "a": artifacts.config.a,
-            "C": artifacts.config.C,
-            "step_cap": artifacts.config.step_cap,
-            "checks": list(artifacts.config.checks),
-            "recover_all": artifacts.config.recover_all,
-        },
+        "config": asdict(artifacts.config),
         "alpha": artifacts.alpha,
         "B": artifacts.B,
         "m": artifacts.instance.m,
         "n": artifacts.instance.n_declared,
         "L": artifacts.instance.makespan_budget,
         "phases": [
-            {
-                "phase": p.phase,
-                "guess": p.guess,
-                "jobs_processed": p.jobs_processed,
-                "frac_cost": p.frac_cost,
-                "frac_makespan": p.frac_makespan,
-                "phi": p.phi,
-                "x_final": list(p.x_final),
-                "load_final": list(p.load_final),
-                "scaled_costs": list(p.scaled_costs),
-                "discarded": list(p.discarded),
-                "fraction_clamps": p.fraction_clamps,
-                "coverage_clamps": p.coverage_clamps,
-            }
+            {k: v for k, v in vars(p).items() if k not in PHASE_FIELDS_NOT_IN_META}
             for p in artifacts.phases
         ],
         "rounding": {
@@ -460,111 +473,104 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
 # -- log verification --------------------------------------------------------------
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def _load_phases(meta: dict, y_path: Path, m: int) -> list[PhaseTrace]:
+    """The phases of ``meta.json`` with their covered y rows from ``y.csv``;
+    int_cost_delta and the steps, which no phase check reads, stay out."""
+    ys: dict[int, dict[int, list[float]]] = {}
+    with open(y_path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for ph, job, mach, y in rows:
+            row = ys.setdefault(int(ph), {}).setdefault(int(job), [0.0] * m)
+            row[int(mach)] = float(y)
+    return [
+        PhaseTrace(
+            **pmeta,
+            int_cost_delta=math.nan,
+            covered_y=[(j, tuple(row)) for j, row in sorted(ys.get(pmeta["phase"], {}).items())],
+        )
+        for pmeta in meta["phases"]
+    ]
+
+
+def _kept_records(phases: list[PhaseTrace], p: list[tuple[float, ...]]) -> list[JobFraction]:
+    """The kept jobs' records as far as the logs hold them. Phases keep jobs
+    in stream order, ``jobs_processed`` each; a log keeps only the phase's
+    final x, which stands in for the x at the end of each job."""
+    records = []
+    for trace in phases:
+        eligible = tuple(not d for d in trace.discarded)
+        ys = dict(trace.covered_y)
+        for j in range(len(records), len(records) + trace.jobs_processed):
+            records.append(JobFraction(j, trace.x_final, ys[j], p[j], eligible))
+    return records
+
+
+def _step_rows(fh):
+    """(job, step_idx, delta_phi) of each steps.csv row; other columns stay unparsed."""
+    rows = csv.reader(fh)
+    header = next(rows)
+    job, idx, dphi = (header.index(col) for col in ("job", "step_idx", "delta_phi"))
+    for row in rows:
+        yield row[job], row[idx], float(row[dphi])
 
 
 def verify_logdir(logdir: str | Path) -> list[str]:
-    """Re-check every derivable invariant from a run's log directory.
+    """Re-run the live checks on the records loaded back from a run's logs.
 
-    Raises InstanceFormatError when the directory or a log file is missing
-    (invalid input); content problems come back as violation messages.
+    The phase, step and rounding checks are the functions the run itself
+    calls; only the columns that exist in the logs alone (the ``cum_cost``
+    running sum, the ``int_makespan`` and ``p_ij`` columns, and the report
+    row against ``meta.json``) are checked here. Raises InstanceFormatError
+    when the directory or a log file is missing (invalid input); content
+    problems come back as violation messages.
     """
     logdir = Path(logdir)
     expected = ("instance.json", "meta.json", "y.csv", "steps.csv", "assignments.csv", "report.csv")
     for name in expected:
         if not (logdir / name).exists():
             raise InstanceFormatError(f"{logdir}: missing log file '{name}'")
-    problems: list[str] = []
     try:
-        instance = load_instance(logdir / "instance.json")
-        meta = json.loads((logdir / "meta.json").read_text(encoding="utf-8"))
-        yrows = _read_csv(logdir / "y.csv")
-        steps = _read_csv(logdir / "steps.csv")
-        assignments = _read_csv(logdir / "assignments.csv")
-        report_rows = _read_csv(logdir / "report.csv")
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return _verify_logs(logdir)
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, IndexError, TypeError) as exc:
         return [f"cannot load logs: {exc}"]
 
+
+def _verify_logs(logdir: Path) -> list[str]:
+    instance = load_instance(logdir / "instance.json")
+    meta = json.loads((logdir / "meta.json").read_text(encoding="utf-8"))
     budget = instance.makespan_budget
-    n = meta["n"]
-    m = meta["m"]
-    p_scaled = [tuple(p / budget for p in job.processing_times) for job in instance.jobs]
+    p = instance.scaled_ptimes()
+    phases = _load_phases(meta, logdir / "y.csv", instance.m)
+    rmeta = meta["rounding"]
 
-    # Per-phase fractional audit from the y log.
-    by_phase: dict[int, dict[int, dict[int, float]]] = {}
-    for row in yrows:
-        ph, job, mach = int(row["phase"]), int(row["job"]), int(row["machine"])
-        by_phase.setdefault(ph, {}).setdefault(job, {})[mach] = float(row["y"])
-    for pmeta in meta["phases"]:
-        ph = pmeta["phase"]
-        jobs_here = by_phase.get(ph, {})
-        x_final = pmeta["x_final"]
-        discarded = pmeta["discarded"]
-        loads = [0.0] * m
-        for job, ys in sorted(jobs_here.items()):
-            cov = 0.0
-            for i, val in sorted(ys.items()):
-                cov += val
-                loads[i] += p_scaled[job][i] * val
-                if val > 2.0 * x_final[i] + TOL:
-                    problems.append(
-                        f"phase {ph}, job {job}, machine {i}: y={val!r} > 2*x_final={2*x_final[i]!r}"
-                    )
-                if discarded[i]:
-                    problems.append(f"phase {ph}, job {job}: y on discarded machine {i}")
-            if not (1.0 - TOL <= cov <= 1.0):
-                problems.append(f"phase {ph}, job {job}: coverage {cov!r} outside [1-1e-9, 1]")
-        for i in range(m):
-            if abs(loads[i] - pmeta["load_final"][i]) > TOL:
-                problems.append(
-                    f"phase {ph}, machine {i}: recomputed load {loads[i]!r} "
-                    f"vs reported {pmeta['load_final'][i]!r}"
-                )
-            if not discarded[i] and x_final[i] < 1.0:
-                if pmeta["load_final"][i] > 6.0 * x_final[i] + TOL:
-                    problems.append(
-                        f"phase {ph}, machine {i}: load {pmeta['load_final'][i]!r} "
-                        f"> 6*x={6*x_final[i]!r} while partially active"
-                    )
+    problems = [msg for trace in phases for _, msg in audit_phase(trace, p, meta["config"]["a"])]
+    with open(logdir / "steps.csv", newline="", encoding="utf-8") as fh:
+        problems += audit_steps(_step_rows(fh), instance.n_declared)
 
-    # Per-step potential bound.
-    if n > 0:
-        cap = 2.0 / n + TOL
-        for row in steps:
-            if float(row["delta_phi"]) > cap:
-                problems.append(
-                    f"job {row['job']} step {row['step_idx']}: delta_phi {row['delta_phi']} > 2/n"
-                )
-
-    # Integer schedule audit.
-    active = meta["rounding"]["active"]
-    int_load = [0.0] * m
-    prev_cum = 0.0
-    running_makespan = 0.0
-    for row in assignments:
-        i = int(row["machine"])
-        if not active[i]:
-            problems.append(f"job {row['job']} assigned to machine {i} not in final active set")
-        int_load[i] += float(row["p_ij"]) / budget
-        cum = float(row["cum_cost"])
-        if abs(cum - (prev_cum + float(row["newly_activated_cost"]))) > TOL:
-            problems.append(f"job {row['job']}: cum_cost {cum!r} breaks the running sum")
-        prev_cum = cum
-        running_makespan = max(running_makespan, max(int_load) * budget)
-        if abs(float(row["int_makespan"]) - running_makespan) > TOL:
-            problems.append(f"job {row['job']}: int_makespan column mismatch")
-    for i in range(m):
-        if abs(int_load[i] - meta["rounding"]["int_load"][i]) > TOL:
-            problems.append(
-                f"machine {i}: integer load recomputed {int_load[i]!r} "
-                f"vs reported {meta['rounding']['int_load'][i]!r}"
-            )
-    if assignments and abs(prev_cum - meta["rounding"]["int_cost"]) > TOL:
+    assignment: dict[int, int] = {}
+    int_load = [0.0] * instance.m
+    cum = 0.0
+    with open(logdir / "assignments.csv", newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            j, i = int(row["job"]), int(row["machine"])
+            assignment[j] = i
+            int_load[i] += p[j][i]
+            if abs(float(row["p_ij"]) - p[j][i] * budget) > TOL:
+                problems.append(f"job {j}: p_ij column {row['p_ij']} does not match the instance")
+            prev, cum = cum, float(row["cum_cost"])
+            if abs(cum - (prev + float(row["newly_activated_cost"]))) > TOL:
+                problems.append(f"job {j}: cum_cost {cum!r} breaks the running sum")
+            if abs(float(row["int_makespan"]) - max(int_load) * budget) > TOL:
+                problems.append(f"job {j}: int_makespan column mismatch")
+    if assignment and abs(cum - rmeta["int_cost"]) > TOL:
         problems.append("final cum_cost does not match reported int_cost")
+    problems += audit_rounding(
+        assignment, rmeta["active"], rmeta["int_load"], _kept_records(phases, p)
+    )
 
-    # Report row vs metadata.
+    with open(logdir / "report.csv", newline="", encoding="utf-8") as fh:
+        report_rows = list(csv.DictReader(fh))
     if len(report_rows) != 1:
         problems.append(f"report.csv has {len(report_rows)} rows (expected 1)")
     else:
@@ -573,7 +579,6 @@ def verify_logdir(logdir: str | Path) -> list[str]:
             got = report_rows[0][col]
             if want != got:
                 problems.append(f"report column {col}: {got!r} != {want!r}")
-
     return problems
 
 
@@ -612,11 +617,13 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
     cells = config_doc.get("cells")
     if not cells:
         raise ValueError("sweep config: missing or empty 'cells'")
-    alpha_mode = config_doc.get("alpha_mode", "oracle")
-    alpha_value = config_doc.get("alpha_value")
-    a = config_doc.get("a", 1.05)
-    C = config_doc.get("C", 50.0)
-    checks = tuple(config_doc.get("checks", CHECK_FAMILIES))
+    config = RunConfig(
+        alpha_mode=config_doc.get("alpha_mode", "oracle"),
+        alpha_value=config_doc.get("alpha_value"),
+        a=config_doc.get("a", 1.05),
+        C=config_doc.get("C", 50.0),
+        checks=tuple(config_doc.get("checks", CHECK_FAMILIES)),
+    )
 
     rows: list[dict] = []
     for cell in cells:
@@ -636,31 +643,19 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
             )
             label = sweep_cell_label(cell["m"], cell["n"], iseed, cell["model"])
             rounding_seeds = list(cell["rounding_seeds"])
-            base_config = RunConfig(
-                alpha_mode=alpha_mode,
-                alpha_value=alpha_value,
-                seed=rounding_seeds[0],
-                a=a,
-                C=C,
-                checks=checks,
-            )
-            artifacts = run_pipeline(instance, base_config)
+            artifacts = run_pipeline(instance, replace(config, seed=rounding_seeds[0]))
             rows.append({"instance": label, **artifacts.row})
             # Later rounding seeds replay the frozen fractional snapshots.
             for rseed in rounding_seeds[1:]:
                 rounding = replay_rounding(instance, artifacts.records, rseed)
                 extra = Violations()
-                if "rounding" in checks:
-                    extra.extend("rounding", audit_rounding(rounding, artifacts.records))
+                if "rounding" in config.checks:
+                    problems = audit_rounding(
+                        rounding.assignment, rounding.active, rounding.int_load, artifacts.records
+                    )
+                    extra.extend("rounding", problems)
                 frac_viol = artifacts.violations.total() - artifacts.violations.counts["rounding"]
-                cfg = RunConfig(
-                    alpha_mode=alpha_mode,
-                    alpha_value=alpha_value,
-                    seed=rseed,
-                    a=a,
-                    C=C,
-                    checks=checks,
-                )
+                cfg = replace(config, seed=rseed)
                 row = build_report_row(
                     cfg, instance, artifacts.B, artifacts.phases, rounding, extra
                 )

@@ -96,9 +96,7 @@ class FractionalState:
         self.a = a
         self.alpha = alpha
         self.step_cap = step_cap
-        budget = instance.makespan_budget
-        # Job-major processing times in units of L.
-        self.p = [tuple(p / budget for p in job.processing_times) for job in instance.jobs]
+        self.p = instance.scaled_ptimes()
 
         # Cost normalization: with alpha equal to the offline optimum, the
         # optimum of the rescaled instance sits in [m, 2m]. Machines dearer
@@ -127,7 +125,6 @@ class FractionalState:
         self.load = [0.0] * self.m
         self.y: dict[int, list[float]] = {}
         self.coverage: dict[int, float] = {}
-        self.jobs_done = 0
         self.phi = self.potential()
 
         # Audit counters: how often the y <= min(2x, 1) cap or the
@@ -289,7 +286,6 @@ class FractionalState:
                     f"(coverage={self.coverage[j]!r}, x={self.x!r}, load={self.load!r})"
                 )
             outcomes.append(self.execute_step(j))
-        self.jobs_done += 1
         return outcomes
 
     # -- observables ----------------------------------------------------------
@@ -308,14 +304,6 @@ class FractionalState:
             (self.load[i] for i in range(self.m) if not self.discarded[i]),
             default=0.0,
         )
-
-    def recompute_loads(self) -> list[float]:
-        loads = [0.0] * self.m
-        for j, yrow in self.y.items():
-            prow = self.p[j]
-            for i in range(self.m):
-                loads[i] += prow[i] * yrow[i]
-        return loads
 
     def job_fraction(self, j: int) -> JobFraction:
         if j not in self.y:

@@ -95,6 +95,11 @@ class Instance:
         """Processing times, job-major."""
         return [job.processing_times for job in self.jobs]
 
+    def scaled_ptimes(self) -> list[tuple[float, ...]]:
+        """Processing times in units of L, job-major."""
+        budget = self.makespan_budget
+        return [tuple(p / budget for p in job.processing_times) for job in self.jobs]
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -264,32 +269,15 @@ def load_trace(path: str | Path) -> Instance:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: header line: {exc.msg}") from exc
-    where = f"{path} header"
-    m = _require(header, "m", where)
-    budget = _require(header, "L", where)
-    n = _require(header, "n", where)
-    raw_machines = _require(header, "machines", where)
-    if len(raw_machines) != m:
-        raise InstanceFormatError(f"{where}: m={m} but {len(raw_machines)} machines")
-    machines = tuple(
-        Machine(_require(mc, "id", where), _require(mc, "cost", where))
-        for mc in raw_machines
-    )
+    if not isinstance(header, dict):
+        raise InstanceFormatError(f"{path}: header line must be an object")
     jobs = []
-    for k, line in enumerate(lines[1:]):
+    for k, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
+            jobs.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"{path}: job line {k + 2}: {exc.msg}") from exc
-        jobs.append(
-            Job(_require(raw, "id", f"{path}: job line {k + 2}"),
-                tuple(_require(raw, "p", f"{path}: job line {k + 2}")))
-        )
-    if len(jobs) != n:
-        raise InstanceFormatError(f"{path}: header n={n} but {len(jobs)} job lines")
-    try:
-        return Instance(machines=machines, jobs=tuple(jobs), makespan_budget=budget, n_declared=n)
-    except ValueError as exc:
-        raise InstanceFormatError(f"{path}: {exc}") from exc
+            raise InstanceFormatError(f"{path}: job line {k}: {exc.msg}") from exc
+    doc = {"version": SCHEMA_VERSION, **header, "jobs": jobs}
+    return instance_from_dict(doc, where=str(path))

@@ -71,7 +71,6 @@ class RoundingState:
         self.active = [False] * self.m
         self.assignment: dict[int, int] = {}
         self.int_load = [0.0] * self.m  # units of L
-        self.x_snapshot: dict[tuple[int, int], float] = {}
         self.fallback_count = 0
         self.deficit_jobs = 0  # jobs whose active z-mass was below 1 pre-fallback
         self.log: list[AssignmentRecord] = []
@@ -95,7 +94,6 @@ class RoundingState:
         """Open every eligible inactive machine whose threshold is cleared."""
         newly: list[int] = []
         for i in range(self.m):
-            self.x_snapshot[(i, frac.job)] = frac.x[i]
             if self.active[i] or not frac.eligible[i]:
                 continue
             if self.r[i] <= ACTIVATION_FACTOR * frac.x[i] * self._ln_mn:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from actsched.cli import main
+from actsched.experiment import verify_logdir
 from actsched.instances import load_instance
 
 LOG_FILES = (
@@ -151,6 +152,40 @@ def test_run_detects_violation_exit_code(tmp_path):
 
 def test_run_no_checks_suppresses_violations(tmp_path):
     assert main(_crossing_jump_run(tmp_path) + ["--no-checks", "--logdir", str(tmp_path / "nc")]) == 0
+
+
+def test_run_and_verify_report_the_same_problems(tmp_path):
+    logdir = tmp_path / "viol"
+    assert main(_crossing_jump_run(tmp_path) + ["--logdir", str(logdir)]) == 3
+    live = json.loads((logdir / "meta.json").read_text())["violations"]["messages"]
+    assert len(live) == 1
+    assert live[0].startswith("[potential] job 11, step 30: delta_phi ")
+    assert live[0].endswith(" > 2/n")  # the suffix perfbench/checks.py matches
+    assert verify_logdir(logdir) == [live[0].removeprefix("[potential] ")]
+
+
+def _quarter_cost_run(tmp_path, m, n, seed, model):
+    path = gen_file(tmp_path, m=m, n=n, seed=seed, model=model)
+    alpha = repr(sum(load_instance(path).costs()) / 4)
+    return ["run", "--in", str(path), "--alpha", alpha, "--seed", "0"]
+
+
+def test_verify_accepts_coverage_rounded_above_one(tmp_path):
+    # Job 9 re-sums to 1.0000000000000002 in machine order; the engine's own
+    # running coverage is capped at 1.
+    logdir = tmp_path / "logs"
+    assert main(_quarter_cost_run(tmp_path, 4, 20, 6, "uniform") + ["--logdir", str(logdir)]) == 0
+    assert main(["verify", "--logdir", str(logdir)]) == 0
+
+
+def test_run_fixed_guess_too_small_exits_two_without_doubling(tmp_path, capsys):
+    args = _quarter_cost_run(tmp_path, 4, 8, 7, "restricted_assignment")
+    alpha = args[args.index("--alpha") + 1]
+    capsys.readouterr()
+    assert main(args + ["--logdir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"job 2: no kept machine with p_ij <= L at guess {alpha}" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_missing_input_exit_two(tmp_path):

@@ -7,6 +7,7 @@ from actsched.doubling import (
     run_with_doubling,
 )
 from actsched.experiment import oracle_solve
+from actsched.fractional import GuessTooSmallError
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 
 
@@ -119,3 +120,17 @@ def test_job_fitting_nowhere_aborts_past_total_cost():
     inst = make_instance([1.0, 1.0], [[2.0, 2.0]])
     with pytest.raises(GuessBoundExceededError, match="p_ij <= L"):
         run_with_doubling(inst, initial_guess=1.0, C=50.0, seed=0)
+
+
+def test_known_guess_runs_one_phase_and_never_doubles():
+    # C=None is a known guess: no cost bound, and a guess found too small
+    # raises instead of doubling, whether pre-processing discards every
+    # machine or a job fits on no kept one.
+    inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
+    result = run_with_doubling(inst, initial_guess=1.0, C=None, seed=0)
+    assert [p.guess for p in result.phases] == [1.0]
+    assert result.phases[0].jobs_processed == 4
+    with pytest.raises(GuessTooSmallError, match="rescaled cost"):
+        run_with_doubling(make_instance([100.0, 200.0], [[0.5, 0.5]]), initial_guess=1.0, C=None)
+    with pytest.raises(GuessTooSmallError, match="job 0: no kept machine"):
+        run_with_doubling(make_instance([1.0, 1.0], [[2.0, 2.0]]), initial_guess=1.0, C=None)

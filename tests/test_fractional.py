@@ -291,7 +291,10 @@ def test_x_monotone_and_y_frozen():
 def test_incremental_bookkeeping_matches_recompute():
     for inst, alpha in sweep_instances(12):
         fs = run_all(inst, alpha)
-        recomputed = fs.recompute_loads()
+        recomputed = [0.0] * fs.m
+        for j, yrow in fs.y.items():
+            for i in range(fs.m):
+                recomputed[i] += fs.p[j][i] * yrow[i]
         for i in range(fs.m):
             assert abs(recomputed[i] - fs.load[i]) <= 1e-9
             assert fs.fully_active[i] == (fs.x[i] == 1.0)

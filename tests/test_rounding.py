@@ -195,8 +195,7 @@ def test_activation_is_monotone_and_snapshots_recorded():
         process_job_rounded(rs, fs, j)
         assert all(b or not a for a, b in zip(active_before, rs.active))
         active_before = list(rs.active)
-        for i in range(4):
-            assert rs.x_snapshot[(i, j)] == fs.x[i]
+        assert fs.job_fraction(j).x == tuple(fs.x)
 
 
 def test_assignment_log_columns():
