@@ -2,12 +2,13 @@
 
 The fractional engine needs a guess for the offline optimum cost. The
 controller starts from a cheap lower bound and runs covering phases: whenever
-a phase's fractional cost outgrows its budget (or pre-processing discards
-every machine, or every machine some job fits on within the budget, which
-means the guess is hopeless), the guess doubles and a fresh fractional state
-takes over. Machines opened by the rounding stage stay open across phases;
-the job that triggered a doubling is re-covered in the new phase before
-rounding sees it.
+a phase's fractional cost outgrows its budget, or a job fits within the budget
+on no machine that pre-processing kept (possibly none), the guess doubles and
+a fresh fractional state takes over. Every phase, a tripped one included,
+leaves one ``PhaseTrace`` behind, and every check runs on those finished
+traces. Machines opened by the rounding stage stay open across phases; the
+job that triggered a doubling is re-covered in the new phase before rounding
+sees it.
 
 A known guess (the oracle's optimum or a fixed value) is the one-phase case of
 the same controller: with no cost bound (``C=None``) nothing trips, and a
@@ -83,25 +84,6 @@ def snapshot_phase(
     )
 
 
-def empty_phase(phase: int, guess: float, m: int) -> PhaseTrace:
-    """Trace for a phase whose pre-processing discarded every machine."""
-    return PhaseTrace(
-        phase=phase,
-        guess=guess,
-        jobs_processed=0,
-        frac_cost=0.0,
-        int_cost_delta=0.0,
-        frac_makespan=0.0,
-        phi=0.0,
-        x_final=(0.0,) * m,
-        load_final=(0.0,) * m,
-        scaled_costs=(0.0,) * m,
-        discarded=(True,) * m,
-        fraction_clamps=0,
-        coverage_clamps=0,
-    )
-
-
 def default_initial_guess(instance: Instance) -> float:
     """Cheapest startup cost any single job could force: a trivial lower
     bound on the offline optimum."""
@@ -144,7 +126,6 @@ def run_with_doubling(
     step_cap: int = DEFAULT_STEP_CAP,
     recover_all: bool = False,
     on_phase: Callable[[FractionalState], None] | None = None,
-    on_job: Callable[[FractionalState, int], None] | None = None,
 ) -> DoublingResult:
     """Run all jobs under guess-and-double control.
 
@@ -152,8 +133,8 @@ def run_with_doubling(
     which a guess found too small raises ``GuessTooSmallError``.
     ``recover_all`` switches the phase reset from re-covering only the
     triggering job to fractionally re-covering every job seen so far.
-    ``on_phase`` fires after each successful pre-processing; ``on_job`` after
-    each fractional job update (audit hooks).
+    ``on_phase`` fires after each pre-processing, before any job (an audit
+    hook for the starting potential, which no trace keeps).
     """
     m, n = instance.m, instance.n_declared
     rstate = RoundingState(instance, seed)
@@ -172,19 +153,7 @@ def run_with_doubling(
 
     while True:
         int_cost_before = rstate.int_cost
-        try:
-            fstate = preprocess(instance, guess, a=a, step_cap=step_cap)
-        except GuessTooSmallError:
-            if C is None:
-                raise
-            phases.append(empty_phase(phase_idx, guess, m))
-            if guess > total_cost:
-                raise GuessBoundExceededError(
-                    f"guess {guess} exceeds total machine cost {total_cost}"
-                )
-            guess *= 2.0
-            phase_idx += 1
-            continue
+        fstate = preprocess(instance, guess, a=a, step_cap=step_cap)
         if on_phase is not None:
             on_phase(fstate)
 
@@ -196,15 +165,11 @@ def run_with_doubling(
                 # scaling; their integer assignments stand.
                 for jj in range(j):
                     fstate.process_job(jj)
-                    if on_job is not None:
-                        on_job(fstate, jj)
                     trip = _cost_trip(fstate, bound, C)
                     if trip is not None:
                         break
             while trip is None and j < n:
                 fstate.process_job(j)
-                if on_job is not None:
-                    on_job(fstate, j)
                 trip = _cost_trip(fstate, bound, C)
                 if trip is not None:
                     break

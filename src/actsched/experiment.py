@@ -8,8 +8,9 @@ document, per-step and per-job CSV logs, and a one-row report. Every mode
 runs through the guess-and-double controller; a known guess is its one-phase
 case. Each invariant is written once, over the records a run leaves behind
 (``PhaseTrace``, ``JobFraction``, the steps and the integer schedule): the run
-calls these checks live, and ``verify`` loads the same records back from the
-log files alone and calls the same functions.
+calls these checks on its finished records, and ``verify`` loads the same
+records back from the log files alone and calls the same functions. Only the
+starting potential of a phase, which no record keeps, is checked live.
 """
 
 from __future__ import annotations
@@ -139,23 +140,28 @@ def audit_job(j: int, yrow: tuple[float, ...], x, discarded) -> list[str]:
     return out
 
 
-def audit_phase(
-    trace: PhaseTrace, p: list[tuple[float, ...]], a: float
-) -> list[tuple[str, str]]:
-    """Every invariant of one finished phase, as (check family, message).
+def audit_phase(trace: PhaseTrace) -> list[str]:
+    """Feasibility of one finished phase: ``audit_job`` for each covered job
+    against ``x_final``, and load <= 6x on partially active machines."""
+    where = f"phase {trace.phase}"
+    out = []
+    for j, yrow in trace.covered_y:
+        out += [f"{where}, {msg}" for msg in audit_job(j, yrow, trace.x_final, trace.discarded)]
+    for i, (load, x) in enumerate(zip(trace.load_final, trace.x_final)):
+        if not trace.discarded[i] and x < 1.0 and load > 6.0 * x + TOL:
+            out.append(f"{where}, machine {i}: load {load!r} > 6x={6*x!r} while partially active")
+    return out
 
-    Feasibility: ``audit_job`` for each covered job against ``x_final``, and
-    load <= 6x on partially active machines. Consistency: loads recomputed
-    from the y rows (``p`` in units of L) against ``load_final``, and the
-    potential recomputed with growth base ``a`` against ``phi``.
-    """
+
+def audit_consistency(trace: PhaseTrace, p: list[tuple[float, ...]], a: float) -> list[str]:
+    """Bookkeeping of one finished phase: loads recomputed from the y rows
+    (``p`` in units of L) against ``load_final``, and the potential
+    recomputed with growth base ``a`` against ``phi``."""
     where = f"phase {trace.phase}"
     out = []
     m = len(trace.x_final)
     loads = [0.0] * m
     for j, yrow in trace.covered_y:
-        for msg in audit_job(j, yrow, trace.x_final, trace.discarded):
-            out.append(("feasibility", f"{where}, {msg}"))
         prow = p[j]
         for i in range(m):
             loads[i] += prow[i] * yrow[i]
@@ -163,30 +169,12 @@ def audit_phase(
     for i in range(m):
         load, x = trace.load_final[i], trace.x_final[i]
         if abs(loads[i] - load) > TOL:
-            out.append(
-                ("consistency", f"{where}, machine {i}: load {load!r} vs recomputed {loads[i]!r}")
-            )
-        if trace.discarded[i]:
-            continue
-        if x < 1.0 and load > 6.0 * x + TOL:
-            msg = f"{where}, machine {i}: load {load!r} > 6x={6*x!r} while partially active"
-            out.append(("feasibility", msg))
-        c = trace.scaled_costs[i]
-        phi += c * a ** (load - 1.0) if x == 1.0 else c * x
+            out.append(f"{where}, machine {i}: load {load!r} vs recomputed {loads[i]!r}")
+        if not trace.discarded[i]:
+            c = trace.scaled_costs[i]
+            phi += c * a ** (load - 1.0) if x == 1.0 else c * x
     if abs(phi - trace.phi) > TOL:
-        out.append(("consistency", f"{where}: phi {trace.phi!r} vs recomputed {phi!r}"))
-    return out
-
-
-def audit_consistency(fstate: FractionalState) -> list[str]:
-    """O(m) per-job check of the incremental bookkeeping; loads are
-    recomputed once per phase by ``audit_phase``."""
-    out = []
-    for i in range(fstate.m):
-        if fstate.fully_active[i] != (fstate.x[i] == 1.0):
-            out.append(f"machine {i}: fully_active={fstate.fully_active[i]} but x={fstate.x[i]!r}")
-    if abs(fstate.phi - fstate.potential()) > TOL:
-        out.append(f"incremental phi {fstate.phi!r} vs recomputed {fstate.potential()!r}")
+        out.append(f"{where}: phi {trace.phi!r} vs recomputed {phi!r}")
     return out
 
 
@@ -233,16 +221,16 @@ def oracle_solve(
     instance: Instance, method: str = "auto", node_budget: int = 10**7
 ) -> OracleResult:
     """Exact optimum via the requested route; 'auto' uses branch-and-bound."""
+    if method not in ("auto", "bnb", "exhaustive"):
+        raise ValueError(f"unknown oracle method {method!r}")
     if method == "exhaustive":
         return optimal_exhaustive(instance)
     result = optimal_bnb(instance, node_budget=node_budget)
-    if method in ("auto", "bnb"):
-        if not result.exact:
-            raise OracleTooLargeError(
-                f"branch-and-bound hit its node budget ({node_budget}) without proof"
-            )
-        return result
-    raise ValueError(f"unknown oracle method {method!r}")
+    if not result.exact:
+        raise OracleTooLargeError(
+            f"branch-and-bound hit its node budget ({node_budget}) without proof"
+        )
+    return result
 
 
 def resolve_alpha(instance: Instance, config: RunConfig) -> tuple[float | None, float]:
@@ -321,10 +309,6 @@ def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
         if check("potential"):
             violations.extend("potential", audit_preprocess(fstate))
 
-    def on_job(fstate: FractionalState, j: int) -> None:
-        if check("consistency"):
-            violations.extend("consistency", audit_consistency(fstate))
-
     if config.alpha_mode == "double":
         B, guess, C = None, config.alpha_value, config.C
     else:
@@ -339,16 +323,15 @@ def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
         step_cap=config.step_cap,
         recover_all=config.recover_all,
         on_phase=on_phase,
-        on_job=on_job,
     )
     phases, records, rounding = result.phases, result.records, result.rounding
 
-    if check("feasibility") or check("consistency"):
-        p = instance.scaled_ptimes()
-        for trace in phases:
-            for family, msg in audit_phase(trace, p, config.a):
-                if check(family):
-                    violations.add(family, msg)
+    p = instance.scaled_ptimes() if check("consistency") else None
+    for trace in phases:
+        if check("feasibility"):
+            violations.extend("feasibility", audit_phase(trace))
+        if check("consistency"):
+            violations.extend("consistency", audit_consistency(trace, p, config.a))
     if check("potential"):
         steps = ((job, idx, o.delta_potential) for t in phases for job, idx, o in t.step_entries)
         violations.extend("potential", audit_steps(steps, instance.n_declared))
@@ -544,7 +527,9 @@ def _verify_logs(logdir: Path) -> list[str]:
     phases = _load_phases(meta, logdir / "y.csv", instance.m)
     rmeta = meta["rounding"]
 
-    problems = [msg for trace in phases for _, msg in audit_phase(trace, p, meta["config"]["a"])]
+    problems = []
+    for trace in phases:
+        problems += audit_phase(trace) + audit_consistency(trace, p, meta["config"]["a"])
     with open(logdir / "steps.csv", newline="", encoding="utf-8") as fh:
         problems += audit_steps(_step_rows(fh), instance.n_declared)
 

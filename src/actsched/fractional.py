@@ -13,11 +13,16 @@ are tracked in units of L; startup costs are rescaled so the offline optimum
 lands near m. A job is only ever ranked over kept machines on which it fits
 within the budget (p_ij <= L): the offline optimum never uses any other pair,
 so such pairs (including the finite sentinel of restricted instances) get no
-fractional mass. The engine is fully deterministic.
+fractional mass. A machine is fully active exactly when x_i == 1; that test
+switches its potential and virtual cost from linear in x to exponential in
+load. A guess too small for a job (pre-processing may discard every machine)
+surfaces as ``GuessTooSmallError`` from ``process_job``. The engine is fully
+deterministic.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .instances import Instance
@@ -32,8 +37,8 @@ TYPE_B = "B"
 
 
 class GuessTooSmallError(Exception):
-    """The optimum guess is too low: pre-processing discarded every machine,
-    or every machine a job fits on within the budget."""
+    """The optimum guess is too low: pre-processing discarded every machine a
+    job fits on within the budget (possibly every machine)."""
 
 
 class StalledStepError(Exception):
@@ -69,10 +74,18 @@ class JobFraction:
 
 
 def effective_capacity(x_before: float, delta_x: float, p_ij: float) -> float:
-    """Assignment capacity unlocked by raising x from x_before by delta_x."""
+    """Assignment capacity unlocked by raising x from x_before by delta_x.
+
+    A capacity below the smallest normal float is given as 0: in the
+    subnormal range 6*dx/p keeps too few bits to stay within 6*dx once
+    multiplied back by p, and no real step reaches it.
+    """
     if delta_x < 0:
         raise ValueError("delta_x must be >= 0")
-    return min(2.0 * x_before, 6.0 * delta_x / p_ij)
+    cap = 6.0 * delta_x / p_ij
+    if cap < sys.float_info.min:
+        return 0.0
+    return min(2.0 * x_before, cap)
 
 
 class FractionalState:
@@ -106,19 +119,13 @@ class FractionalState:
         scale = self.m / alpha
         raw = [c * scale for c in instance.costs()]
         self.discarded = [c > self.m for c in raw]
-        if all(self.discarded):
-            raise GuessTooSmallError(
-                f"all {self.m} machines have rescaled cost > m={self.m} at guess {alpha}"
-            )
         self.scaled_costs = [max(c, 1.0) for c in raw]
         self.x = [0.0] * self.m
-        self.fully_active = [False] * self.m
         for i in range(self.m):
             if self.discarded[i]:
                 continue
             if raw[i] <= 1.0:
                 self.x[i] = 1.0
-                self.fully_active[i] = True
             else:
                 self.x[i] = 1.0 / self.m
 
@@ -143,13 +150,13 @@ class FractionalState:
 
     def _phi_i(self, i: int) -> float:
         c = self.scaled_costs[i]
-        if self.fully_active[i]:
+        if self.x[i] == 1.0:
             return c * self.a ** (self.load[i] - 1.0)
         return c * self.x[i]
 
     def potential(self) -> float:
         """Recompute the cumulative potential over non-discarded machines."""
-        return sum(self._phi_i(i) for i in range(self.m) if not self.discarded[i])
+        return sum((self._phi_i(i) for i in range(self.m) if not self.discarded[i]), 0.0)
 
     # -- ranking -------------------------------------------------------------
 
@@ -158,7 +165,7 @@ class FractionalState:
             raise ValueError(f"machine {i} was discarded by pre-processing")
         c = self.scaled_costs[i]
         p_ij = self.p[j][i]
-        if self.fully_active[i]:
+        if self.x[i] == 1.0:
             return c * self.a ** (self.load[i] - 1.0) * p_ij
         return c * p_ij
 
@@ -216,15 +223,13 @@ class FractionalState:
         cap = effective_capacity(x_old, dx, self.p[j][i])
         phi_before = self._phi_i(i)
         self.x[i] = x_new
-        if x_new == 1.0:
-            self.fully_active[i] = True
         d_phi = self._phi_i(i) - phi_before
         d_phi2, d_cov = self._grant(i, j, cap)
         return d_phi + d_phi2, d_cov
 
     def execute_step(self, j: int) -> StepOutcome:
         prefix, pivot = self.order_and_split(j)
-        type_b = pivot is not None and self.fully_active[pivot]
+        type_b = pivot is not None and self.x[pivot] == 1.0
         d_phi = 0.0
         d_cov = 0.0
         touched: list[int] = []
@@ -265,16 +270,19 @@ class FractionalState:
         Jobs may start at any index (a phase can pick up mid-stream), but a
         job is covered at most once per state and its y row freezes after.
         Raises GuessTooSmallError, leaving the state untouched, when the job
-        fits within the budget on no kept machine: at a guess of at least the
-        optimum, every machine the optimum uses is kept.
+        fits within the budget on no kept machine (pre-processing may have
+        kept none): at a guess of at least the optimum, every machine the
+        optimum uses is kept.
         """
         if j in self.y:
             raise ValueError(f"job {j} was already processed in this phase")
         if not 0 <= j < len(self.p):
             raise ValueError(f"no job {j} in instance")
         if not self.usable_machines(j):
+            kept = self.discarded.count(False)
             raise GuessTooSmallError(
-                f"job {j}: no kept machine with p_ij <= L at guess {self.alpha}"
+                f"job {j}: no kept machine with p_ij <= L at guess {self.alpha} "
+                f"({kept} of {self.m} machines kept)"
             )
         self.y[j] = [0.0] * self.m
         self.coverage[j] = 0.0
@@ -293,9 +301,8 @@ class FractionalState:
     def fractional_cost(self) -> float:
         """Activation cost of the fractional solution, in rescaled cost units."""
         return sum(
-            self.scaled_costs[i] * self.x[i]
-            for i in range(self.m)
-            if not self.discarded[i]
+            (self.scaled_costs[i] * self.x[i] for i in range(self.m) if not self.discarded[i]),
+            0.0,
         )
 
     def fractional_makespan(self) -> float:

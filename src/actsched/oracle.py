@@ -93,30 +93,6 @@ def optimal_exhaustive(instance: Instance, guard: int = EXHAUSTIVE_GUARD) -> Ora
     )
 
 
-def _greedy_incumbent(instance: Instance):
-    """Cheapest-feasible-first assignment; returns (cost, assign) or None."""
-    m = instance.m
-    budget = instance.makespan_budget
-    costs = instance.costs()
-    loads = [0.0] * m
-    active = [False] * m
-    assign = []
-    for job in instance.jobs:
-        p = job.processing_times
-        choices = [
-            (0.0 if active[i] else costs[i], p[i], i)
-            for i in range(m)
-            if loads[i] + p[i] <= budget
-        ]
-        if not choices:
-            return None
-        _, _, i = min(choices)
-        loads[i] += p[i]
-        active[i] = True
-        assign.append(i)
-    return _activation_cost(instance, assign), tuple(assign)
-
-
 def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Branch-and-bound over job-to-machine choices.
 
@@ -124,6 +100,11 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     jobs that no activated machine can still take) the single cheapest extra
     activation any of them would force. Taking the max over such jobs keeps
     the bound admissible even when one new machine could serve them all.
+
+    Children are tried cheapest first: an active machine before a fresh one,
+    then by fresh cost, processing time and id. The first leaf reached is
+    therefore the greedy cheapest-feasible-first assignment, the first
+    incumbent.
     """
     m, n = instance.m, instance.n
     if n == 0:
@@ -136,14 +117,10 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
         if min(ptimes[j]) > budget:
             raise InfeasibleInstanceError(f"job {j} does not fit on any machine")
 
-    incumbent = _greedy_incumbent(instance)
-    best_cost = incumbent[0] if incumbent else None
-    best_assign = incumbent[1] if incumbent else None
-
     loads = [0.0] * m
     active = [False] * m
     assign: list[int] = []
-    state = {"nodes": 0, "exhausted": False, "best_cost": best_cost, "best_assign": best_assign}
+    state = {"nodes": 0, "exhausted": False, "best_cost": None, "best_assign": None}
 
     def lower_bound(t: int, cost: float):
         extra = 0.0
@@ -173,7 +150,7 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
         if state["best_cost"] is not None and bound >= state["best_cost"]:
             return
         p = ptimes[t]
-        order = sorted(range(m), key=lambda i: (0.0 if active[i] else costs[i], i))
+        order = sorted(range(m), key=lambda i: (0.0 if active[i] else costs[i], p[i], i))
         for i in order:
             if state["exhausted"]:
                 return

@@ -1,8 +1,10 @@
 import filecmp
 import json
+import re
 
 import pytest
 
+from actsched import experiment
 from actsched.cli import main
 from actsched.experiment import verify_logdir
 from actsched.instances import load_instance
@@ -162,6 +164,45 @@ def test_run_and_verify_report_the_same_problems(tmp_path):
     assert live[0].startswith("[potential] job 11, step 30: delta_phi ")
     assert live[0].endswith(" > 2/n")  # the suffix perfbench/checks.py matches
     assert verify_logdir(logdir) == [live[0].removeprefix("[potential] ")]
+
+
+def test_run_and_verify_report_the_same_consistency_problems(tmp_path, monkeypatch):
+    # Tamper with one finished phase's phi and one load_final entry, once in
+    # the PhaseTrace the run audits and once in a clean run's meta.json: both
+    # audits must report the same consistency messages.
+    phi_bump, load_bump, machine = 0.5, 0.25, 1
+    inst = load_instance(gen_file(tmp_path, m=4, n=8, seed=5))
+    config = experiment.RunConfig(alpha_mode="fixed", alpha_value=sum(inst.costs()) / 4)
+
+    clean = tmp_path / "clean"
+    experiment.write_run_logs(experiment.run_pipeline(inst, config), clean)
+    assert verify_logdir(clean) == []
+    meta = json.loads((clean / "meta.json").read_text())
+    meta["phases"][0]["phi"] += phi_bump
+    meta["phases"][0]["load_final"][machine] += load_bump
+    (clean / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    from_log = verify_logdir(clean)
+
+    run_with_doubling = experiment.run_with_doubling
+
+    def tampered(*args, **kwargs):
+        result = run_with_doubling(*args, **kwargs)
+        trace = result.phases[0]
+        trace.phi += phi_bump
+        loads = list(trace.load_final)
+        loads[machine] += load_bump
+        trace.load_final = tuple(loads)
+        return result
+
+    monkeypatch.setattr(experiment, "run_with_doubling", tampered)
+    artifacts = experiment.run_pipeline(inst, config)
+    assert artifacts.violations.total() == artifacts.violations.counts["consistency"] == 2
+    live = [msg.removeprefix("[consistency] ") for msg in artifacts.violations.messages]
+    assert re.fullmatch(rf"phase 0, machine {machine}: load \S+ vs recomputed \S+", live[0])
+    assert re.fullmatch(r"phase 0: phi \S+ vs recomputed \S+", live[1])
+    assert from_log == live
+    experiment.write_run_logs(artifacts, tmp_path / "tampered")
+    assert verify_logdir(tmp_path / "tampered") == live
 
 
 def _quarter_cost_run(tmp_path, m, n, seed, model):

@@ -125,12 +125,12 @@ def test_job_fitting_nowhere_aborts_past_total_cost():
 def test_known_guess_runs_one_phase_and_never_doubles():
     # C=None is a known guess: no cost bound, and a guess found too small
     # raises instead of doubling, whether pre-processing discards every
-    # machine or a job fits on no kept one.
+    # machine or a job fits on no kept one; both surface at the first job.
     inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
     result = run_with_doubling(inst, initial_guess=1.0, C=None, seed=0)
     assert [p.guess for p in result.phases] == [1.0]
     assert result.phases[0].jobs_processed == 4
-    with pytest.raises(GuessTooSmallError, match="rescaled cost"):
+    with pytest.raises(GuessTooSmallError, match=r"job 0: .* \(0 of 2 machines kept\)"):
         run_with_doubling(make_instance([100.0, 200.0], [[0.5, 0.5]]), initial_guess=1.0, C=None)
-    with pytest.raises(GuessTooSmallError, match="job 0: no kept machine"):
+    with pytest.raises(GuessTooSmallError, match=r"job 0: no kept machine .* \(2 of 2 machines kept\)"):
         run_with_doubling(make_instance([1.0, 1.0], [[2.0, 2.0]]), initial_guess=1.0, C=None)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actsched.experiment import oracle_solve
@@ -32,13 +32,16 @@ def test_preprocess_three_rules():
     assert fs.discarded == [False, False, False, True]
     assert fs.scaled_costs[:3] == [1.0, 1.0, 3.0]
     assert fs.x == [1.0, 1.0, 0.25, 0.0]
-    assert fs.fully_active == [True, True, False, False]
+    assert [x == 1.0 for x in fs.x] == [True, True, False, False]  # fully active
 
 
 def test_preprocess_all_discarded_signals_small_guess():
+    # Pre-processing keeps no machine; the first job then fits on none.
     inst = make_instance([100.0, 200.0], [[0.5, 0.5]])
-    with pytest.raises(GuessTooSmallError):
-        preprocess(inst, alpha=2.0)
+    fs = preprocess(inst, alpha=2.0)
+    assert fs.discarded == [True, True]
+    with pytest.raises(GuessTooSmallError, match=r"job 0: .* \(0 of 2 machines kept\)"):
+        fs.process_job(0)
 
 
 def test_preprocess_potential_at_most_m():
@@ -73,7 +76,6 @@ def test_virtual_cost_fully_active_unit_load(a):
     inst = make_instance([2.0, 2.0], [[0.5, 0.9]])
     fs = preprocess(inst, alpha=2.0, a=a)
     fs.x[0] = 1.0
-    fs.fully_active[0] = True
     fs.load[0] = 1.0
     assert fs.virtual_cost(0, 0) == pytest.approx(1.0, rel=1e-12)
 
@@ -147,6 +149,7 @@ def test_effective_capacity_values():
     dx=st.floats(0.0, 1.0),
     p=st.floats(1e-6, 1e7),
 )
+@example(x=1.0, dx=2.2250738585072014e-308, p=112490.0)  # 6*dx/p is subnormal
 def test_effective_capacity_properties(x, dx, p):
     cap = effective_capacity(x, dx, p)
     assert 0.0 <= cap <= 2.0 * x
@@ -270,7 +273,7 @@ def test_relaxed_constraints_hold():
             for i in range(fs.m):
                 assert fs.y[j][i] <= 2.0 * fs.x[i] + 1e-9
         for i in range(fs.m):
-            if not fs.discarded[i] and not fs.fully_active[i]:
+            if not fs.discarded[i] and fs.x[i] < 1.0:
                 assert fs.load[i] <= 6.0 * fs.x[i] + 1e-9
 
 
@@ -297,7 +300,6 @@ def test_incremental_bookkeeping_matches_recompute():
                 recomputed[i] += fs.p[j][i] * yrow[i]
         for i in range(fs.m):
             assert abs(recomputed[i] - fs.load[i]) <= 1e-9
-            assert fs.fully_active[i] == (fs.x[i] == 1.0)
         assert abs(fs.phi - fs.potential()) <= 1e-9
 
 
@@ -347,13 +349,13 @@ def test_full_activation_under_load_can_jump_potential():
     cap = 2.0 / fs.n + 1e-9
     jumps = []
     for j in range(inst.n_declared):
-        was_full = list(fs.fully_active)
+        was_full = [x == 1.0 for x in fs.x]
         load_before = list(fs.load)
         start = len(fs.step_log)
         fs.process_job(j)
         for _, _, o in fs.step_log[start:]:
             if o.delta_potential > cap:
-                crossed = [i for i in o.machines_touched if fs.fully_active[i] and not was_full[i]]
+                crossed = [i for i in o.machines_touched if fs.x[i] == 1.0 and not was_full[i]]
                 jumps.append((o, crossed, load_before))
     assert jumps, "expected the crossing jump on this instance"
     for o, crossed, load_before in jumps:

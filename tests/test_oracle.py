@@ -1,5 +1,6 @@
 import pytest
 
+from actsched import experiment
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 from actsched.oracle import (
     InfeasibleInstanceError,
@@ -148,3 +149,12 @@ def test_zero_jobs():
     result = optimal_exhaustive(inst)
     assert result.optimal_cost == 0.0
     assert optimal_bnb(inst).optimal_cost == 0.0
+
+
+def test_oracle_solve_rejects_unknown_method_before_searching(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "optimal_bnb", lambda *args, **kwargs: calls.append(args))
+    inst = make_instance([1.0, 2.0], [[0.5, 0.5]])
+    with pytest.raises(ValueError, match="unknown oracle method 'foo'"):
+        experiment.oracle_solve(inst, method="foo")
+    assert calls == []
