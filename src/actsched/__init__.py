@@ -15,7 +15,6 @@ from .fractional import (
     JobFraction,
     StepOutcome,
     effective_capacity,
-    preprocess,
 )
 from .instances import (
     GeneratorConfig,
@@ -37,7 +36,7 @@ from .oracle import (
     optimal_bnb,
     optimal_exhaustive,
 )
-from .rounding import RoundingState, draw_thresholds, process_job_rounded
+from .rounding import RoundingState, draw_thresholds
 
 __version__ = "0.1.0"
 
@@ -67,8 +66,6 @@ __all__ = [
     "load_trace",
     "optimal_bnb",
     "optimal_exhaustive",
-    "preprocess",
-    "process_job_rounded",
     "run_with_doubling",
     "save_instance",
     "save_trace",

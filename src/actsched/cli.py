@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .doubling import GuessBoundExceededError
+from .doubling import DEFAULT_BOUND_CONSTANT, GuessBoundExceededError
 from .experiment import (
     CHECK_FAMILIES,
     RunConfig,
@@ -23,7 +23,13 @@ from .experiment import (
     verify_logdir,
     write_run_logs,
 )
-from .fractional import GuessTooSmallError, StalledStepError, StepCapError
+from .fractional import (
+    DEFAULT_STEP_CAP,
+    GROWTH_BASE_DEFAULT,
+    GuessTooSmallError,
+    StalledStepError,
+    StepCapError,
+)
 from .instances import (
     PTIME_MODELS,
     GeneratorConfig,
@@ -32,7 +38,7 @@ from .instances import (
     load_instance,
     save_instance,
 )
-from .oracle import InfeasibleInstanceError, OracleTooLargeError
+from .oracle import DEFAULT_NODE_BUDGET, InfeasibleInstanceError, OracleTooLargeError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -111,7 +117,6 @@ def cmd_run(args) -> int:
         C=args.C,
         step_cap=args.step_cap,
         checks=checks,
-        recover_all=args.recover_all,
     )
     artifacts = run_pipeline(instance, config)
     write_run_logs(artifacts, args.logdir)
@@ -172,19 +177,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exact offline optimum of an instance")
     p_oracle.add_argument("--in", dest="infile", required=True)
     p_oracle.add_argument("--method", choices=("auto", "exhaustive", "bnb"), default="auto")
-    p_oracle.add_argument("--node-budget", type=int, default=10**7)
+    p_oracle.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_run = sub.add_parser("run", help="run the online pipeline on an instance")
     p_run.add_argument("--in", dest="infile", required=True)
     p_run.add_argument("--alpha", default="oracle", help="'oracle', 'double', or a number")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--a", type=float, default=1.05)
-    p_run.add_argument("--C", type=float, default=50.0)
-    p_run.add_argument("--step-cap", type=int, default=10**7)
+    p_run.add_argument("--a", type=float, default=GROWTH_BASE_DEFAULT)
+    p_run.add_argument("--C", type=float, default=DEFAULT_BOUND_CONSTANT)
+    p_run.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     p_run.add_argument("--checks", default=None, help="comma-separated check families")
     p_run.add_argument("--no-checks", action="store_true")
-    p_run.add_argument("--recover-all", action="store_true")
     p_run.add_argument("--logdir", required=True)
     p_run.set_defaults(func=cmd_run)
 

@@ -1,32 +1,38 @@
 """Experiment pipeline: single runs, invariant audits, CSV logs, log
 verification, and seed sweeps.
 
-A run resolves the optimum guess (exact oracle, fixed value, or
-guess-and-double), covers the job stream fractionally, rounds it online, and
-leaves behind a self-contained log directory: the instance, a metadata
-document, per-step and per-job CSV logs, and a one-row report. Every mode
-runs through the guess-and-double controller; a known guess is its one-phase
-case. Each invariant is written once, over the records a run leaves behind
+A run has two stages. The fractional stage (``run_fractional``) resolves
+the optimum guess (exact oracle, fixed value, or guess-and-double), covers the
+job stream fractionally through the guess-and-double controller (a known
+guess is its one-phase case), and audits the finished phases and steps. The
+rounding stage (``round_run``) rounds the kept jobs' records with one seed,
+audits the integer schedule, and builds the report row. A single run goes
+through both once; a sweep runs the fractional stage once per instance and
+the rounding stage once per rounding seed. A run leaves behind a
+self-contained log directory: the instance, a metadata document, per-step and
+per-job CSV logs, and a one-row report.
+
+Each invariant is written once, over the records a run leaves behind
 (``PhaseTrace``, ``JobFraction``, the steps and the integer schedule): the run
 calls these checks on its finished records, and ``verify`` loads the same
-records back from the log files alone and calls the same functions. Only the
-starting potential of a phase, which no record keeps, is checked live.
+records back from the log files alone and calls the same functions.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .doubling import DEFAULT_BOUND_CONSTANT, DoublingResult, PhaseTrace, run_with_doubling
+
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
-from .doubling import PhaseTrace, run_with_doubling, snapshot_phase  # noqa: F401
-from .fractional import FractionalState, JobFraction
+from .doubling import snapshot_phase  # noqa: F401
+from .fractional import DEFAULT_STEP_CAP, GROWTH_BASE_DEFAULT, JobFraction
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -36,6 +42,7 @@ from .instances import (
     save_instance,
 )
 from .oracle import (
+    DEFAULT_NODE_BUDGET,
     OracleResult,
     OracleTooLargeError,
     optimal_bnb,
@@ -65,9 +72,9 @@ STEP_COLUMNS = ("job", "step_idx", "type", "delta_phi", "delta_coverage", "machi
 ASSIGNMENT_COLUMNS = ("job", "machine", "p_ij", "newly_activated_cost", "cum_cost", "int_makespan")
 PHASE_COLUMNS = ("phase", "guess", "jobs_processed", "frac_cost", "int_cost_delta")
 Y_COLUMNS = ("phase", "job", "machine", "y")
-# PhaseTrace fields that meta.json leaves out: int_cost_delta goes to
-# phases.csv, the y rows to y.csv and the steps to steps.csv.
-PHASE_FIELDS_NOT_IN_META = ("int_cost_delta", "covered_y", "step_entries")
+# PhaseTrace fields that meta.json leaves out: the y rows go to y.csv and
+# the steps to steps.csv.
+PHASE_FIELDS_NOT_IN_META = ("covered_y", "step_entries")
 
 
 @dataclass
@@ -75,11 +82,10 @@ class RunConfig:
     alpha_mode: str = "oracle"  # oracle | fixed | double
     alpha_value: float | None = None
     seed: int = 0
-    a: float = 1.05
-    C: float = 50.0
-    step_cap: int = 10**7
+    a: float = GROWTH_BASE_DEFAULT
+    C: float = DEFAULT_BOUND_CONSTANT
+    step_cap: int = DEFAULT_STEP_CAP
     checks: tuple[str, ...] = CHECK_FAMILIES
-    recover_all: bool = False
 
     def __post_init__(self) -> None:
         if self.alpha_mode not in ("oracle", "fixed", "double"):
@@ -112,13 +118,6 @@ class Violations:
 
 
 # -- audits -------------------------------------------------------------------
-
-
-def audit_preprocess(fstate: FractionalState) -> list[str]:
-    out = []
-    if fstate.phi > fstate.m + TOL:
-        out.append(f"post-preprocess potential {fstate.phi!r} exceeds m={fstate.m}")
-    return out
 
 
 def audit_job(j: int, yrow: tuple[float, ...], x, discarded) -> list[str]:
@@ -218,7 +217,7 @@ def audit_rounding(
 
 
 def oracle_solve(
-    instance: Instance, method: str = "auto", node_budget: int = 10**7
+    instance: Instance, method: str = "auto", node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleResult:
     """Exact optimum via the requested route; 'auto' uses branch-and-bound."""
     if method not in ("auto", "bnb", "exhaustive"):
@@ -260,7 +259,9 @@ class RunArtifacts:
 def replay_rounding(
     instance: Instance, records: list[JobFraction], seed: int
 ) -> RoundingState:
-    """Re-run the rounding stage over frozen fractional snapshots."""
+    """Round the kept jobs' records in stream order. Rounding job j reads
+    only its record, so this equals rounding each job as soon as the
+    fractional stage keeps it."""
     rstate = RoundingState(instance, seed)
     for frac in records:
         rstate.process_job(frac)
@@ -298,59 +299,79 @@ def build_report_row(
     }
 
 
-def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
-    """One run through the guess-and-double controller. A known guess (oracle
-    or fixed mode) is its one-phase case: no cost bound, so nothing trips, and
-    a guess found too small raises ``GuessTooSmallError``."""
-    violations = Violations()
-    check = config.checks.__contains__
+def run_fractional(
+    instance: Instance, config: RunConfig
+) -> tuple[float | None, DoublingResult, list[tuple[str, list[str]]]]:
+    """The fractional stage of a run: the guess-and-double controller, then
+    the phase and step audits of ``config.checks`` on its finished records.
 
-    def on_phase(fstate: FractionalState) -> None:
-        if check("potential"):
-            violations.extend("potential", audit_preprocess(fstate))
-
+    A known guess (oracle or fixed mode) is the controller's one-phase case:
+    no cost bound, so nothing trips, and a guess found too small raises
+    ``GuessTooSmallError``. Returns B (the exact optimum when the oracle ran),
+    the controller's result, and the audit messages as (family, messages)
+    pairs in report order.
+    """
     if config.alpha_mode == "double":
         B, guess, C = None, config.alpha_value, config.C
     else:
         B, guess = resolve_alpha(instance, config)
         C = None  # a known guess: one phase, nothing trips
     result = run_with_doubling(
-        instance,
-        initial_guess=guess,
-        C=C,
-        a=config.a,
-        seed=config.seed,
-        step_cap=config.step_cap,
-        recover_all=config.recover_all,
-        on_phase=on_phase,
+        instance, initial_guess=guess, C=C, a=config.a, step_cap=config.step_cap
     )
-    phases, records, rounding = result.phases, result.records, result.rounding
 
+    check = config.checks.__contains__
+    problems: list[tuple[str, list[str]]] = []
     p = instance.scaled_ptimes() if check("consistency") else None
-    for trace in phases:
+    for trace in result.phases:
         if check("feasibility"):
-            violations.extend("feasibility", audit_phase(trace))
+            problems.append(("feasibility", audit_phase(trace)))
         if check("consistency"):
-            violations.extend("consistency", audit_consistency(trace, p, config.a))
+            problems.append(("consistency", audit_consistency(trace, p, config.a)))
     if check("potential"):
-        steps = ((job, idx, o.delta_potential) for t in phases for job, idx, o in t.step_entries)
-        violations.extend("potential", audit_steps(steps, instance.n_declared))
-    if check("rounding"):
-        problems = audit_rounding(rounding.assignment, rounding.active, rounding.int_load, records)
-        violations.extend("rounding", problems)
+        steps = (
+            (job, idx, o.delta_potential) for t in result.phases for job, idx, o in t.step_entries
+        )
+        problems.append(("potential", audit_steps(steps, instance.n_declared)))
+    return B, result, problems
 
-    row = build_report_row(config, instance, B, phases, rounding, violations)
+
+def round_run(
+    instance: Instance,
+    config: RunConfig,
+    B: float | None,
+    result: DoublingResult,
+    problems: list[tuple[str, list[str]]],
+) -> RunArtifacts:
+    """The rounding stage of a run with seed ``config.seed``: the kept
+    records of a fractional stage rounded in stream order, the rounding
+    audit, and the report row, which counts the fractional stage's
+    ``problems`` too."""
+    rounding = replay_rounding(instance, result.records, config.seed)
+    violations = Violations()
+    for family, messages in problems:
+        violations.extend(family, messages)
+    if "rounding" in config.checks:
+        violations.extend(
+            "rounding",
+            audit_rounding(rounding.assignment, rounding.active, rounding.int_load, result.records),
+        )
     return RunArtifacts(
         instance=instance,
         config=config,
         alpha=result.final_guess,
         B=B,
-        phases=phases,
-        records=records,
+        phases=result.phases,
+        records=result.records,
         rounding=rounding,
         violations=violations,
-        row=row,
+        row=build_report_row(config, instance, B, result.phases, rounding, violations),
     )
+
+
+def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
+    """One run: the fractional stage, then the rounding stage once."""
+    return round_run(instance, config, *run_fractional(instance, config))
 
 
 # -- log output ------------------------------------------------------------------
@@ -411,14 +432,16 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
         ),
     )
 
-    _write_csv(
-        logdir / "phases.csv",
-        PHASE_COLUMNS,
-        (
-            (p.phase, p.guess, p.jobs_processed, p.frac_cost, p.int_cost_delta)
-            for p in artifacts.phases
-        ),
-    )
+    # A phase's integer cost delta is the rounding log's cum_cost across the
+    # phase's kept jobs (phases keep jobs in stream order).
+    cum = [0.0] + [r.cum_cost for r in artifacts.rounding.log]
+    phase_rows = []
+    start = 0
+    for p in artifacts.phases:
+        end = start + p.jobs_processed
+        phase_rows.append((p.phase, p.guess, p.jobs_processed, p.frac_cost, cum[end] - cum[start]))
+        start = end
+    _write_csv(logdir / "phases.csv", PHASE_COLUMNS, phase_rows)
 
     write_report_csv(logdir / "report.csv", [artifacts.row])
 
@@ -458,7 +481,7 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
 
 def _load_phases(meta: dict, y_path: Path, m: int) -> list[PhaseTrace]:
     """The phases of ``meta.json`` with their covered y rows from ``y.csv``;
-    int_cost_delta and the steps, which no phase check reads, stay out."""
+    the steps, which no phase check reads, stay out."""
     ys: dict[int, dict[int, list[float]]] = {}
     with open(y_path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
@@ -469,7 +492,6 @@ def _load_phases(meta: dict, y_path: Path, m: int) -> list[PhaseTrace]:
     return [
         PhaseTrace(
             **pmeta,
-            int_cost_delta=math.nan,
             covered_y=[(j, tuple(row)) for j, row in sorted(ys.get(pmeta["phase"], {}).items())],
         )
         for pmeta in meta["phases"]
@@ -605,8 +627,8 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
     config = RunConfig(
         alpha_mode=config_doc.get("alpha_mode", "oracle"),
         alpha_value=config_doc.get("alpha_value"),
-        a=config_doc.get("a", 1.05),
-        C=config_doc.get("C", 50.0),
+        a=config_doc.get("a", GROWTH_BASE_DEFAULT),
+        C=config_doc.get("C", DEFAULT_BOUND_CONSTANT),
         checks=tuple(config_doc.get("checks", CHECK_FAMILIES)),
     )
 
@@ -627,25 +649,10 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
                 )
             )
             label = sweep_cell_label(cell["m"], cell["n"], iseed, cell["model"])
-            rounding_seeds = list(cell["rounding_seeds"])
-            artifacts = run_pipeline(instance, replace(config, seed=rounding_seeds[0]))
-            rows.append({"instance": label, **artifacts.row})
-            # Later rounding seeds replay the frozen fractional snapshots.
-            for rseed in rounding_seeds[1:]:
-                rounding = replay_rounding(instance, artifacts.records, rseed)
-                extra = Violations()
-                if "rounding" in config.checks:
-                    problems = audit_rounding(
-                        rounding.assignment, rounding.active, rounding.int_load, artifacts.records
-                    )
-                    extra.extend("rounding", problems)
-                frac_viol = artifacts.violations.total() - artifacts.violations.counts["rounding"]
-                cfg = replace(config, seed=rseed)
-                row = build_report_row(
-                    cfg, instance, artifacts.B, artifacts.phases, rounding, extra
-                )
-                row["invariant_violations"] = frac_viol + extra.total()
-                rows.append({"instance": label, **row})
+            frac = run_fractional(instance, config)
+            for rseed in cell["rounding_seeds"]:
+                artifacts = round_run(instance, replace(config, seed=rseed), *frac)
+                rows.append({"instance": label, **artifacts.row})
 
     out_path = Path(out_path)
     write_report_csv(out_path, rows, columns=SWEEP_COLUMNS)

@@ -113,12 +113,16 @@ class FractionalState:
 
         # Cost normalization: with alpha equal to the offline optimum, the
         # optimum of the rescaled instance sits in [m, 2m]. Machines dearer
-        # than m after rescaling cannot be part of such an optimum and are
-        # dropped for the phase; machines at or below cost 1 are cheap enough
-        # to open outright.
+        # than m after rescaling (c > alpha, compared unscaled so that the
+        # machine whose cost is the guess is never lost to rounding) cannot
+        # be part of such an optimum and are dropped for the phase; machines
+        # at or below cost 1 are cheap enough to open outright. Every kept
+        # machine thus starts with a potential of at most 1: its scaled cost
+        # is 1 at x = 1, or c/m <= 1 at x = 1/m.
+        costs = instance.costs()
         scale = self.m / alpha
-        raw = [c * scale for c in instance.costs()]
-        self.discarded = [c > self.m for c in raw]
+        raw = [c * scale for c in costs]
+        self.discarded = [c > alpha for c in costs]
         self.scaled_costs = [max(c, 1.0) for c in raw]
         self.x = [0.0] * self.m
         for i in range(self.m):
@@ -323,12 +327,3 @@ class FractionalState:
             eligible=tuple(not d for d in self.discarded),
         )
 
-
-def preprocess(
-    instance: Instance,
-    alpha: float,
-    a: float = GROWTH_BASE_DEFAULT,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> FractionalState:
-    """Build the phase state for a given optimum guess alpha."""
-    return FractionalState(instance, alpha, a=a, step_cap=step_cap)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import Instance
-from .fractional import FractionalState, JobFraction
+from .fractional import JobFraction
 
 ACTIVATION_FACTOR = 5.0
 
@@ -78,7 +78,7 @@ class RoundingState:
     @property
     def int_cost(self) -> float:
         """Total original startup cost of the active set (derived, exact)."""
-        return sum(self.costs[i] for i in range(self.m) if self.active[i])
+        return sum((self.costs[i] for i in range(self.m) if self.active[i]), 0.0)
 
     def int_makespan(self) -> float:
         """Integer makespan in original time units."""
@@ -169,10 +169,3 @@ class RoundingState:
         self.log.append(record)
         return record
 
-
-def process_job_rounded(
-    rstate: RoundingState, fstate: FractionalState, j: int
-) -> AssignmentRecord:
-    """Fractional update for job j followed by activation and assignment."""
-    fstate.process_job(j)
-    return rstate.process_job(fstate.job_fraction(j))

@@ -20,7 +20,7 @@ from actsched.experiment import (
     replay_rounding,
     run_pipeline,
 )
-from actsched.fractional import preprocess
+from actsched.fractional import FractionalState
 from actsched.instances import PTIME_MODELS, GeneratorConfig, generate, save_instance
 from actsched.oracle import optimal_bnb, optimal_exhaustive
 
@@ -67,7 +67,7 @@ def rounding_sweep():
         model = PTIME_MODELS[s % 3]
         inst = generate(GeneratorConfig(m=m, n=n, seed=2000 + s, ptime_model=model))
         B = oracle_solve(inst).optimal_cost
-        fs = preprocess(inst, B, a=1.05)
+        fs = FractionalState(inst, B, a=1.05)
         records = []
         for j in range(n):
             fs.process_job(j)
@@ -112,6 +112,13 @@ def test_criterion_2_potential_bound(feasibility_suite):
     total = 0
     samples = []
     for s, m, n, model, art in feasibility_suite["runs"]:
+        # The potential right after pre-processing is at most m (each kept
+        # machine starts at phi_i <= 1); no log keeps it, so it is
+        # recomputed here.
+        start = FractionalState(art.instance, art.alpha, a=art.config.a).phi
+        if start > m + 1e-9:
+            total += 1
+            samples.append(f"seed {s} (m={m}, n={n}, {model}): starting potential {start!r} > m")
         count = art.violations.counts["potential"]
         total += count
         if count:
@@ -124,12 +131,13 @@ def test_criterion_2_potential_bound(feasibility_suite):
     _report(
         "2 (potential-step bound)",
         ok,
-        f"{total} violating steps over 100 runs",
+        f"{total} violating steps or starting potentials over 100 runs",
     )
     for line in samples[:5]:
         print("  " + line)
     assert ok, (
-        f"{total} steps exceeded delta_phi <= 2/n + 1e-9. A jump occurs when a "
+        f"{total} starting potentials exceeded m or steps exceeded "
+        "delta_phi <= 2/n + 1e-9. A jump occurs when a "
         "machine becomes fully active while its load exceeds 1: the potential "
         "switches from c*x to c*a^(load-1) in that single step. With no "
         "fractional mass on pairs with p_ij > L, this should not happen at a "
@@ -146,7 +154,7 @@ def test_criterion_3_fractional_bounds():
         model = PTIME_MODELS[s % 3]
         inst = generate(GeneratorConfig(m=m, n=n, seed=1000 + s, ptime_model=model))
         B = oracle_solve(inst).optimal_cost
-        fs = preprocess(inst, B, a=1.05)
+        fs = FractionalState(inst, B, a=1.05)
         for j in range(n):
             fs.process_job(j)
         denom = m * (1.0 + math.log(m))
@@ -259,11 +267,10 @@ def test_criterion_8_doubling_sanity():
         fixed = run_pipeline(
             inst, RunConfig(alpha_mode="fixed", alpha_value=B, seed=s, checks=())
         )
-        doubled = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0, seed=s)
+        doubled = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0)
         worst_phases = max(worst_phases, len(doubled.phases))
-        worst_ratio = max(
-            worst_ratio, doubled.rounding.int_cost / fixed.rounding.int_cost
-        )
+        doubled_cost = replay_rounding(inst, doubled.records, s).int_cost
+        worst_ratio = max(worst_ratio, doubled_cost / fixed.rounding.int_cost)
     ok = worst_phases <= 5 and worst_ratio <= 4.0
     _report(
         "8 (doubling sanity)",

@@ -1,13 +1,14 @@
 import filecmp
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
 from actsched import experiment
 from actsched.cli import main
 from actsched.experiment import verify_logdir
-from actsched.instances import load_instance
+from actsched.instances import GeneratorConfig, generate, load_instance
 
 LOG_FILES = (
     "instance.json",
@@ -131,7 +132,12 @@ def test_run_doubling_mode(tmp_path):
                  "--logdir", str(logdir)]) == 0
     lines = (logdir / "phases.csv").read_text().splitlines()
     assert lines[0] == "phase,guess,jobs_processed,frac_cost,int_cost_delta"
-    assert len(lines) - 1 == 2  # one all-discarded guess, then the real phase
+    # The default guess is machine 2's cost, and pre-processing keeps that
+    # machine, so one phase covers every job.
+    assert len(lines) - 1 == 1
+    assert lines[1].startswith("0,2.7038834608578517,4,")
+    meta = json.loads((logdir / "meta.json").read_text())
+    assert meta["phases"][0]["discarded"] == [True, True, False]
     assert main(["verify", "--logdir", str(logdir)]) == 0
 
 
@@ -307,6 +313,35 @@ def test_sweep_deterministic(tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r1.csv")]) == 0
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r2.csv")]) == 0
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("alpha_mode", ["oracle", "double"])
+def test_sweep_rows_equal_single_runs(tmp_path, alpha_mode):
+    # One fractional stage per instance, rounded once per rounding seed,
+    # gives the rows that one run per seed gives. The double-mode cells
+    # have multi-phase runs (restricted) and potential violations (uniform).
+    cells = [
+        {"m": 5, "n": 12, "model": "uniform", "instance_seeds": [0], "rounding_seeds": [0, 3, 7]},
+        {"m": 5, "n": 12, "model": "restricted_assignment", "instance_seeds": [0, 2],
+         "rounding_seeds": [1, 2]},
+    ]
+    out = tmp_path / "report.csv"
+    experiment.run_sweep({"cells": cells, "alpha_mode": alpha_mode}, out)
+
+    config = experiment.RunConfig(alpha_mode=alpha_mode)
+    rows = []
+    for cell in cells:
+        for iseed in cell["instance_seeds"]:
+            inst = generate(GeneratorConfig(m=5, n=12, seed=iseed, ptime_model=cell["model"]))
+            label = experiment.sweep_cell_label(5, 12, iseed, cell["model"])
+            for rseed in cell["rounding_seeds"]:
+                row = experiment.run_pipeline(inst, replace(config, seed=rseed)).row
+                rows.append({"instance": label, **row})
+    expected = tmp_path / "expected.csv"
+    experiment.write_report_csv(expected, rows, columns=experiment.SWEEP_COLUMNS)
+    assert out.read_bytes() == expected.read_bytes()
+    if alpha_mode == "double":
+        assert any(row["invariant_violations"] > 0 for row in rows)
 
 
 def test_sweep_missing_config_exit_two(tmp_path):

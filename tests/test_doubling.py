@@ -1,3 +1,6 @@
+import csv
+import math
+
 import pytest
 
 from actsched.doubling import (
@@ -6,9 +9,10 @@ from actsched.doubling import (
     default_initial_guess,
     run_with_doubling,
 )
-from actsched.experiment import oracle_solve
-from actsched.fractional import GuessTooSmallError
-from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
+from actsched.experiment import RunConfig, oracle_solve, run_pipeline, write_run_logs
+from actsched.fractional import FractionalState, GuessTooSmallError
+from actsched.instances import PTIME_MODELS, GeneratorConfig, Instance, Job, Machine, generate
+from actsched.rounding import RoundingState
 
 
 def make_instance(costs, ptimes, budget=1.0):
@@ -23,13 +27,27 @@ def test_default_initial_guess_is_cheapest_feasible_cost():
     assert default_initial_guess(inst) == 2.0
 
 
+def test_default_guess_keeps_the_machine_it_names():
+    # The default guess is some machine's cost c; pre-processing must keep
+    # that machine. Uniform m=3, n=4, seed 12: the guess is machine 2's
+    # cost, whose rescaled cost c * (m / c) rounds to 3.0000000000000004 > m.
+    inst = generate(GeneratorConfig(m=3, n=4, seed=12))
+    guess = default_initial_guess(inst)
+    assert guess == inst.costs()[2] == 2.7038834608578517
+    assert guess * (inst.m / guess) > inst.m
+    assert FractionalState(inst, guess).discarded == [True, True, False]
+    result = run_with_doubling(inst)
+    assert [p.guess for p in result.phases] == [guess]
+    assert result.phases[0].jobs_processed == 4
+
+
 def test_oracle_guess_runs_single_phase():
     for seed in range(15):
         m = 2 + seed % 3
         n = 5 + seed % 4
         inst = generate(GeneratorConfig(m=m, n=n, seed=200 + seed))
         B = oracle_solve(inst).optimal_cost
-        result = run_with_doubling(inst, initial_guess=B, C=50.0, seed=seed)
+        result = run_with_doubling(inst, initial_guess=B, C=50.0)
         assert len(result.phases) == 1
         assert result.final_guess == B
         assert len(result.records) == n
@@ -37,14 +55,16 @@ def test_oracle_guess_runs_single_phase():
 
 def test_zero_jobs_zero_phases_zero_cost():
     inst = make_instance([1.0, 2.0], [])
-    result = run_with_doubling(inst, seed=0)
-    assert result.phases == []
-    assert result.rounding.int_cost == 0.0
+    result = run_with_doubling(inst)
+    assert result.phases == [] and result.records == []
+    artifacts = run_pipeline(inst, RunConfig(alpha_mode="double"))
+    assert artifacts.row["int_cost"] == 0.0
+    assert isinstance(artifacts.row["int_cost"], float)
 
 
 def test_undersized_guess_doubles_through_empty_phases():
     inst = make_instance([100.0, 200.0], [[0.5, 0.5], [0.5, 0.5]])
-    result = run_with_doubling(inst, initial_guess=1.0, C=50.0, seed=0)
+    result = run_with_doubling(inst, initial_guess=1.0, C=50.0)
     # guesses 1, 2, ..., 64 discard everything; 128 keeps machine 0
     empty = [p for p in result.phases if p.jobs_processed == 0]
     assert len(empty) == 7
@@ -59,7 +79,7 @@ def test_cost_trigger_doubles_and_reprocesses_job():
     # doubling; at guess 2 both pin to cost 1 and the phase finishes.
     inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
     assert cost_bound(0.8, 2) < 4.0
-    result = run_with_doubling(inst, initial_guess=1.0, C=0.8, seed=0)
+    result = run_with_doubling(inst, initial_guess=1.0, C=0.8)
     assert len(result.phases) == 2
     assert [p.guess for p in result.phases] == [1.0, 2.0]
     covered = [frac.job for frac in result.records]
@@ -70,31 +90,26 @@ def test_cost_trigger_doubles_and_reprocesses_job():
 def test_abort_when_guess_exceeds_total_cost():
     inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
     with pytest.raises(GuessBoundExceededError):
-        run_with_doubling(inst, initial_guess=1.0, C=0.1, seed=0)
+        run_with_doubling(inst, initial_guess=1.0, C=0.1)
 
 
-def test_phase_int_cost_deltas_sum_to_total():
+def test_phase_int_cost_deltas_sum_to_total(tmp_path):
     inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
-    result = run_with_doubling(inst, initial_guess=1.0, C=0.8, seed=3)
-    assert sum(p.int_cost_delta for p in result.phases) == pytest.approx(
-        result.rounding.int_cost, abs=1e-12
-    )
-
-
-def test_recover_all_replays_previous_jobs():
-    inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
-    result = run_with_doubling(inst, initial_guess=1.0, C=0.8, seed=0, recover_all=True)
-    assert len(result.phases) == 2
-    # final phase re-covered every job fractionally
-    assert [j for j, _ in result.phases[-1].covered_y] == [0, 1, 2, 3]
-    assert sorted(frac.job for frac in result.records) == [0, 1, 2, 3]
+    config = RunConfig(alpha_mode="double", alpha_value=1.0, C=0.8, seed=3)
+    artifacts = run_pipeline(inst, config)
+    assert len(artifacts.phases) == 2
+    write_run_logs(artifacts, tmp_path)
+    with open(tmp_path / "phases.csv", newline="") as fh:
+        deltas = [float(row["int_cost_delta"]) for row in csv.DictReader(fh)]
+    assert len(deltas) == 2
+    assert sum(deltas) == pytest.approx(artifacts.rounding.int_cost, abs=1e-12)
 
 
 def test_doubling_from_eighth_of_optimum_uniform():
     for seed in range(8):
         inst = generate(GeneratorConfig(m=3, n=6, seed=300 + seed))
         B = oracle_solve(inst).optimal_cost
-        result = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0, seed=seed)
+        result = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0)
         assert len(result.phases) <= 5
         assert len(result.records) == 6
 
@@ -108,7 +123,7 @@ def test_lamed_guess_on_restricted_instance_hits_step_cap():
         GeneratorConfig(m=2, n=5, seed=3000, ptime_model="restricted_assignment")
     )
     B = oracle_solve(inst).optimal_cost
-    result = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0, seed=0, step_cap=50_000)
+    result = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0, step_cap=50_000)
     assert len(result.phases) <= 5
     assert result.final_guess >= B
     assert sorted(frac.job for frac in result.records) == [0, 1, 2, 3, 4]
@@ -119,7 +134,7 @@ def test_lamed_guess_on_restricted_instance_hits_step_cap():
 def test_job_fitting_nowhere_aborts_past_total_cost():
     inst = make_instance([1.0, 1.0], [[2.0, 2.0]])
     with pytest.raises(GuessBoundExceededError, match="p_ij <= L"):
-        run_with_doubling(inst, initial_guess=1.0, C=50.0, seed=0)
+        run_with_doubling(inst, initial_guess=1.0, C=50.0)
 
 
 def test_known_guess_runs_one_phase_and_never_doubles():
@@ -127,10 +142,51 @@ def test_known_guess_runs_one_phase_and_never_doubles():
     # raises instead of doubling, whether pre-processing discards every
     # machine or a job fits on no kept one; both surface at the first job.
     inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
-    result = run_with_doubling(inst, initial_guess=1.0, C=None, seed=0)
+    result = run_with_doubling(inst, initial_guess=1.0, C=None)
     assert [p.guess for p in result.phases] == [1.0]
     assert result.phases[0].jobs_processed == 4
     with pytest.raises(GuessTooSmallError, match=r"job 0: .* \(0 of 2 machines kept\)"):
         run_with_doubling(make_instance([100.0, 200.0], [[0.5, 0.5]]), initial_guess=1.0, C=None)
     with pytest.raises(GuessTooSmallError, match=r"job 0: no kept machine .* \(2 of 2 machines kept\)"):
         run_with_doubling(make_instance([1.0, 1.0], [[2.0, 2.0]]), initial_guess=1.0, C=None)
+
+
+def _round_online(inst, guess, C, seed):
+    """Guess-and-double with each kept job rounded right after its
+    fractional update, interleaved job by job as an online run goes."""
+    rounding = RoundingState(inst, seed)
+    bound = math.inf if C is None else cost_bound(C, inst.m)
+    j = 0
+    while j < inst.n_declared:
+        fs = FractionalState(inst, guess)
+        try:
+            while j < inst.n_declared:
+                fs.process_job(j)
+                if fs.fractional_cost() > bound:
+                    break
+                rounding.process_job(fs.job_fraction(j))
+                j += 1
+        except GuessTooSmallError:
+            if C is None:
+                raise
+        guess *= 2.0
+    return rounding.log
+
+
+@pytest.mark.parametrize("mode", ["fixed", "double"])
+def test_rounding_the_kept_records_equals_online_rounding(mode):
+    phase_counts = []
+    for s in range(6):
+        model = PTIME_MODELS[s % 3]
+        inst = generate(GeneratorConfig(m=5, n=12, seed=s, ptime_model=model))
+        if mode == "fixed":
+            config = RunConfig(alpha_mode="fixed", alpha_value=sum(inst.costs()) / 2, seed=s)
+            guess, C = config.alpha_value, None
+        else:
+            config = RunConfig(alpha_mode="double", seed=s)
+            guess, C = default_initial_guess(inst), config.C
+        artifacts = run_pipeline(inst, config)
+        assert _round_online(inst, guess, C, s) == artifacts.rounding.log
+        phase_counts.append(len(artifacts.phases))
+    if mode == "double":
+        assert max(phase_counts) >= 3  # jobs kept in several phases

@@ -11,8 +11,8 @@ from actsched.fractional import (
     StepCapError,
     TYPE_A,
     TYPE_B,
+    FractionalState,
     effective_capacity,
-    preprocess,
 )
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 
@@ -28,7 +28,7 @@ def make_instance(costs, ptimes, budget=1.0):
 
 def test_preprocess_three_rules():
     inst = make_instance([0.5, 1.0, 3.0, 10.0], [[0.5] * 4])
-    fs = preprocess(inst, alpha=4.0)  # rescale factor m/alpha = 1
+    fs = FractionalState(inst, alpha=4.0)  # rescale factor m/alpha = 1
     assert fs.discarded == [False, False, False, True]
     assert fs.scaled_costs[:3] == [1.0, 1.0, 3.0]
     assert fs.x == [1.0, 1.0, 0.25, 0.0]
@@ -38,7 +38,7 @@ def test_preprocess_three_rules():
 def test_preprocess_all_discarded_signals_small_guess():
     # Pre-processing keeps no machine; the first job then fits on none.
     inst = make_instance([100.0, 200.0], [[0.5, 0.5]])
-    fs = preprocess(inst, alpha=2.0)
+    fs = FractionalState(inst, alpha=2.0)
     assert fs.discarded == [True, True]
     with pytest.raises(GuessTooSmallError, match=r"job 0: .* \(0 of 2 machines kept\)"):
         fs.process_job(0)
@@ -48,18 +48,36 @@ def test_preprocess_potential_at_most_m():
     for seed in range(30):
         inst = generate(GeneratorConfig(m=2 + seed % 6, n=4, seed=seed))
         alpha = sum(inst.costs()) if seed % 2 else max(inst.costs())
-        fs = preprocess(inst, alpha)
+        fs = FractionalState(inst, alpha)
         assert fs.phi <= fs.m + 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    costs=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12),
+    alpha=st.floats(1e-3, 1e4),
+    alpha_is_a_cost=st.booleans(),
+)
+@example(costs=[4.5, 8.0, 2.7038834608578517], alpha=1.0, alpha_is_a_cost=True)
+def test_preprocess_potential_at_most_m_property(costs, alpha, alpha_is_a_cost):
+    # Every kept machine starts at phi_i <= 1: scaled cost 1 at x = 1, or
+    # scaled cost c <= m at x = 1/m. A machine whose cost is the guess is kept.
+    if alpha_is_a_cost:
+        alpha = costs[-1]
+    fs = FractionalState(make_instance(costs, [[0.5] * len(costs)]), alpha)
+    assert fs.phi <= fs.m + 1e-9
+    if alpha_is_a_cost:
+        assert not fs.discarded[-1]
 
 
 def test_parameter_validation():
     inst = make_instance([1.0], [[0.5]])
     with pytest.raises(ValueError):
-        preprocess(inst, alpha=0.0)
+        FractionalState(inst, alpha=0.0)
     with pytest.raises(ValueError):
-        preprocess(inst, alpha=1.0, a=1.0)
+        FractionalState(inst, alpha=1.0, a=1.0)
     with pytest.raises(ValueError):
-        preprocess(inst, alpha=1.0, a=13.0 / 12.0)
+        FractionalState(inst, alpha=1.0, a=13.0 / 12.0)
 
 
 # -- virtual cost ---------------------------------------------------------------
@@ -67,14 +85,14 @@ def test_parameter_validation():
 
 def test_virtual_cost_partially_active():
     inst = make_instance([0.5, 1.0, 3.0, 10.0], [[0.9, 0.9, 0.5, 0.9]])
-    fs = preprocess(inst, alpha=4.0)
+    fs = FractionalState(inst, alpha=4.0)
     assert fs.virtual_cost(2, 0) == pytest.approx(1.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [1.01, 1.05, 1.08])
 def test_virtual_cost_fully_active_unit_load(a):
     inst = make_instance([2.0, 2.0], [[0.5, 0.9]])
-    fs = preprocess(inst, alpha=2.0, a=a)
+    fs = FractionalState(inst, alpha=2.0, a=a)
     fs.x[0] = 1.0
     fs.load[0] = 1.0
     assert fs.virtual_cost(0, 0) == pytest.approx(1.0, rel=1e-12)
@@ -82,14 +100,14 @@ def test_virtual_cost_fully_active_unit_load(a):
 
 def test_virtual_cost_fully_active_load_two():
     inst = make_instance([1.0], [[1.0]])
-    fs = preprocess(inst, alpha=1.0, a=1.05)
+    fs = FractionalState(inst, alpha=1.0, a=1.05)
     fs.load[0] = 2.0
     assert fs.virtual_cost(0, 0) == pytest.approx(1.05, rel=1e-12)
 
 
 def test_virtual_cost_rejects_discarded():
     inst = make_instance([0.5, 10.0], [[0.5, 0.5]])
-    fs = preprocess(inst, alpha=2.0)
+    fs = FractionalState(inst, alpha=2.0)
     with pytest.raises(ValueError):
         fs.virtual_cost(1, 0)
 
@@ -99,7 +117,7 @@ def test_virtual_cost_rejects_discarded():
 
 def test_order_and_split_prefix_rule():
     inst = make_instance([2.0, 2.0, 2.0], [[0.1, 0.2, 0.3]])
-    fs = preprocess(inst, alpha=3.0)
+    fs = FractionalState(inst, alpha=3.0)
     fs.x = [0.3, 0.4, 0.5]
     prefix, pivot = fs.order_and_split(0)
     assert prefix == [0, 1]  # 0.3 + 0.4 < 1, adding 0.5 would reach 1.2
@@ -108,7 +126,7 @@ def test_order_and_split_prefix_rule():
 
 def test_order_and_split_strict_inequality():
     inst = make_instance([1.0], [[0.5]])
-    fs = preprocess(inst, alpha=1.0)
+    fs = FractionalState(inst, alpha=1.0)
     assert fs.x == [1.0]
     prefix, pivot = fs.order_and_split(0)
     assert prefix == []  # a sum of exactly 1 is not < 1
@@ -117,7 +135,7 @@ def test_order_and_split_strict_inequality():
 
 def test_order_and_split_prefix_covers_everything():
     inst = make_instance([2.0, 2.0], [[0.1, 0.2]])
-    fs = preprocess(inst, alpha=2.0)
+    fs = FractionalState(inst, alpha=2.0)
     fs.x = [0.2, 0.3]
     prefix, pivot = fs.order_and_split(0)
     assert prefix == [0, 1]
@@ -126,7 +144,7 @@ def test_order_and_split_prefix_covers_everything():
 
 def test_order_breaks_ties_by_id():
     inst = make_instance([2.0, 2.0], [[0.5, 0.5]])
-    fs = preprocess(inst, alpha=2.0)
+    fs = FractionalState(inst, alpha=2.0)
     prefix, pivot = fs.order_and_split(0)
     assert prefix == [0]
     assert pivot == 1
@@ -166,7 +184,7 @@ def test_type_b_grant_size():
     a = 1.05
     rows = [[1.0] for _ in range(10)]
     inst = make_instance([1.0], rows)
-    fs = preprocess(inst, alpha=1.0, a=a)
+    fs = FractionalState(inst, alpha=1.0, a=a)
     fs.load[0] = 1.0 + math.log(2.0) / math.log(a)  # eta = 1 * a^(load-1) * 1 = 2
     fs.y[0] = [0.0]
     fs.coverage[0] = 0.0
@@ -181,7 +199,7 @@ def test_type_a_multiplicative_x_update():
     # x = 0.25, scaled cost 2, n = 10: x moves to 0.25 * (1 + 1/20) = 0.2625.
     rows = [[0.1, 0.2, 0.3, 0.4] for _ in range(10)]
     inst = make_instance([2.0, 2.0, 2.0, 2.0], rows)
-    fs = preprocess(inst, alpha=4.0)
+    fs = FractionalState(inst, alpha=4.0)
     assert fs.x == [0.25] * 4
     fs.y[0] = [0.0] * 4
     fs.coverage[0] = 0.0
@@ -194,7 +212,7 @@ def test_type_a_multiplicative_x_update():
 
 def test_single_machine_job_covered_in_one_clamped_grant():
     inst = make_instance([5.0], [[0.5]])
-    fs = preprocess(inst, alpha=5.0)
+    fs = FractionalState(inst, alpha=5.0)
     outcomes = fs.process_job(0)
     assert len(outcomes) == 1
     assert fs.y[0][0] == 1.0
@@ -204,7 +222,7 @@ def test_single_machine_job_covered_in_one_clamped_grant():
 
 def test_process_job_rejects_repeat_and_out_of_range():
     inst = make_instance([1.0], [[0.5]])
-    fs = preprocess(inst, alpha=1.0)
+    fs = FractionalState(inst, alpha=1.0)
     fs.process_job(0)
     with pytest.raises(ValueError):
         fs.process_job(0)
@@ -214,7 +232,7 @@ def test_process_job_rejects_repeat_and_out_of_range():
 
 def test_order_and_split_skips_pairs_over_budget():
     inst = make_instance([2.0, 2.0, 2.0], [[1.5, 0.2, 1.0]])
-    fs = preprocess(inst, alpha=3.0)
+    fs = FractionalState(inst, alpha=3.0)
     assert fs.usable_machines(0) == [1, 2]  # p = L still fits
     prefix, pivot = fs.order_and_split(0)
     assert prefix == [1, 2] and pivot is None
@@ -223,7 +241,7 @@ def test_order_and_split_skips_pairs_over_budget():
 def test_job_without_usable_machine_signals_small_guess():
     # Machine 1 is discarded at this guess; job 0 fits only on machine 1.
     inst = make_instance([1.0, 10.0], [[2.0, 0.5], [0.5, 0.5]])
-    fs = preprocess(inst, alpha=2.0)
+    fs = FractionalState(inst, alpha=2.0)
     assert fs.discarded == [False, True]
     with pytest.raises(GuessTooSmallError, match="job 0"):
         fs.process_job(0)
@@ -235,7 +253,7 @@ def test_job_without_usable_machine_signals_small_guess():
 def test_step_cap_aborts_with_diagnostics():
     rows = [[1.0, 1.0] for _ in range(10)]
     inst = make_instance([2.0, 2.0], rows)
-    fs = preprocess(inst, alpha=2.0, step_cap=2)
+    fs = FractionalState(inst, alpha=2.0, step_cap=2)
     with pytest.raises(StepCapError, match="coverage"):
         fs.process_job(0)
 
@@ -244,7 +262,7 @@ def test_step_cap_aborts_with_diagnostics():
 
 
 def run_all(inst, alpha, a=1.05):
-    fs = preprocess(inst, alpha, a=a)
+    fs = FractionalState(inst, alpha, a=a)
     for j in range(inst.n_declared):
         fs.process_job(j)
     return fs
@@ -279,7 +297,7 @@ def test_relaxed_constraints_hold():
 
 def test_x_monotone_and_y_frozen():
     inst = generate(GeneratorConfig(m=4, n=10, seed=3))
-    fs = preprocess(inst, sum(inst.costs()))
+    fs = FractionalState(inst, sum(inst.costs()))
     x_prev = list(fs.x)
     frozen = {}
     for j in range(inst.n_declared):
@@ -345,7 +363,7 @@ def test_full_activation_under_load_can_jump_potential():
     inst = generate(GeneratorConfig(m=9, n=13, seed=34))
     alpha = max(inst.costs())
     assert alpha < oracle_solve(inst).optimal_cost
-    fs = preprocess(inst, alpha)
+    fs = FractionalState(inst, alpha)
     cap = 2.0 / fs.n + 1e-9
     jumps = []
     for j in range(inst.n_declared):
@@ -371,26 +389,26 @@ def test_full_activation_under_load_can_jump_potential():
 
 def test_fractional_cost_fresh_state():
     inst = make_instance([0.5, 1.0, 3.0, 3.0], [[0.5] * 4])
-    fs = preprocess(inst, alpha=4.0)
+    fs = FractionalState(inst, alpha=4.0)
     # two cost-1 machines fully active + two climbers at x = 1/4, cost 3
     assert fs.fractional_cost() == pytest.approx(2.0 + 2 * 3.0 / 4.0, rel=1e-12)
 
 
 def test_makespan_of_empty_instance_is_zero():
     inst = make_instance([1.0, 2.0], [])
-    fs = preprocess(inst, alpha=1.0)
+    fs = FractionalState(inst, alpha=1.0)
     assert fs.fractional_makespan() == 0.0
 
 
 def test_potential_examples():
     big = 1.0e6
     inst = make_instance([5.0, big, big, big, big], [[0.5] * 5])
-    fs = preprocess(inst, alpha=5.0)
+    fs = FractionalState(inst, alpha=5.0)
     assert fs.discarded == [False, True, True, True, True]
     assert fs.potential() == pytest.approx(1.0, rel=1e-12)  # 5 * (1/5)
 
     inst2 = make_instance([1.0], [[0.5]])
-    fs2 = preprocess(inst2, alpha=1.0)
+    fs2 = FractionalState(inst2, alpha=1.0)
     fs2.load[0] = 1.0
     assert fs2.potential() == pytest.approx(1.0, rel=1e-12)  # 1 * a^0
 

@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from actsched.fractional import JobFraction, preprocess
+from actsched.fractional import FractionalState, JobFraction
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 from actsched.rounding import (
     RoundingInvariantError,
     RoundingState,
     draw_thresholds,
-    process_job_rounded,
 )
 
 
@@ -152,10 +151,11 @@ def test_fallback_all_zero_scores_uses_cost_weighted_ptime():
 
 
 def run_rounded(inst, alpha, seed):
-    fs = preprocess(inst, alpha)
+    fs = FractionalState(inst, alpha)
     rs = RoundingState(inst, seed=seed)
     for j in range(inst.n_declared):
-        process_job_rounded(rs, fs, j)
+        fs.process_job(j)
+        rs.process_job(fs.job_fraction(j))
     return fs, rs
 
 
@@ -188,11 +188,12 @@ def test_int_cost_is_exact_sum_of_active_costs():
 
 def test_activation_is_monotone_and_snapshots_recorded():
     inst = uniform_instance(4, 6, 51)
-    fs = preprocess(inst, sum(inst.costs()))
+    fs = FractionalState(inst, sum(inst.costs()))
     rs = RoundingState(inst, seed=2)
     active_before = list(rs.active)
     for j in range(6):
-        process_job_rounded(rs, fs, j)
+        fs.process_job(j)
+        rs.process_job(fs.job_fraction(j))
         assert all(b or not a for a, b in zip(active_before, rs.active))
         active_before = list(rs.active)
         assert fs.job_fraction(j).x == tuple(fs.x)
@@ -219,7 +220,7 @@ def test_deficit_fraction_small_monte_carlo():
     for iseed in range(3):
         inst = uniform_instance(10, 10, 70 + iseed)
         alpha = oracle_solve(inst).optimal_cost
-        fs = preprocess(inst, alpha)
+        fs = FractionalState(inst, alpha)
         records = []
         for j in range(10):
             fs.process_job(j)
