@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -44,7 +45,6 @@ from .instances import (
 from .oracle import (
     DEFAULT_NODE_BUDGET,
     OracleResult,
-    OracleTooLargeError,
     optimal_bnb,
     optimal_exhaustive,
 )
@@ -90,8 +90,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.alpha_mode not in ("oracle", "fixed", "double"):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
-        if self.alpha_mode == "fixed" and (self.alpha_value is None or self.alpha_value <= 0):
-            raise ValueError("fixed alpha_mode needs alpha_value > 0")
+        if self.alpha_mode == "fixed" and self.alpha_value is None:
+            raise ValueError("fixed alpha_mode needs an alpha_value")
+        if self.alpha_value is not None and not 0 < self.alpha_value < math.inf:
+            raise ValueError(f"alpha_value must be finite and > 0, got {self.alpha_value!r}")
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"C must be finite and > 0, got {self.C!r}")
         unknown = set(self.checks) - set(CHECK_FAMILIES)
         if unknown:
             raise ValueError(f"unknown check families: {sorted(unknown)}")
@@ -224,20 +228,7 @@ def oracle_solve(
         raise ValueError(f"unknown oracle method {method!r}")
     if method == "exhaustive":
         return optimal_exhaustive(instance)
-    result = optimal_bnb(instance, node_budget=node_budget)
-    if not result.exact:
-        raise OracleTooLargeError(
-            f"branch-and-bound hit its node budget ({node_budget}) without proof"
-        )
-    return result
-
-
-def resolve_alpha(instance: Instance, config: RunConfig) -> tuple[float | None, float]:
-    """Returns (B, alpha): B is the exact optimum when the oracle ran."""
-    if config.alpha_mode == "fixed":
-        return None, float(config.alpha_value)
-    result = oracle_solve(instance)
-    return result.optimal_cost, result.optimal_cost
+    return optimal_bnb(instance, node_budget=node_budget)
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -313,9 +304,11 @@ def run_fractional(
     """
     if config.alpha_mode == "double":
         B, guess, C = None, config.alpha_value, config.C
+    elif config.alpha_mode == "fixed":
+        B, guess, C = None, float(config.alpha_value), None
     else:
-        B, guess = resolve_alpha(instance, config)
-        C = None  # a known guess: one phase, nothing trips
+        B = guess = oracle_solve(instance).optimal_cost
+        C = None
     result = run_with_doubling(
         instance, initial_guess=guess, C=C, a=config.a, step_cap=config.step_cap
     )
@@ -378,6 +371,7 @@ def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
 
 
 def _fmt(value) -> str:
+    """A value as ``csv`` writes it: None as "", everything else as str()."""
     if value is None:
         return ""
     return str(value)
@@ -387,8 +381,7 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_report_csv(path: Path, rows: list[dict], columns=REPORT_COLUMNS) -> None:
@@ -400,28 +393,27 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
     logdir.mkdir(parents=True, exist_ok=True)
     save_instance(artifacts.instance, logdir / "instance.json")
 
-    steps = []
-    for trace in artifacts.phases:
-        for job, idx, outcome in trace.step_entries:
-            steps.append(
-                (
-                    job,
-                    idx,
-                    outcome.step_type,
-                    outcome.delta_potential,
-                    outcome.delta_coverage,
-                    "|".join(str(i) for i in outcome.machines_touched),
-                )
-            )
-    _write_csv(logdir / "steps.csv", STEP_COLUMNS, steps)
-
-    yrows = []
-    for trace in artifacts.phases:
-        for job, yrow in trace.covered_y:
-            for i, val in enumerate(yrow):
-                if val != 0.0:
-                    yrows.append((trace.phase, job, i, val))
-    _write_csv(logdir / "y.csv", Y_COLUMNS, yrows)
+    _write_csv(
+        logdir / "steps.csv",
+        STEP_COLUMNS,
+        (
+            (job, idx, o.step_type, o.delta_potential, o.delta_coverage,
+             "|".join(str(i) for i in o.machines_touched))
+            for trace in artifacts.phases
+            for job, idx, o in trace.step_entries
+        ),
+    )
+    _write_csv(
+        logdir / "y.csv",
+        Y_COLUMNS,
+        (
+            (trace.phase, job, i, val)
+            for trace in artifacts.phases
+            for job, yrow in trace.covered_y
+            for i, val in enumerate(yrow)
+            if val != 0.0
+        ),
+    )
 
     _write_csv(
         logdir / "assignments.csv",
@@ -621,9 +613,11 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
          "alpha_mode": "oracle", "a": 1.05, "C": 50.0,
          "checks": ["feasibility", "potential", "consistency", "rounding"]}
     """
+    if not isinstance(config_doc, dict):
+        raise ValueError("sweep config: top level must be an object")
     cells = config_doc.get("cells")
-    if not cells:
-        raise ValueError("sweep config: missing or empty 'cells'")
+    if not isinstance(cells, list) or not cells:
+        raise ValueError("sweep config: 'cells' must be a non-empty list")
     config = RunConfig(
         alpha_mode=config_doc.get("alpha_mode", "oracle"),
         alpha_value=config_doc.get("alpha_value"),
@@ -634,9 +628,14 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
 
     rows: list[dict] = []
     for cell in cells:
+        if not isinstance(cell, dict):
+            raise ValueError("sweep config: each cell must be an object")
         for key in ("m", "n", "model", "instance_seeds", "rounding_seeds"):
             if key not in cell:
                 raise ValueError(f"sweep config: cell missing key '{key}'")
+        for key in ("instance_seeds", "rounding_seeds"):
+            if not isinstance(cell[key], list):
+                raise ValueError(f"sweep config: cell '{key}' must be a list")
         cost_range = tuple(cell.get("cost_range", (1.0, 10.0)))
         for iseed in cell["instance_seeds"]:
             instance = generate(

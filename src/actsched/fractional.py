@@ -103,7 +103,6 @@ class FractionalState:
         lo, hi = GROWTH_BASE_WINDOW
         if not lo < a < hi:
             raise ValueError(f"a must lie strictly inside ({lo}, {hi:.6f})")
-        self.instance = instance
         self.m = instance.m
         self.n = instance.n_declared
         self.a = a
@@ -142,8 +141,7 @@ class FractionalState:
         # sum(y) <= 1 cap truncated a raw increment.
         self.fraction_clamps = 0
         self.coverage_clamps = 0
-        self.steps_total = 0
-        # (job, step_idx, outcome), append-only.
+        # (job, step_idx, outcome), append-only; step_idx counts the phase's steps.
         self.step_log: list[tuple[int, int, StepOutcome]] = []
 
         self._inv_cn = [
@@ -179,11 +177,11 @@ class FractionalState:
         return [i for i in range(self.m) if not self.discarded[i] and prow[i] <= 1.0]
 
     def order_and_split(self, j: int) -> tuple[list[int], int | None]:
-        """Rank the usable machines of job j by virtual cost (ties: lower id)
-        and split the list into the maximal prefix whose x-mass stays strictly
-        below 1, plus the first machine after it (None if the prefix is
-        everything)."""
-        order = sorted(self.usable_machines(j), key=lambda i: (self.virtual_cost(i, j), i))
+        """Rank the usable machines of job j by virtual cost (ties: lower id,
+        as the sort is stable over ascending ids) and split the list into the
+        maximal prefix whose x-mass stays strictly below 1, plus the first
+        machine after it (None if the prefix is everything)."""
+        order = sorted(self.usable_machines(j), key=lambda i: self.virtual_cost(i, j))
         prefix: list[int] = []
         total = 0.0
         pivot: int | None = None
@@ -259,8 +257,7 @@ class FractionalState:
             delta_potential=d_phi,
             delta_coverage=d_cov,
         )
-        self.step_log.append((j, self.steps_total, outcome))
-        self.steps_total += 1
+        self.step_log.append((j, len(self.step_log), outcome))
         self.phi += d_phi
         if d_cov <= 0.0:
             raise StalledStepError(
@@ -268,8 +265,8 @@ class FractionalState:
             )
         return outcome
 
-    def process_job(self, j: int) -> list[StepOutcome]:
-        """Run steps until job j is covered; returns the step outcomes.
+    def process_job(self, j: int) -> list[tuple[int, int, StepOutcome]]:
+        """Run steps until job j is covered; returns its slice of ``step_log``.
 
         Jobs may start at any index (a phase can pick up mid-stream), but a
         job is covered at most once per state and its y row freezes after.
@@ -290,15 +287,15 @@ class FractionalState:
             )
         self.y[j] = [0.0] * self.m
         self.coverage[j] = 0.0
-        outcomes: list[StepOutcome] = []
+        start = len(self.step_log)
         while self.coverage[j] < 1.0 - COVERAGE_TOL:
-            if len(outcomes) >= self.step_cap:
+            if len(self.step_log) - start >= self.step_cap:
                 raise StepCapError(
                     f"job {j}: exceeded step cap {self.step_cap} "
                     f"(coverage={self.coverage[j]!r}, x={self.x!r}, load={self.load!r})"
                 )
-            outcomes.append(self.execute_step(j))
-        return outcomes
+            self.execute_step(j)
+        return self.step_log[start:]
 
     # -- observables ----------------------------------------------------------
 

@@ -12,6 +12,7 @@ processing times stays total.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,26 +33,26 @@ class InstanceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Machine:
-    """A machine with a positive one-time startup cost."""
+    """A machine with a positive, finite one-time startup cost."""
 
     id: int
     startup_cost: float
 
     def __post_init__(self) -> None:
-        if self.startup_cost <= 0:
-            raise ValueError(f"machine {self.id}: startup_cost must be > 0")
+        if not 0 < self.startup_cost < math.inf:
+            raise ValueError(f"machine {self.id}: startup_cost must be finite and > 0")
 
 
 @dataclass(frozen=True)
 class Job:
-    """A job with one positive processing time per machine (machine order)."""
+    """A job with one positive, finite processing time per machine, in machine order."""
 
     id: int
     processing_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(p <= 0 for p in self.processing_times):
-            raise ValueError(f"job {self.id}: processing times must be > 0")
+        if not all(0 < p < math.inf for p in self.processing_times):
+            raise ValueError(f"job {self.id}: processing times must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.machines:
             raise ValueError("instance needs at least one machine")
-        if self.makespan_budget <= 0:
-            raise ValueError("makespan_budget must be > 0")
+        if not 0 < self.makespan_budget < math.inf:
+            raise ValueError("makespan_budget must be finite and > 0")
         ids = [mc.id for mc in self.machines]
         if ids != list(range(len(self.machines))):
             raise ValueError("machine ids must be 0..m-1 in order")
@@ -199,21 +200,23 @@ def instance_from_dict(doc: dict, where: str = "instance") -> Instance:
     budget = _require(doc, "L", where)
     raw_machines = _require(doc, "machines", where)
     raw_jobs = _require(doc, "jobs", where)
-    if len(raw_machines) != m:
-        raise InstanceFormatError(f"{where}: header m={m} but {len(raw_machines)} machines")
-    if len(raw_jobs) != n:
-        raise InstanceFormatError(f"{where}: header n={n} but {len(raw_jobs)} jobs")
-    machines = tuple(
-        Machine(_require(mc, "id", f"{where}: machine {k}"), _require(mc, "cost", f"{where}: machine {k}"))
-        for k, mc in enumerate(raw_machines)
-    )
-    jobs = tuple(
-        Job(_require(jb, "id", f"{where}: job {k}"), tuple(_require(jb, "p", f"{where}: job {k}")))
-        for k, jb in enumerate(raw_jobs)
-    )
     try:
+        if len(raw_machines) != m:
+            raise ValueError(f"header m={m} but {len(raw_machines)} machines")
+        if len(raw_jobs) != n:
+            raise ValueError(f"header n={n} but {len(raw_jobs)} jobs")
+        machines = tuple(
+            Machine(_require(mc, "id", f"machine {k}"), _require(mc, "cost", f"machine {k}"))
+            for k, mc in enumerate(raw_machines)
+        )
+        jobs = tuple(
+            Job(_require(jb, "id", f"job {k}"), tuple(_require(jb, "p", f"job {k}")))
+            for k, jb in enumerate(raw_jobs)
+        )
         return Instance(machines=machines, jobs=jobs, makespan_budget=budget, n_declared=n)
-    except ValueError as exc:
+    except TypeError as exc:
+        raise InstanceFormatError(f"{where}: a value has the wrong type ({exc})") from exc
+    except ValueError as exc:  # _require raises InstanceFormatError, a ValueError
         raise InstanceFormatError(f"{where}: {exc}") from exc
 
 

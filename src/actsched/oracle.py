@@ -5,11 +5,15 @@ Two routes are provided. ``optimal_exhaustive`` enumerates every assignment
 and is the ground truth on tiny instances; ``optimal_bnb`` is a
 branch-and-bound over job-to-machine choices that scales to desk-size
 instances and must agree with the exhaustive route wherever both run.
+Both follow one contract: an ``OracleResult`` is always a proved optimum, and
+a route that cannot prove one within its limit (the exhaustive guard or the
+node budget) raises ``OracleTooLargeError``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .instances import Instance
@@ -23,7 +27,8 @@ class InfeasibleInstanceError(Exception):
 
 
 class OracleTooLargeError(Exception):
-    """The instance exceeds the exhaustive-search guard."""
+    """The search would pass its limit (the exhaustive guard or the
+    branch-and-bound node budget) before proving an optimum."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,6 @@ class OracleResult:
     witness: tuple[int, ...]
     witness_makespan: float
     nodes_explored: int
-    exact: bool
 
 
 def machine_loads(instance: Instance, assignment: tuple[int, ...] | list[int]) -> list[float]:
@@ -58,7 +62,7 @@ def _activation_cost(instance: Instance, assignment) -> float:
 def optimal_exhaustive(instance: Instance, guard: int = EXHAUSTIVE_GUARD) -> OracleResult:
     m, n = instance.m, instance.n
     if n == 0:
-        return OracleResult(0.0, (), 0.0, 1, True)
+        return OracleResult(0.0, (), 0.0, 1)
     if m**n > guard:
         raise OracleTooLargeError(f"m^n = {m}**{n} exceeds guard {guard}")
     budget = instance.makespan_budget
@@ -89,7 +93,6 @@ def optimal_exhaustive(instance: Instance, guard: int = EXHAUSTIVE_GUARD) -> Ora
         witness=best_assign,
         witness_makespan=max(machine_loads(instance, best_assign)),
         nodes_explored=explored,
-        exact=True,
     )
 
 
@@ -108,7 +111,7 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     """
     m, n = instance.m, instance.n
     if n == 0:
-        return OracleResult(0.0, (), 0.0, 1, True)
+        return OracleResult(0.0, (), 0.0, 1)
     budget = instance.makespan_budget
     costs = instance.costs()
     ptimes = instance.ptimes()
@@ -120,9 +123,11 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     loads = [0.0] * m
     active = [False] * m
     assign: list[int] = []
-    state = {"nodes": 0, "exhausted": False, "best_cost": None, "best_assign": None}
+    nodes = 0
+    best_cost = math.inf
+    best_assign: tuple[int, ...] = ()
 
-    def lower_bound(t: int, cost: float):
+    def lower_bound(t: int, cost: float) -> float:
         extra = 0.0
         for j in range(t, n):
             p = ptimes[j]
@@ -130,30 +135,27 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
                 continue
             fresh = [costs[i] for i in range(m) if not active[i] and p[i] <= budget]
             if not fresh:
-                return None  # job j cannot be placed anywhere from here
+                return math.inf  # job j cannot be placed anywhere from here
             extra = max(extra, min(fresh))
         return cost + extra
 
-    def visit(t: int, cost: float):
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
-            state["exhausted"] = True
-            return
+    def visit(t: int, cost: float) -> None:
+        nonlocal nodes, best_cost, best_assign
+        nodes += 1
+        if nodes > node_budget:
+            raise OracleTooLargeError(
+                f"branch-and-bound hit its node budget ({node_budget}) without proof"
+            )
         if t == n:
-            if state["best_cost"] is None or cost < state["best_cost"]:
-                state["best_cost"] = _activation_cost(instance, assign)
-                state["best_assign"] = tuple(assign)
+            if cost < best_cost:
+                best_cost = _activation_cost(instance, assign)
+                best_assign = tuple(assign)
             return
-        bound = lower_bound(t, cost)
-        if bound is None:
-            return
-        if state["best_cost"] is not None and bound >= state["best_cost"]:
+        if lower_bound(t, cost) >= best_cost:
             return
         p = ptimes[t]
         order = sorted(range(m), key=lambda i: (0.0 if active[i] else costs[i], p[i], i))
         for i in order:
-            if state["exhausted"]:
-                return
             if loads[i] + p[i] > budget:
                 continue
             was_active = active[i]
@@ -167,15 +169,11 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
 
     visit(0, 0.0)
 
-    if state["best_cost"] is None:
-        if state["exhausted"]:
-            return OracleResult(float("inf"), (), float("inf"), state["nodes"], False)
+    if not best_assign:
         raise InfeasibleInstanceError("no assignment meets the makespan budget")
-    witness = state["best_assign"]
     return OracleResult(
-        optimal_cost=state["best_cost"],
-        witness=witness,
-        witness_makespan=max(machine_loads(instance, witness)),
-        nodes_explored=state["nodes"],
-        exact=not state["exhausted"],
+        optimal_cost=best_cost,
+        witness=best_assign,
+        witness_makespan=max(machine_loads(instance, best_assign)),
+        nodes_explored=nodes,
     )

@@ -97,6 +97,15 @@ def test_oracle_too_large_exit_code(tmp_path):
     assert main(["oracle", "--in", str(path), "--method", "exhaustive"]) == 4
 
 
+def test_oracle_node_budget_exit_code(tmp_path, capsys):
+    path = gen_file(tmp_path, m=3, n=6, seed=2)
+    capsys.readouterr()
+    assert main(["oracle", "--in", str(path), "--node-budget", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node budget (1)" in captured.err
+
+
 def test_run_single_machine_cost_ratio_one(tmp_path, capsys):
     path = gen_file(tmp_path, m=1, n=4, seed=2)
     logdir = tmp_path / "logs"
@@ -244,6 +253,48 @@ def test_run_bad_alpha_exit_two(tmp_path):
     path = gen_file(tmp_path)
     assert main(["run", "--in", str(path), "--alpha", "bogus",
                  "--logdir", str(tmp_path / "x")]) == 2
+
+
+def _set_cost(doc):
+    doc["machines"][0]["cost"] = "abc"
+
+
+def _set_p(value):
+    def mutate(doc):
+        doc["jobs"][0]["p"] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize("command,mutate,extra", [
+    ("run", _set_cost, ["--alpha", "oracle"]),
+    ("run", _set_p(None), ["--alpha", "oracle"]),
+    ("run", _set_p([float("nan")] * 3), ["--alpha", "oracle"]),
+    ("run", None, ["--alpha", "nan"]),
+    ("run", None, ["--alpha", "inf"]),
+    ("run", None, ["--alpha", "double", "--C", "nan"]),
+    ("sweep", [1, 2], []),
+    ("sweep", {"cells": [{"m": 2, "n": 4, "model": "uniform", "instance_seeds": 5,
+                          "rounding_seeds": [0]}]}, []),
+], ids=["cost-str", "p-null", "p-nan", "alpha-nan", "alpha-inf", "C-nan",
+        "sweep-not-object", "seeds-not-list"])
+def test_malformed_input_exits_two(tmp_path, capsys, command, mutate, extra):
+    if command == "sweep":
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(mutate))
+        args = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+    else:
+        path = gen_file(tmp_path)
+        if mutate is not None:
+            doc = json.loads(path.read_text())
+            mutate(doc)
+            path.write_text(json.dumps(doc))
+        args = ["run", "--in", str(path), *extra, "--logdir", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "p_ij <= L" not in err and "a must be a positive integer" not in err
 
 
 def test_verify_clean_logs(tmp_path):

@@ -245,7 +245,7 @@ def test_job_without_usable_machine_signals_small_guess():
     assert fs.discarded == [False, True]
     with pytest.raises(GuessTooSmallError, match="job 0"):
         fs.process_job(0)
-    assert 0 not in fs.y and fs.steps_total == 0
+    assert 0 not in fs.y and fs.step_log == []
     fs.process_job(1)
     assert fs.y[1] == [1.0, 0.0]
 
@@ -333,7 +333,7 @@ def test_every_step_makes_progress():
     for inst, alpha in sweep_instances(12):
         fs = run_all(inst, alpha)
         assert all(o.delta_coverage > 0 for (_, _, o) in fs.step_log)
-        assert fs.steps_total == len(fs.step_log)
+        assert [idx for _, idx, _ in fs.step_log] == list(range(len(fs.step_log)))
 
 
 def test_potential_step_bound_on_uniform_instances():
