@@ -24,9 +24,7 @@ from .instances import (
     Machine,
     generate,
     load_instance,
-    load_trace,
     save_instance,
-    save_trace,
 )
 from .oracle import (
     InfeasibleInstanceError,
@@ -63,10 +61,8 @@ __all__ = [
     "feasible",
     "generate",
     "load_instance",
-    "load_trace",
     "optimal_bnb",
     "optimal_exhaustive",
     "run_with_doubling",
     "save_instance",
-    "save_trace",
 ]

@@ -24,7 +24,6 @@ from .experiment import (
     write_run_logs,
 )
 from .fractional import (
-    DEFAULT_STEP_CAP,
     GROWTH_BASE_DEFAULT,
     GuessTooSmallError,
     StalledStepError,
@@ -103,20 +102,13 @@ def _parse_alpha(raw: str) -> tuple[str, float | None]:
 def cmd_run(args) -> int:
     instance = load_instance(args.infile)
     mode, value = _parse_alpha(args.alpha)
-    if args.no_checks:
-        checks: tuple[str, ...] = ()
-    elif args.checks is not None:
-        checks = tuple(fam.strip() for fam in args.checks.split(",") if fam.strip())
-    else:
-        checks = CHECK_FAMILIES
     config = RunConfig(
         alpha_mode=mode,
         alpha_value=value,
         seed=_default_seed(args.seed),
         a=args.a,
         C=args.C,
-        step_cap=args.step_cap,
-        checks=checks,
+        checks=() if args.no_checks else CHECK_FAMILIES,
     )
     artifacts = run_pipeline(instance, config)
     write_run_logs(artifacts, args.logdir)
@@ -176,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact offline optimum of an instance")
     p_oracle.add_argument("--in", dest="infile", required=True)
-    p_oracle.add_argument("--method", choices=("auto", "exhaustive", "bnb"), default="auto")
+    p_oracle.add_argument("--method", choices=("bnb", "exhaustive"), default="bnb")
     p_oracle.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -186,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--a", type=float, default=GROWTH_BASE_DEFAULT)
     p_run.add_argument("--C", type=float, default=DEFAULT_BOUND_CONSTANT)
-    p_run.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
-    p_run.add_argument("--checks", default=None, help="comma-separated check families")
     p_run.add_argument("--no-checks", action="store_true")
     p_run.add_argument("--logdir", required=True)
     p_run.set_defaults(func=cmd_run)

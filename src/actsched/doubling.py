@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 from .fractional import (
-    DEFAULT_STEP_CAP,
     FractionalState,
     GROWTH_BASE_DEFAULT,
     GuessTooSmallError,
@@ -110,14 +109,13 @@ def run_with_doubling(
     initial_guess: float | None = None,
     C: float | None = DEFAULT_BOUND_CONSTANT,
     a: float = GROWTH_BASE_DEFAULT,
-    step_cap: int = DEFAULT_STEP_CAP,
 ) -> DoublingResult:
     """Cover all jobs fractionally under guess-and-double control.
 
     ``C=None`` runs the guess as known: one phase with no cost bound, in
     which a guess found too small raises ``GuessTooSmallError``.
     """
-    m, n = instance.m, instance.n_declared
+    m, n = instance.m, instance.n
     guess = initial_guess if initial_guess is not None else default_initial_guess(instance)
     if guess <= 0:
         raise ValueError("initial guess must be > 0")
@@ -132,7 +130,7 @@ def run_with_doubling(
     j = 0
 
     while True:
-        fstate = FractionalState(instance, guess, a=a, step_cap=step_cap)
+        fstate = FractionalState(instance, guess, a=a)
         kept = 0
         trip: str | None = None
         try:

@@ -33,7 +33,7 @@ from .doubling import DEFAULT_BOUND_CONSTANT, DoublingResult, PhaseTrace, run_wi
 
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
 from .doubling import snapshot_phase  # noqa: F401
-from .fractional import DEFAULT_STEP_CAP, GROWTH_BASE_DEFAULT, JobFraction
+from .fractional import GROWTH_BASE_DEFAULT, JobFraction, check_growth_base
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -84,7 +84,6 @@ class RunConfig:
     seed: int = 0
     a: float = GROWTH_BASE_DEFAULT
     C: float = DEFAULT_BOUND_CONSTANT
-    step_cap: int = DEFAULT_STEP_CAP
     checks: tuple[str, ...] = CHECK_FAMILIES
 
     def __post_init__(self) -> None:
@@ -94,6 +93,9 @@ class RunConfig:
             raise ValueError("fixed alpha_mode needs an alpha_value")
         if self.alpha_value is not None and not 0 < self.alpha_value < math.inf:
             raise ValueError(f"alpha_value must be finite and > 0, got {self.alpha_value!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        check_growth_base(self.a)
         if not 0 < self.C < math.inf:
             raise ValueError(f"C must be finite and > 0, got {self.C!r}")
         unknown = set(self.checks) - set(CHECK_FAMILIES)
@@ -221,14 +223,14 @@ def audit_rounding(
 
 
 def oracle_solve(
-    instance: Instance, method: str = "auto", node_budget: int = DEFAULT_NODE_BUDGET
+    instance: Instance, method: str = "bnb", node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleResult:
-    """Exact optimum via the requested route; 'auto' uses branch-and-bound."""
-    if method not in ("auto", "bnb", "exhaustive"):
-        raise ValueError(f"unknown oracle method {method!r}")
+    """Exact optimum by branch-and-bound ('bnb') or exhaustive search."""
+    if method == "bnb":
+        return optimal_bnb(instance, node_budget=node_budget)
     if method == "exhaustive":
         return optimal_exhaustive(instance)
-    return optimal_bnb(instance, node_budget=node_budget)
+    raise ValueError(f"unknown oracle method {method!r}")
 
 
 # -- pipeline -------------------------------------------------------------------
@@ -309,9 +311,7 @@ def run_fractional(
     else:
         B = guess = oracle_solve(instance).optimal_cost
         C = None
-    result = run_with_doubling(
-        instance, initial_guess=guess, C=C, a=config.a, step_cap=config.step_cap
-    )
+    result = run_with_doubling(instance, initial_guess=guess, C=C, a=config.a)
 
     check = config.checks.__contains__
     problems: list[tuple[str, list[str]]] = []
@@ -325,7 +325,7 @@ def run_fractional(
         steps = (
             (job, idx, o.delta_potential) for t in result.phases for job, idx, o in t.step_entries
         )
-        problems.append(("potential", audit_steps(steps, instance.n_declared)))
+        problems.append(("potential", audit_steps(steps, instance.n)))
     return B, result, problems
 
 
@@ -442,7 +442,7 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
         "alpha": artifacts.alpha,
         "B": artifacts.B,
         "m": artifacts.instance.m,
-        "n": artifacts.instance.n_declared,
+        "n": artifacts.instance.n,
         "L": artifacts.instance.makespan_budget,
         "phases": [
             {k: v for k, v in vars(p).items() if k not in PHASE_FIELDS_NOT_IN_META}
@@ -545,7 +545,7 @@ def _verify_logs(logdir: Path) -> list[str]:
     for trace in phases:
         problems += audit_phase(trace) + audit_consistency(trace, p, meta["config"]["a"])
     with open(logdir / "steps.csv", newline="", encoding="utf-8") as fh:
-        problems += audit_steps(_step_rows(fh), instance.n_declared)
+        problems += audit_steps(_step_rows(fh), instance.n)
 
     assignment: dict[int, int] = {}
     int_load = [0.0] * instance.m
@@ -602,6 +602,45 @@ def sweep_cell_label(m: int, n: int, seed: int, model: str) -> str:
     return f"m{m}-n{n}-s{seed}-{model}"
 
 
+def _sweep_plan(config_doc) -> tuple[RunConfig, list[tuple[str, GeneratorConfig, list[RunConfig]]]]:
+    """The sweep's shared RunConfig and, per instance, its label, generator
+    config and one RunConfig per rounding seed."""
+    if not isinstance(config_doc, dict):
+        raise ValueError("top level must be an object")
+    cells = config_doc.get("cells")
+    if not isinstance(cells, list) or not cells:
+        raise ValueError("'cells' must be a non-empty list")
+    config = RunConfig(
+        alpha_mode=config_doc.get("alpha_mode", "oracle"),
+        alpha_value=config_doc.get("alpha_value"),
+        a=config_doc.get("a", GROWTH_BASE_DEFAULT),
+        C=config_doc.get("C", DEFAULT_BOUND_CONSTANT),
+    )
+    plan = []
+    for cell in cells:
+        if not isinstance(cell, dict):
+            raise ValueError("each cell must be an object")
+        for key in ("m", "n", "model", "instance_seeds", "rounding_seeds"):
+            if key not in cell:
+                raise ValueError(f"cell missing key '{key}'")
+        for key in ("instance_seeds", "rounding_seeds"):
+            if not isinstance(cell[key], list):
+                raise ValueError(f"cell '{key}' must be a list")
+        cost_range = tuple(cell.get("cost_range", (1.0, 10.0)))
+        run_configs = [replace(config, seed=rseed) for rseed in cell["rounding_seeds"]]
+        for iseed in cell["instance_seeds"]:
+            gen_config = GeneratorConfig(
+                m=cell["m"],
+                n=cell["n"],
+                seed=iseed,
+                cost_range=cost_range,
+                ptime_model=cell["model"],
+            )
+            label = sweep_cell_label(cell["m"], cell["n"], iseed, cell["model"])
+            plan.append((label, gen_config, run_configs))
+    return config, plan
+
+
 def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
     """Run a seed grid and write per-run rows plus an aggregate table.
 
@@ -610,48 +649,22 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
         {"cells": [{"m": 4, "n": 8, "model": "uniform",
                     "cost_range": [1.0, 10.0],
                     "instance_seeds": [0, 1], "rounding_seeds": [0, 1, 2]}],
-         "alpha_mode": "oracle", "a": 1.05, "C": 50.0,
-         "checks": ["feasibility", "potential", "consistency", "rounding"]}
+         "alpha_mode": "oracle", "a": 1.05, "C": 50.0}
+
+    Every run's configuration is built before the first run, so a malformed
+    config raises ``ValueError`` and runs nothing.
     """
-    if not isinstance(config_doc, dict):
-        raise ValueError("sweep config: top level must be an object")
-    cells = config_doc.get("cells")
-    if not isinstance(cells, list) or not cells:
-        raise ValueError("sweep config: 'cells' must be a non-empty list")
-    config = RunConfig(
-        alpha_mode=config_doc.get("alpha_mode", "oracle"),
-        alpha_value=config_doc.get("alpha_value"),
-        a=config_doc.get("a", GROWTH_BASE_DEFAULT),
-        C=config_doc.get("C", DEFAULT_BOUND_CONSTANT),
-        checks=tuple(config_doc.get("checks", CHECK_FAMILIES)),
-    )
+    try:
+        config, plan = _sweep_plan(config_doc)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"sweep config: {exc}") from exc
 
     rows: list[dict] = []
-    for cell in cells:
-        if not isinstance(cell, dict):
-            raise ValueError("sweep config: each cell must be an object")
-        for key in ("m", "n", "model", "instance_seeds", "rounding_seeds"):
-            if key not in cell:
-                raise ValueError(f"sweep config: cell missing key '{key}'")
-        for key in ("instance_seeds", "rounding_seeds"):
-            if not isinstance(cell[key], list):
-                raise ValueError(f"sweep config: cell '{key}' must be a list")
-        cost_range = tuple(cell.get("cost_range", (1.0, 10.0)))
-        for iseed in cell["instance_seeds"]:
-            instance = generate(
-                GeneratorConfig(
-                    m=cell["m"],
-                    n=cell["n"],
-                    seed=iseed,
-                    cost_range=cost_range,
-                    ptime_model=cell["model"],
-                )
-            )
-            label = sweep_cell_label(cell["m"], cell["n"], iseed, cell["model"])
-            frac = run_fractional(instance, config)
-            for rseed in cell["rounding_seeds"]:
-                artifacts = round_run(instance, replace(config, seed=rseed), *frac)
-                rows.append({"instance": label, **artifacts.row})
+    for label, gen_config, run_configs in plan:
+        instance = generate(gen_config)
+        frac = run_fractional(instance, config)
+        for run_config in run_configs:
+            rows.append({"instance": label, **round_run(instance, run_config, *frac).row})
 
     out_path = Path(out_path)
     write_report_csv(out_path, rows, columns=SWEEP_COLUMNS)

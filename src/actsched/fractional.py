@@ -30,7 +30,7 @@ from .instances import Instance
 GROWTH_BASE_DEFAULT = 1.05
 GROWTH_BASE_WINDOW = (1.0, 13.0 / 12.0)  # open interval for the load penalty base
 COVERAGE_TOL = 1e-9
-DEFAULT_STEP_CAP = 10**7
+STEP_CAP = 10**7  # steps one job may take before StepCapError
 
 TYPE_A = "A"
 TYPE_B = "B"
@@ -73,6 +73,12 @@ class JobFraction:
     eligible: tuple[bool, ...]
 
 
+def check_growth_base(a: float) -> None:
+    lo, hi = GROWTH_BASE_WINDOW
+    if not lo < a < hi:
+        raise ValueError(f"a must lie strictly inside ({lo}, {hi:.6f})")
+
+
 def effective_capacity(x_before: float, delta_x: float, p_ij: float) -> float:
     """Assignment capacity unlocked by raising x from x_before by delta_x.
 
@@ -96,18 +102,14 @@ class FractionalState:
         instance: Instance,
         alpha: float,
         a: float = GROWTH_BASE_DEFAULT,
-        step_cap: int = DEFAULT_STEP_CAP,
     ) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be > 0")
-        lo, hi = GROWTH_BASE_WINDOW
-        if not lo < a < hi:
-            raise ValueError(f"a must lie strictly inside ({lo}, {hi:.6f})")
+        check_growth_base(a)
         self.m = instance.m
-        self.n = instance.n_declared
+        self.n = instance.n
         self.a = a
         self.alpha = alpha
-        self.step_cap = step_cap
         self.p = instance.scaled_ptimes()
 
         # Cost normalization: with alpha equal to the offline optimum, the
@@ -289,9 +291,9 @@ class FractionalState:
         self.coverage[j] = 0.0
         start = len(self.step_log)
         while self.coverage[j] < 1.0 - COVERAGE_TOL:
-            if len(self.step_log) - start >= self.step_cap:
+            if len(self.step_log) - start >= STEP_CAP:
                 raise StepCapError(
-                    f"job {j}: exceeded step cap {self.step_cap} "
+                    f"job {j}: exceeded step cap {STEP_CAP} "
                     f"(coverage={self.coverage[j]!r}, x={self.x!r}, load={self.load!r})"
                 )
             self.execute_step(j)

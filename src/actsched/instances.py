@@ -28,7 +28,7 @@ PTIME_MODELS = ("uniform", "restricted_assignment", "power_law")
 
 
 class InstanceFormatError(ValueError):
-    """An instance or trace file does not match the expected schema."""
+    """An instance file does not match the expected schema."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class Instance:
     machines: tuple[Machine, ...]
     jobs: tuple[Job, ...]
     makespan_budget: float
-    n_declared: int
 
     def __post_init__(self) -> None:
         if not self.machines:
@@ -72,10 +71,6 @@ class Instance:
         ids = [mc.id for mc in self.machines]
         if ids != list(range(len(self.machines))):
             raise ValueError("machine ids must be 0..m-1 in order")
-        if self.n_declared != len(self.jobs):
-            raise ValueError(
-                f"n_declared={self.n_declared} but instance has {len(self.jobs)} jobs"
-            )
         m = len(self.machines)
         for job in self.jobs:
             if len(job.processing_times) != m:
@@ -87,7 +82,7 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return self.n_declared
+        return len(self.jobs)
 
     def costs(self) -> list[float]:
         return [mc.startup_cost for mc in self.machines]
@@ -113,6 +108,10 @@ class GeneratorConfig:
     ptime_model: str = "uniform"
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, int) for v in (self.m, self.n, self.seed)):
+            raise ValueError(
+                f"m, n and seed must be ints, got {self.m!r}, {self.n!r}, {self.seed!r}"
+            )
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -165,7 +164,7 @@ def generate(config: GeneratorConfig) -> Instance:
     jobs = tuple(
         Job(j, tuple(float(p) for p in ptimes[j])) for j in range(n)
     )
-    return Instance(machines=machines, jobs=jobs, makespan_budget=budget, n_declared=n)
+    return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
 
 
 def _require(doc: dict, key: str, where: str):
@@ -213,7 +212,7 @@ def instance_from_dict(doc: dict, where: str = "instance") -> Instance:
             Job(_require(jb, "id", f"job {k}"), tuple(_require(jb, "p", f"job {k}")))
             for k, jb in enumerate(raw_jobs)
         )
-        return Instance(machines=machines, jobs=jobs, makespan_budget=budget, n_declared=n)
+        return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
     except TypeError as exc:
         raise InstanceFormatError(f"{where}: a value has the wrong type ({exc})") from exc
     except ValueError as exc:  # _require raises InstanceFormatError, a ValueError
@@ -237,50 +236,4 @@ def load_instance(path: str | Path) -> Instance:
         ) from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
-    return instance_from_dict(doc, where=str(path))
-
-
-def save_trace(instance: Instance, path: str | Path) -> None:
-    """Write an instance as an online trace: a header line followed by one
-    JSON job object per line.
-
-    The header carries ``m``, ``L``, ``n`` plus the machine table, so a trace
-    file round-trips on its own.
-    """
-    header = {
-        "m": instance.m,
-        "L": instance.makespan_budget,
-        "n": instance.n,
-        "machines": [
-            {"id": mc.id, "cost": mc.startup_cost} for mc in instance.machines
-        ],
-    }
-    lines = [json.dumps(header)]
-    for job in instance.jobs:
-        lines.append(json.dumps({"id": job.id, "p": list(job.processing_times)}))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_trace(path: str | Path) -> Instance:
-    path = Path(path)
-    if not path.exists():
-        raise InstanceFormatError(f"{path}: file not found")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise InstanceFormatError(f"{path}: empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path}: header line: {exc.msg}") from exc
-    if not isinstance(header, dict):
-        raise InstanceFormatError(f"{path}: header line must be an object")
-    jobs = []
-    for k, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            jobs.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"{path}: job line {k}: {exc.msg}") from exc
-    doc = {"version": SCHEMA_VERSION, **header, "jobs": jobs}
     return instance_from_dict(doc, where=str(path))

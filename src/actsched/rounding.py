@@ -58,7 +58,7 @@ class RoundingState:
     def __init__(self, instance: Instance, seed: int) -> None:
         self.seed = seed
         self.m = instance.m
-        self.n = instance.n_declared
+        self.n = instance.n
         self.budget = instance.makespan_budget
         self.costs = instance.costs()
         self.r = draw_thresholds(self.m, seed)

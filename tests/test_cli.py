@@ -266,6 +266,16 @@ def _set_p(value):
     return mutate
 
 
+def _sweep_doc(second=None, **changes):
+    """A sweep config whose one cell has ``changes``; ``second`` appends a
+    second cell: the unchanged cell with ``second``'s changes."""
+    cell = {"m": 2, "n": 4, "model": "uniform", "instance_seeds": [0], "rounding_seeds": [0]}
+    cells = [{**cell, **changes}]
+    if second is not None:
+        cells.append({**cell, **second})
+    return {"cells": cells}
+
+
 @pytest.mark.parametrize("command,mutate,extra", [
     ("run", _set_cost, ["--alpha", "oracle"]),
     ("run", _set_p(None), ["--alpha", "oracle"]),
@@ -274,15 +284,24 @@ def _set_p(value):
     ("run", None, ["--alpha", "inf"]),
     ("run", None, ["--alpha", "double", "--C", "nan"]),
     ("sweep", [1, 2], []),
-    ("sweep", {"cells": [{"m": 2, "n": 4, "model": "uniform", "instance_seeds": 5,
-                          "rounding_seeds": [0]}]}, []),
+    ("sweep", _sweep_doc(instance_seeds=5), []),
+    ("sweep", _sweep_doc(m="3"), []),
+    ("sweep", {**_sweep_doc(), "C": "x"}, []),
+    ("sweep", {**_sweep_doc(), "a": "x"}, []),
+    ("sweep", _sweep_doc(instance_seeds=["a"]), []),
+    ("sweep", _sweep_doc(rounding_seeds=["a"]), []),
+    ("sweep", _sweep_doc(rounding_seeds=[1.5]), []),
+    ("sweep", _sweep_doc(second={"m": 2.5}), []),
 ], ids=["cost-str", "p-null", "p-nan", "alpha-nan", "alpha-inf", "C-nan",
-        "sweep-not-object", "seeds-not-list"])
-def test_malformed_input_exits_two(tmp_path, capsys, command, mutate, extra):
+        "sweep-not-object", "seeds-not-list", "m-str", "C-str", "a-str", "instance-seed-str",
+        "rounding-seed-str", "rounding-seed-float", "bad-second-cell"])
+def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, command, mutate, extra):
     if command == "sweep":
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(mutate))
         args = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]
+        # The whole config is checked before the first run.
+        monkeypatch.setattr(experiment, "run_fractional", None)
     else:
         path = gen_file(tmp_path)
         if mutate is not None:
@@ -295,6 +314,7 @@ def test_malformed_input_exits_two(tmp_path, capsys, command, mutate, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "p_ij <= L" not in err and "a must be a positive integer" not in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_verify_clean_logs(tmp_path):

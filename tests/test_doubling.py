@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from actsched import fractional
 from actsched.doubling import (
     GuessBoundExceededError,
     cost_bound,
@@ -18,7 +19,7 @@ from actsched.rounding import RoundingState
 def make_instance(costs, ptimes, budget=1.0):
     machines = tuple(Machine(i, c) for i, c in enumerate(costs))
     jobs = tuple(Job(j, tuple(row)) for j, row in enumerate(ptimes))
-    return Instance(machines=machines, jobs=jobs, makespan_budget=budget, n_declared=len(jobs))
+    return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
 
 
 def test_default_initial_guess_is_cheapest_feasible_cost():
@@ -114,7 +115,7 @@ def test_doubling_from_eighth_of_optimum_uniform():
         assert len(result.records) == 6
 
 
-def test_lamed_guess_on_restricted_instance_hits_step_cap():
+def test_lamed_guess_on_restricted_instance_hits_step_cap(monkeypatch):
     # Guards against the old step-cap grind: with a deliberately small guess,
     # pre-processing can discard every machine a job fits on within the
     # budget. That job must trip the phase so the guess doubles, instead of
@@ -123,7 +124,8 @@ def test_lamed_guess_on_restricted_instance_hits_step_cap():
         GeneratorConfig(m=2, n=5, seed=3000, ptime_model="restricted_assignment")
     )
     B = oracle_solve(inst).optimal_cost
-    result = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0, step_cap=50_000)
+    monkeypatch.setattr(fractional, "STEP_CAP", 50_000)
+    result = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0)
     assert len(result.phases) <= 5
     assert result.final_guess >= B
     assert sorted(frac.job for frac in result.records) == [0, 1, 2, 3, 4]
@@ -157,10 +159,10 @@ def _round_online(inst, guess, C, seed):
     rounding = RoundingState(inst, seed)
     bound = math.inf if C is None else cost_bound(C, inst.m)
     j = 0
-    while j < inst.n_declared:
+    while j < inst.n:
         fs = FractionalState(inst, guess)
         try:
-            while j < inst.n_declared:
+            while j < inst.n:
                 fs.process_job(j)
                 if fs.fractional_cost() > bound:
                     break

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from actsched import fractional
 from actsched.experiment import oracle_solve
 from actsched.fractional import (
     COVERAGE_TOL,
@@ -20,7 +21,7 @@ from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 def make_instance(costs, ptimes, budget=1.0):
     machines = tuple(Machine(i, c) for i, c in enumerate(costs))
     jobs = tuple(Job(j, tuple(row)) for j, row in enumerate(ptimes))
-    return Instance(machines=machines, jobs=jobs, makespan_budget=budget, n_declared=len(jobs))
+    return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
 
 
 # -- pre-processing ------------------------------------------------------------
@@ -250,11 +251,12 @@ def test_job_without_usable_machine_signals_small_guess():
     assert fs.y[1] == [1.0, 0.0]
 
 
-def test_step_cap_aborts_with_diagnostics():
+def test_step_cap_aborts_with_diagnostics(monkeypatch):
     rows = [[1.0, 1.0] for _ in range(10)]
     inst = make_instance([2.0, 2.0], rows)
-    fs = FractionalState(inst, alpha=2.0, step_cap=2)
-    with pytest.raises(StepCapError, match="coverage"):
+    fs = FractionalState(inst, alpha=2.0)
+    monkeypatch.setattr(fractional, "STEP_CAP", 2)
+    with pytest.raises(StepCapError, match="step cap 2 .*coverage"):
         fs.process_job(0)
 
 
@@ -263,7 +265,7 @@ def test_step_cap_aborts_with_diagnostics():
 
 def run_all(inst, alpha, a=1.05):
     fs = FractionalState(inst, alpha, a=a)
-    for j in range(inst.n_declared):
+    for j in range(inst.n):
         fs.process_job(j)
     return fs
 
@@ -280,14 +282,14 @@ def sweep_instances(count=25):
 def test_coverage_lands_in_window():
     for inst, alpha in sweep_instances():
         fs = run_all(inst, alpha)
-        for j in range(inst.n_declared):
+        for j in range(inst.n):
             assert 1.0 - COVERAGE_TOL <= fs.coverage[j] <= 1.0
 
 
 def test_relaxed_constraints_hold():
     for inst, alpha in sweep_instances():
         fs = run_all(inst, alpha)
-        for j in range(inst.n_declared):
+        for j in range(inst.n):
             for i in range(fs.m):
                 assert fs.y[j][i] <= 2.0 * fs.x[i] + 1e-9
         for i in range(fs.m):
@@ -300,7 +302,7 @@ def test_x_monotone_and_y_frozen():
     fs = FractionalState(inst, sum(inst.costs()))
     x_prev = list(fs.x)
     frozen = {}
-    for j in range(inst.n_declared):
+    for j in range(inst.n):
         fs.process_job(j)
         assert all(b >= a for a, b in zip(x_prev, fs.x))
         x_prev = list(fs.x)
@@ -366,7 +368,7 @@ def test_full_activation_under_load_can_jump_potential():
     fs = FractionalState(inst, alpha)
     cap = 2.0 / fs.n + 1e-9
     jumps = []
-    for j in range(inst.n_declared):
+    for j in range(inst.n):
         was_full = [x == 1.0 for x in fs.x]
         load_before = list(fs.load)
         start = len(fs.step_log)

@@ -14,9 +14,7 @@ from actsched.instances import (
     generate,
     instance_to_dict,
     load_instance,
-    load_trace,
     save_instance,
-    save_trace,
 )
 
 
@@ -43,7 +41,7 @@ def test_restricted_assignment_every_job_has_feasible_machine():
 @pytest.mark.parametrize("seed", range(0, 30, 3))
 def test_generated_instances_valid_and_feasible(model, seed):
     inst = generate(GeneratorConfig(m=2 + seed % 5, n=3 + seed % 7, seed=seed, ptime_model=model))
-    assert inst.n_declared == len(inst.jobs)
+    assert inst.n == len(inst.jobs) == 3 + seed % 7
     for job in inst.jobs:
         assert len(job.processing_times) == inst.m
         assert all(p > 0 for p in job.processing_times)
@@ -97,23 +95,13 @@ def test_malformed_json_reports_position(tmp_path):
         load_instance(path)
 
 
-def test_trace_round_trip(tmp_path):
-    inst = generate(GeneratorConfig(m=3, n=5, seed=21, ptime_model="restricted_assignment"))
-    path = tmp_path / "trace.jsonl"
-    save_trace(inst, path)
-    header = json.loads(path.read_text().splitlines()[0])
-    assert header["m"] == 3 and header["n"] == 5 and header["L"] == inst.makespan_budget
-    assert load_trace(path) == inst
-
-
-def test_trace_job_count_mismatch(tmp_path):
-    inst = generate(GeneratorConfig(m=2, n=3, seed=2))
-    path = tmp_path / "trace.jsonl"
-    save_trace(inst, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
+def test_instance_job_count_mismatch(tmp_path):
+    doc = instance_to_dict(generate(GeneratorConfig(m=2, n=3, seed=2)))
+    doc["jobs"].pop()
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(InstanceFormatError, match="n=3"):
-        load_trace(path)
+        load_instance(path)
 
 
 def test_instance_validation():
@@ -122,11 +110,9 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         Job(0, (1.0, -1.0))
     with pytest.raises(ValueError):
-        Instance(machines=(Machine(0, 1.0),), jobs=(), makespan_budget=1.0, n_declared=2)
+        Instance(machines=(Machine(0, 1.0),), jobs=(Job(0, (1.0, 1.0)),), makespan_budget=1.0)
     with pytest.raises(ValueError):
-        Instance(
-            machines=(Machine(1, 1.0),), jobs=(), makespan_budget=1.0, n_declared=0
-        )
+        Instance(machines=(Machine(1, 1.0),), jobs=(), makespan_budget=1.0)
 
 
 def test_generator_config_validation():

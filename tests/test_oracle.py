@@ -15,7 +15,7 @@ from actsched.oracle import (
 def make_instance(costs, ptimes, budget=1.0):
     machines = tuple(Machine(i, c) for i, c in enumerate(costs))
     jobs = tuple(Job(j, tuple(row)) for j, row in enumerate(ptimes))
-    return Instance(machines=machines, jobs=jobs, makespan_budget=budget, n_declared=len(jobs))
+    return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
 
 
 def test_feasible_basic():
@@ -100,7 +100,6 @@ def test_oracle_is_arrival_order_independent():
         machines=inst.machines,
         jobs=reversed_jobs,
         makespan_budget=inst.makespan_budget,
-        n_declared=inst.n_declared,
     )
     assert optimal_bnb(flipped).optimal_cost == cost
 
@@ -136,7 +135,6 @@ def test_rescaled_optimum_lands_in_window():
             ),
             jobs=inst.jobs,
             makespan_budget=inst.makespan_budget,
-            n_declared=inst.n_declared,
         )
         value = optimal_bnb(modified).optimal_cost
         assert m - 1e-9 <= value <= 2 * m + 1e-9

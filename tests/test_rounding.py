@@ -14,7 +14,7 @@ from actsched.rounding import (
 def make_instance(costs, ptimes, budget=1.0):
     machines = tuple(Machine(i, c) for i, c in enumerate(costs))
     jobs = tuple(Job(j, tuple(row)) for j, row in enumerate(ptimes))
-    return Instance(machines=machines, jobs=jobs, makespan_budget=budget, n_declared=len(jobs))
+    return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
 
 
 def uniform_instance(m, n, seed):
@@ -153,7 +153,7 @@ def test_fallback_all_zero_scores_uses_cost_weighted_ptime():
 def run_rounded(inst, alpha, seed):
     fs = FractionalState(inst, alpha)
     rs = RoundingState(inst, seed=seed)
-    for j in range(inst.n_declared):
+    for j in range(inst.n):
         fs.process_job(j)
         rs.process_job(fs.job_fraction(j))
     return fs, rs
