@@ -99,15 +99,23 @@ def optimal_exhaustive(instance: Instance, guard: int = EXHAUSTIVE_GUARD) -> Ora
 def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Branch-and-bound over job-to-machine choices.
 
+    Before the search, each job gets the machines it fits on (p_ij <= L) in
+    two orders: ``by_p`` by (p_ij, id) and ``by_cost`` by (cost, p_ij, id).
+
     Lower bound at a node: cost of machines already activated, plus (for
     jobs that no activated machine can still take) the single cheapest extra
-    activation any of them would force. Taking the max over such jobs keeps
-    the bound admissible even when one new machine could serve them all.
+    activation any of them would force, the first inactive machine of the
+    job's ``by_cost``. Taking the max over such jobs keeps the bound
+    admissible even when one new machine could serve them all. The search
+    only asks whether the bound reaches the incumbent's cost, so the scan
+    stops as soon as it does; the prune decisions, and so the nodes, are
+    those of the full bound.
 
     Children are tried cheapest first: an active machine before a fresh one,
-    then by fresh cost, processing time and id. The first leaf reached is
-    therefore the greedy cheapest-feasible-first assignment, the first
-    incumbent.
+    then by fresh cost, processing time and id. That is the active machines
+    of ``by_p`` followed by the inactive ones of ``by_cost``, since every
+    cost is > 0. The first leaf reached is therefore the greedy
+    cheapest-feasible-first assignment, the first incumbent.
     """
     m, n = instance.m, instance.n
     if n == 0:
@@ -116,9 +124,14 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     costs = instance.costs()
     ptimes = instance.ptimes()
 
-    for j in range(n):
-        if min(ptimes[j]) > budget:
+    by_p: list[list[tuple[int, float]]] = []
+    by_cost: list[list[tuple[int, float]]] = []
+    for j, p in enumerate(ptimes):
+        fits = [i for i in range(m) if p[i] <= budget]
+        if not fits:
             raise InfeasibleInstanceError(f"job {j} does not fit on any machine")
+        by_p.append([(i, p[i]) for i in sorted(fits, key=lambda i: (p[i], i))])
+        by_cost.append([(i, costs[i]) for i in sorted(fits, key=lambda i: (costs[i], p[i], i))])
 
     loads = [0.0] * m
     active = [False] * m
@@ -127,17 +140,23 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     best_cost = math.inf
     best_assign: tuple[int, ...] = ()
 
-    def lower_bound(t: int, cost: float) -> float:
+    def bound_reaches_best(t: int, cost: float) -> bool:
         extra = 0.0
         for j in range(t, n):
-            p = ptimes[j]
-            if any(active[i] and loads[i] + p[i] <= budget for i in range(m)):
-                continue
-            fresh = [costs[i] for i in range(m) if not active[i] and p[i] <= budget]
-            if not fresh:
-                return math.inf  # job j cannot be placed anywhere from here
-            extra = max(extra, min(fresh))
-        return cost + extra
+            for i, p_i in by_p[j]:
+                if active[i] and loads[i] + p_i <= budget:
+                    break
+            else:
+                for i, c_i in by_cost[j]:
+                    if not active[i]:
+                        break
+                else:
+                    return True  # job j cannot be placed anywhere from here
+                if c_i > extra:
+                    extra = c_i
+                    if cost + extra >= best_cost:
+                        return True
+        return cost + extra >= best_cost
 
     def visit(t: int, cost: float) -> None:
         nonlocal nodes, best_cost, best_assign
@@ -151,10 +170,10 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
                 best_cost = _activation_cost(instance, assign)
                 best_assign = tuple(assign)
             return
-        if lower_bound(t, cost) >= best_cost:
+        if bound_reaches_best(t, cost):
             return
         p = ptimes[t]
-        order = sorted(range(m), key=lambda i: (0.0 if active[i] else costs[i], p[i], i))
+        order = [i for i, _ in by_p[t] if active[i]] + [i for i, _ in by_cost[t] if not active[i]]
         for i in order:
             if loads[i] + p[i] > budget:
                 continue

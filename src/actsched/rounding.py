@@ -39,7 +39,7 @@ def draw_thresholds(m: int, seed: int) -> list[float]:
     if m < 1:
         raise ValueError("m must be >= 1")
     thr_rng, _ = _streams(seed)
-    return [float(v) for v in thr_rng.random(m)]
+    return thr_rng.random(m).tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +61,9 @@ class RoundingState:
         self.n = instance.n
         self.budget = instance.makespan_budget
         self.costs = instance.costs()
-        self.r = draw_thresholds(self.m, seed)
-        _, self._pick_rng = _streams(seed)
+        # The thresholds are those of draw_thresholds(m, seed).
+        thr_rng, self._pick_rng = _streams(seed)
+        self.r = thr_rng.random(self.m).tolist()
         # log(mn) uses the original machine count and the declared job count.
         self._ln_mn = math.log(self.m * self.n) if self.m * self.n > 1 else 0.0
         self._z_cut = (
@@ -158,12 +159,13 @@ class RoundingState:
         cost_before = self.int_cost
         self.activation_step(frac)
         i = self.assignment_step(frac)
+        cost_after = self.int_cost
         record = AssignmentRecord(
             job=frac.job,
             machine=i,
             p_original=frac.p_scaled[i] * self.budget,
-            newly_activated_cost=self.int_cost - cost_before,
-            cum_cost=self.int_cost,
+            newly_activated_cost=cost_after - cost_before,
+            cum_cost=cost_after,
             int_makespan=self.int_makespan(),
         )
         self.log.append(record)

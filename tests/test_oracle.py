@@ -78,15 +78,38 @@ def test_bnb_single_machine_fits_all():
 
 
 def test_bnb_matches_exhaustive_on_seeded_instances():
-    for seed in range(50):
-        m = 2 + seed % 2
-        n = 3 + seed % 4
-        model = ("uniform", "restricted_assignment", "power_law")[seed % 3]
+    models = ("uniform", "restricted_assignment", "power_law")
+    cases = [(2 + seed % 2, 3 + seed % 4, seed, models[seed % 3]) for seed in range(50)]
+    cases += [(4, 5 + seed % 3, 200 + seed, models[seed % 3]) for seed in range(20)]
+    for m, n, seed, model in cases:
         inst = generate(GeneratorConfig(m=m, n=n, seed=seed, ptime_model=model))
         a = optimal_exhaustive(inst)
         b = optimal_bnb(inst)
-        assert b.optimal_cost == a.optimal_cost, f"seed {seed}"
+        assert b.optimal_cost == a.optimal_cost, f"m={m} seed {seed}"
         assert feasible(inst, b.witness)
+
+
+def test_bnb_search_on_oracle_sweep_grid():
+    # The instances of the benchmark's oracle sweep. Child order and pruning
+    # decide the node count, so this pins the search itself, not only B.
+    nodes = 0
+    for model in ("uniform", "restricted_assignment", "power_law"):
+        for seed in range(12):
+            inst = generate(GeneratorConfig(m=6, n=12, seed=seed, ptime_model=model))
+            result = optimal_bnb(inst)
+            nodes += result.nodes_explored
+            assert feasible(inst, result.witness), f"{model} seed {seed}"
+            costs = inst.costs()
+            assert sum(costs[i] for i in sorted(set(result.witness))) == result.optimal_cost
+    assert nodes == 147_701
+
+
+def test_bnb_node_budget_is_exact():
+    inst = generate(GeneratorConfig(m=6, n=12, seed=3, ptime_model="uniform"))
+    result = optimal_bnb(inst)
+    assert optimal_bnb(inst, node_budget=result.nodes_explored) == result
+    with pytest.raises(OracleTooLargeError, match="node budget"):
+        optimal_bnb(inst, node_budget=result.nodes_explored - 1)
 
 
 def test_oracle_is_arrival_order_independent():

@@ -51,6 +51,11 @@ def test_thresholds_empirical_mean(seed):
     assert 0.48 <= mean <= 0.52
 
 
+def test_rounding_state_uses_the_drawn_thresholds():
+    inst = uniform_instance(7, 5, 0)
+    assert RoundingState(inst, seed=11).r == draw_thresholds(7, 11)
+
+
 # -- activation ------------------------------------------------------------------
 
 
