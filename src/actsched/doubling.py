@@ -76,7 +76,7 @@ def snapshot_phase(fstate: FractionalState, phase: int, guess: float, kept: int)
         fraction_clamps=fstate.fraction_clamps,
         coverage_clamps=fstate.coverage_clamps,
         covered_y=[(j, tuple(yrow)) for j, yrow in sorted(fstate.y.items())],
-        step_entries=list(fstate.step_log),
+        step_entries=fstate.step_log,  # no copy: the controller drops fstate next
     )
 
 
@@ -117,10 +117,10 @@ def run_with_doubling(
     """
     m, n = instance.m, instance.n
     guess = initial_guess if initial_guess is not None else default_initial_guess(instance)
-    if guess <= 0:
-        raise ValueError("initial guess must be > 0")
     if n == 0:
         return DoublingResult([], [], guess)
+    if guess <= 0:
+        raise ValueError("initial guess must be > 0")
 
     total_cost = sum(instance.costs())
     bound = math.inf if C is None else cost_bound(C, m)

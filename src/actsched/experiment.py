@@ -68,7 +68,7 @@ REPORT_COLUMNS = (
     "invariant_violations",
 )
 
-STEP_COLUMNS = ("job", "step_idx", "type", "delta_phi", "delta_coverage", "machines_touched")
+STEP_COLUMNS = ("job", "step_idx", "type", "delta_phi")
 ASSIGNMENT_COLUMNS = ("job", "machine", "p_ij", "newly_activated_cost", "cum_cost", "int_makespan")
 PHASE_COLUMNS = ("phase", "guess", "jobs_processed", "frac_cost", "int_cost_delta")
 Y_COLUMNS = ("phase", "job", "machine", "y")
@@ -397,8 +397,7 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
         logdir / "steps.csv",
         STEP_COLUMNS,
         (
-            (job, idx, o.step_type, o.delta_potential, o.delta_coverage,
-             "|".join(str(i) for i in o.machines_touched))
+            (job, idx, o.step_type, o.delta_potential)
             for trace in artifacts.phases
             for job, idx, o in trace.step_entries
         ),

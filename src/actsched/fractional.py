@@ -52,9 +52,7 @@ class StepCapError(Exception):
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
     step_type: str
-    machines_touched: tuple[int, ...]
     delta_potential: float
-    delta_coverage: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,7 +198,7 @@ class FractionalState:
 
     def _grant(self, i: int, j: int, raw_inc: float) -> tuple[float, float]:
         """Add up to raw_inc to y_ij, clamped so y_ij <= min(2 x_i, 1) and the
-        job's total coverage stays <= 1. Returns (delta_phi, delta_coverage)."""
+        job's total coverage stays <= 1. Returns (delta_phi, the coverage granted)."""
         yrow = self.y[j]
         room_frac = min(2.0 * self.x[i], 1.0) - yrow[i]
         room_cov = 1.0 - self.coverage[j]
@@ -236,12 +234,10 @@ class FractionalState:
         type_b = pivot is not None and self.x[pivot] == 1.0
         d_phi = 0.0
         d_cov = 0.0
-        touched: list[int] = []
         for i in prefix:
             dp, dc = self._raise_activation(i, j)
             d_phi += dp
             d_cov += dc
-            touched.append(i)
         if pivot is not None:
             if type_b:
                 # Pivot is fully active: grant it a slice sized by its
@@ -252,13 +248,7 @@ class FractionalState:
                 dp, dc = self._raise_activation(pivot, j)
             d_phi += dp
             d_cov += dc
-            touched.append(pivot)
-        outcome = StepOutcome(
-            step_type=TYPE_B if type_b else TYPE_A,
-            machines_touched=tuple(touched),
-            delta_potential=d_phi,
-            delta_coverage=d_cov,
-        )
+        outcome = StepOutcome(TYPE_B if type_b else TYPE_A, d_phi)
         self.step_log.append((j, len(self.step_log), outcome))
         self.phi += d_phi
         if d_cov <= 0.0:

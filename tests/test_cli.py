@@ -120,7 +120,7 @@ def test_run_single_machine_cost_ratio_one(tmp_path, capsys):
     assert float(values["cost_ratio"]) == 1.0
     assert values["invariant_violations"] == "0"
     steps_header = (logdir / "steps.csv").read_text().splitlines()[0]
-    assert steps_header == "job,step_idx,type,delta_phi,delta_coverage,machines_touched"
+    assert steps_header == "job,step_idx,type,delta_phi"
     for name in LOG_FILES:
         assert (logdir / name).exists()
 
@@ -328,6 +328,7 @@ def test_verify_clean_logs(tmp_path):
 @pytest.mark.parametrize("target,mutate", [
     ("y.csv", lambda lines: lines[:1] + [_bump_y(lines[1])] + lines[2:]),
     ("report.csv", lambda lines: [lines[0], lines[1].replace(lines[1].split(",")[3], "0.0", 1)]),
+    ("steps.csv", lambda lines: lines[:1] + [_raise_delta_phi(lines[1])] + lines[2:]),
 ])
 def test_verify_detects_tampering(tmp_path, target, mutate):
     path = gen_file(tmp_path, m=3, n=6, seed=13)
@@ -344,6 +345,12 @@ def _bump_y(line: str) -> str:
     parts = line.split(",")
     parts[-1] = str(float(parts[-1]) + 0.1)
     return ",".join(parts)
+
+
+def _raise_delta_phi(line: str) -> str:
+    # n = 6 jobs, so 2/n = 0.333...; a rise of 1.0 breaks the step bound.
+    job, idx, step_type, _ = line.split(",")
+    return ",".join((job, idx, step_type, "1.0"))
 
 
 def test_sweep_writes_rows_and_aggregate(tmp_path, capsys):

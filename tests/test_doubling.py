@@ -58,9 +58,12 @@ def test_zero_jobs_zero_phases_zero_cost():
     inst = make_instance([1.0, 2.0], [])
     result = run_with_doubling(inst)
     assert result.phases == [] and result.records == []
-    artifacts = run_pipeline(inst, RunConfig(alpha_mode="double"))
-    assert artifacts.row["int_cost"] == 0.0
-    assert isinstance(artifacts.row["int_cost"], float)
+    for mode in ("double", "oracle"):
+        artifacts = run_pipeline(inst, RunConfig(alpha_mode=mode))
+        assert artifacts.phases == []
+        assert artifacts.row["int_cost"] == 0.0
+        assert isinstance(artifacts.row["int_cost"], float)
+    assert artifacts.row["B"] == 0.0  # the oracle proves B = 0 with no jobs
 
 
 def test_undersized_guess_doubles_through_empty_phases():

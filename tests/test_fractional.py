@@ -191,9 +191,8 @@ def test_type_b_grant_size():
     fs.coverage[0] = 0.0
     outcome = fs.execute_step(0)
     assert outcome.step_type == TYPE_B
-    assert outcome.machines_touched == (0,)
     assert fs.y[0][0] == pytest.approx(0.3, rel=1e-12)
-    assert outcome.delta_coverage == pytest.approx(0.3, rel=1e-12)
+    assert fs.coverage[0] == pytest.approx(0.3, rel=1e-12)
 
 
 def test_type_a_multiplicative_x_update():
@@ -206,7 +205,6 @@ def test_type_a_multiplicative_x_update():
     fs.coverage[0] = 0.0
     outcome = fs.execute_step(0)
     assert outcome.step_type == TYPE_A
-    assert outcome.machines_touched == (0, 1, 2, 3)
     for x in fs.x:
         assert x == pytest.approx(0.2625, rel=1e-12)
 
@@ -268,6 +266,23 @@ def run_all(inst, alpha, a=1.05):
     for j in range(inst.n):
         fs.process_job(j)
     return fs
+
+
+def record_steps(fs):
+    """Wrap ``fs.execute_step`` on this instance so that each step appends
+    (coverage before, coverage after, x before, x after, load before) to the
+    returned list, in step order."""
+    step = fs.execute_step
+    records = []
+
+    def recorded(j):
+        cov, x, load = fs.coverage[j], list(fs.x), list(fs.load)
+        outcome = step(j)
+        records.append((cov, fs.coverage[j], x, list(fs.x), load))
+        return outcome
+
+    fs.execute_step = recorded
+    return records
 
 
 def sweep_instances(count=25):
@@ -333,8 +348,12 @@ def test_engine_is_deterministic():
 
 def test_every_step_makes_progress():
     for inst, alpha in sweep_instances(12):
-        fs = run_all(inst, alpha)
-        assert all(o.delta_coverage > 0 for (_, _, o) in fs.step_log)
+        fs = FractionalState(inst, alpha, a=1.05)
+        steps = record_steps(fs)
+        for j in range(inst.n):
+            fs.process_job(j)
+        assert len(steps) == len(fs.step_log)
+        assert all(after > before for before, after, *_ in steps)
         assert [idx for _, idx, _ in fs.step_log] == list(range(len(fs.step_log)))
 
 
@@ -351,8 +370,8 @@ def test_full_activation_under_load_can_jump_potential():
     # The crossing jump: a machine may become fully active while carrying
     # load above 1 (the relaxed packing cap allows up to 6x). The potential
     # then switches from c*x to c*a^(load-1) and jumps by more than 2/n in
-    # that single step. Pairs with p_ij > L get no fractional mass, so at a
-    # guess of at least the optimum no sentinel load can build up to it.
+    # that single step. Pairs with p_ij > L get no fractional mass, so no
+    # sentinel load builds up on a restricted instance.
     inst = generate(GeneratorConfig(m=3, n=39, seed=64, ptime_model="restricted_assignment"))
     fs = run_all(inst, sum(inst.costs()))
     assert all(fs.y[j][i] == 0.0 for j in fs.y for i in range(fs.m) if fs.p[j][i] > 1.0)
@@ -360,30 +379,39 @@ def test_full_activation_under_load_can_jump_potential():
     cap = 2.0 / fs.n + 1e-9
     assert all(o.delta_potential <= cap for (_, _, o) in fs.step_log)
 
-    # Below the optimum (alpha = largest machine cost < B) the jump is still
-    # real, with load on legal pairs only; doubling is what handles it.
-    inst = generate(GeneratorConfig(m=9, n=13, seed=34))
-    alpha = max(inst.costs())
-    assert alpha < oracle_solve(inst).optimal_cost
-    fs = FractionalState(inst, alpha)
-    cap = 2.0 / fs.n + 1e-9
-    jumps = []
-    for j in range(inst.n):
-        was_full = [x == 1.0 for x in fs.x]
-        load_before = list(fs.load)
-        start = len(fs.step_log)
-        fs.process_job(j)
-        for _, _, o in fs.step_log[start:]:
+    # The jump is real with load on legal pairs only, below the optimum and
+    # at it alike. Below: alpha is the largest machine cost, asserted < B.
+    # At: power_law m=13, n=91, seed 17 at alpha = B = 12.746888992435357
+    # (proved with a MILP solver), where job 83, step 277 has
+    # delta_phi = 0.2088 against 2/n = 0.022.
+    below = generate(GeneratorConfig(m=9, n=13, seed=34))
+    assert max(below.costs()) < oracle_solve(below).optimal_cost
+    at_b = generate(GeneratorConfig(m=13, n=91, seed=17, ptime_model="power_law"))
+    for inst, alpha, expected in [
+        (below, max(below.costs()), None),
+        (at_b, 12.746888992435357, (83, 277)),
+    ]:
+        fs = FractionalState(inst, alpha)
+        steps = record_steps(fs)
+        for j in range(inst.n):
+            fs.process_job(j)
+        cap = 2.0 / fs.n + 1e-9
+        job_start_load = {}
+        jumps = []
+        for (j, idx, o), (_, _, x_before, x_after, load_before) in zip(fs.step_log, steps):
+            job_start_load.setdefault(j, load_before)
             if o.delta_potential > cap:
-                crossed = [i for i in o.machines_touched if fs.x[i] == 1.0 and not was_full[i]]
-                jumps.append((o, crossed, load_before))
-    assert jumps, "expected the crossing jump on this instance"
-    for o, crossed, load_before in jumps:
-        assert o.step_type == TYPE_A
-        assert crossed
-        for i in crossed:
-            assert load_before[i] > 1.0
-            assert all(fs.p[j][i] <= 1.0 for j in fs.y if fs.y[j][i] > 0.0)
+                jumps.append((j, idx, o, x_before, x_after))
+        assert jumps, "expected the crossing jump on this instance"
+        if expected is not None:
+            assert expected in [(j, idx) for j, idx, *_ in jumps]
+        for j, idx, o, x_before, x_after in jumps:
+            assert o.step_type == TYPE_A
+            crossed = [i for i in range(fs.m) if x_before[i] < 1.0 and x_after[i] == 1.0]
+            assert crossed
+            for i in crossed:
+                assert job_start_load[j][i] > 1.0
+                assert all(fs.p[jj][i] <= 1.0 for jj in fs.y if fs.y[jj][i] > 0.0)
 
 
 # -- observables -----------------------------------------------------------------------
