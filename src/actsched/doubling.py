@@ -123,7 +123,7 @@ def run_with_doubling(
         raise ValueError("initial guess must be > 0")
 
     total_cost = sum(instance.costs())
-    bound = math.inf if C is None else cost_bound(C, m)
+    bound = None if C is None else cost_bound(C, m)
     phases: list[PhaseTrace] = []
     records: list[JobFraction] = []
     phase_idx = 0
@@ -136,10 +136,11 @@ def run_with_doubling(
         try:
             while j < n:
                 fstate.process_job(j)
-                cost = fstate.fractional_cost()
-                if cost > bound:
-                    trip = f"fractional cost {cost!r} above bound {bound!r} (C={C})"
-                    break
+                if bound is not None:
+                    cost = fstate.fractional_cost()
+                    if cost > bound:
+                        trip = f"fractional cost {cost!r} above bound {bound!r} (C={C})"
+                        break
                 records.append(fstate.job_fraction(j))
                 kept += 1
                 j += 1

@@ -23,6 +23,7 @@ deterministic.
 from __future__ import annotations
 
 import sys
+from bisect import insort
 from dataclasses import dataclass
 
 from .instances import Instance
@@ -147,6 +148,9 @@ class FractionalState:
         self._inv_cn = [
             1.0 / (c * self.n) if self.n > 0 else 0.0 for c in self.scaled_costs
         ]
+        # Ranking of the job last ranked: (virtual cost, id) pairs ascending.
+        self._ranked_job: int | None = None
+        self._ranked: list[tuple[float, int]] = []
 
     # -- potential -----------------------------------------------------------
 
@@ -176,23 +180,37 @@ class FractionalState:
         prow = self.p[j]
         return [i for i in range(self.m) if not self.discarded[i] and prow[i] <= 1.0]
 
+    def _rank(self, j: int) -> list[tuple[float, int]]:
+        """Rank job j's usable machines from scratch: (virtual cost, id)
+        pairs in ascending order, the order of a stable sort by virtual cost
+        over ascending ids."""
+        self._ranked = sorted((self.virtual_cost(i, j), i) for i in self.usable_machines(j))
+        self._ranked_job = j
+        return self._ranked
+
     def order_and_split(self, j: int) -> tuple[list[int], int | None]:
-        """Rank the usable machines of job j by virtual cost (ties: lower id,
-        as the sort is stable over ascending ids) and split the list into the
-        maximal prefix whose x-mass stays strictly below 1, plus the first
-        machine after it (None if the prefix is everything)."""
-        order = sorted(self.usable_machines(j), key=lambda i: self.virtual_cost(i, j))
+        """Rank the usable machines of job j by virtual cost (ties: lower id)
+        and split the list into the maximal prefix whose x-mass stays
+        strictly below 1, plus the first machine after it (None if the prefix
+        is everything).
+
+        The ranking is sorted once per job and then kept up to date by
+        ``execute_step``, which re-places only the machines its step touched:
+        it assumes x and load change only through steps. A partially active
+        machine's key c*p_ij is fixed for the whole job, so only a machine
+        that is fully active after the step (a Type-B pivot, or one whose x
+        just reached 1) can move.
+        """
+        ranked = self._ranked if self._ranked_job == j else self._rank(j)
         prefix: list[int] = []
         total = 0.0
-        pivot: int | None = None
-        for i in order:
+        for _, i in ranked:
             if total + self.x[i] < 1.0:
                 prefix.append(i)
                 total += self.x[i]
             else:
-                pivot = i
-                break
-        return prefix, pivot
+                return prefix, i
+        return prefix, None
 
     # -- steps ---------------------------------------------------------------
 
@@ -248,6 +266,18 @@ class FractionalState:
                 dp, dc = self._raise_activation(pivot, j)
             d_phi += dp
             d_cov += dc
+        # The step touched the head of the ranking, the prefix and then the
+        # pivot; only a machine there that is now fully active can move.
+        ranked = self._ranked
+        touched = len(prefix) + (pivot is not None)
+        head = [
+            (self.virtual_cost(i, j), i) if self.x[i] == 1.0 else (key, i)
+            for key, i in ranked[:touched]
+        ]
+        if head != ranked[:touched]:
+            del ranked[:touched]
+            for entry in head:
+                insort(ranked, entry)
         outcome = StepOutcome(TYPE_B if type_b else TYPE_A, d_phi)
         self.step_log.append((j, len(self.step_log), outcome))
         self.phi += d_phi
@@ -271,7 +301,7 @@ class FractionalState:
             raise ValueError(f"job {j} was already processed in this phase")
         if not 0 <= j < len(self.p):
             raise ValueError(f"no job {j} in instance")
-        if not self.usable_machines(j):
+        if not self._rank(j):
             kept = self.discarded.count(False)
             raise GuessTooSmallError(
                 f"job {j}: no kept machine with p_ij <= L at guess {self.alpha} "

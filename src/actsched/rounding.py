@@ -157,9 +157,14 @@ class RoundingState:
 
     def process_job(self, frac: JobFraction) -> AssignmentRecord:
         cost_before = self.int_cost
-        self.activation_step(frac)
+        opened = self.activation_step(frac)
+        fallbacks = self.fallback_count
         i = self.assignment_step(frac)
-        cost_after = self.int_cost
+        # Only an opened machine changes the sum; a fallback may open one.
+        if opened or self.fallback_count != fallbacks:
+            cost_after = self.int_cost
+        else:
+            cost_after = cost_before
         record = AssignmentRecord(
             job=frac.job,
             machine=i,

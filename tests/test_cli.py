@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -132,6 +133,43 @@ def test_run_twice_byte_identical(tmp_path):
     assert main(args + ["--logdir", str(tmp_path / "B")]) == 0
     for name in LOG_FILES:
         assert filecmp.cmp(tmp_path / "A" / name, tmp_path / "B" / name, shallow=False), name
+
+
+# sha256 of the fractional logs of two benchmark-sized runs (uniform, seed 0,
+# rounding seed 0), taken before the engine's ranking became incremental. A
+# speed-up must leave them unchanged; a change that moves results on purpose
+# updates them and says so in CHANGES.md.
+PINNED_FRACTIONAL_LOGS = [
+    (
+        "fixed",
+        100,
+        300,
+        {
+            "steps.csv": "0a4a519f98b709c6b71d9952568eb92ce875299b7a3d214355e2ca7ddc1544bf",
+            "y.csv": "d3ecb488507fa5c3a9b9f15060cea4f9de52545f7ad66ebb2ca040ee22f0a0e2",
+        },
+    ),
+    (
+        "double",
+        20,
+        100,
+        {
+            "steps.csv": "80c77db60bb2a29a27ef2ba8400ab755e4cff14c6def601b4f1a5bdee606538d",
+            "y.csv": "65f308c3d0d225e4d7d28d81ec0b506f2ab37c5177aa97218ddde6e030601034",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("mode, m, n, digests", PINNED_FRACTIONAL_LOGS, ids=["fixed", "double"])
+def test_fractional_logs_match_pinned_digests(tmp_path, mode, m, n, digests):
+    # Fixed mode runs at a quarter of the total machine cost.
+    instance = generate(GeneratorConfig(m=m, n=n, seed=0))
+    alpha = sum(instance.costs()) / 4 if mode == "fixed" else None
+    config = experiment.RunConfig(alpha_mode=mode, alpha_value=alpha, seed=0, checks=())
+    experiment.write_run_logs(experiment.run_pipeline(instance, config), tmp_path)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_doubling_mode(tmp_path):

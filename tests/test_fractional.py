@@ -151,6 +151,65 @@ def test_order_breaks_ties_by_id():
     assert pivot == 1
 
 
+def reference_split(fs, j):
+    """The prefix/pivot split of a from-scratch sort of job j's usable machines."""
+    prefix, total = [], 0.0
+    for i in sorted(fs.usable_machines(j), key=lambda i: fs.virtual_cost(i, j)):
+        if total + fs.x[i] >= 1.0:
+            return prefix, i
+        prefix.append(i)
+        total += fs.x[i]
+    return prefix, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_incremental_ranking_matches_a_fresh_sort(data):
+    # Costs in {1, 2, 4} and times in {1/4, 1/2, 1, 2}*L make equal virtual
+    # costs common (1*1 == 2*0.5 == 4*0.25 exactly), so ties are exercised;
+    # 2*L pairs are over the budget, and a small guess discards machines.
+    m = data.draw(st.integers(1, 8), label="m")
+    n = data.draw(st.integers(1, 10), label="n")
+    budget = data.draw(st.sampled_from([1.0, 2.5]), label="L")
+    costs = data.draw(st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=m, max_size=m))
+    factor = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+    ptimes = [
+        [f * budget for f in data.draw(st.lists(factor, min_size=m, max_size=m))]
+        for _ in range(n)
+    ]
+    alpha = data.draw(st.floats(0.5, 40.0), label="alpha")
+    fs = FractionalState(make_instance(costs, ptimes, budget), alpha)
+    step = fs.execute_step
+
+    def checked(j):
+        assert fs.order_and_split(j) == reference_split(fs, j)
+        return step(j)
+
+    fs.execute_step = checked
+    for j in range(n):
+        if fs.usable_machines(j):
+            fs.process_job(j)
+        else:
+            with pytest.raises(GuessTooSmallError):
+                fs.process_job(j)
+
+
+def test_ranking_moves_a_machine_whose_key_fell():
+    # Machine 1 ties machine 0 at virtual cost 1 and ranks after it. It turns
+    # fully active at load 0.24 < 1, so its key falls to 1.05^-0.76 and it
+    # must move ahead of machine 0: the next step is Type B on machine 1.
+    inst = make_instance([2.0, 2.0], [[0.5, 0.5]])
+    fs = FractionalState(inst, alpha=2.0)
+    fs.x = [0.05, 0.96]  # set before job 0 is first ranked
+    fs.y[0] = [0.0, 0.0]
+    fs.coverage[0] = 0.0
+    assert fs.order_and_split(0) == ([0], 1)
+    assert fs.execute_step(0).step_type == TYPE_A
+    assert fs.x[1] == 1.0 and fs.load[1] == pytest.approx(0.24, rel=1e-12)
+    assert fs.order_and_split(0) == reference_split(fs, 0) == ([], 1)
+    assert fs.execute_step(0).step_type == TYPE_B
+
+
 # -- effective capacity ------------------------------------------------------------
 
 
