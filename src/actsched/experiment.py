@@ -225,7 +225,7 @@ def audit_rounding(
 def oracle_solve(
     instance: Instance, method: str = "bnb", node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OracleResult:
-    """Exact optimum by branch-and-bound ('bnb') or exhaustive search."""
+    """Exact optimum by the set search ('bnb') or exhaustive search."""
     if method == "bnb":
         return optimal_bnb(instance, node_budget=node_budget)
     if method == "exhaustive":

@@ -220,7 +220,7 @@ def instance_from_dict(doc: dict, where: str = "instance") -> Instance:
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
-    text = json.dumps(instance_to_dict(instance), indent=2)
+    text = json.dumps(instance_to_dict(instance))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -2,8 +2,8 @@
 makespan stays within the budget L.
 
 Two routes are provided. ``optimal_exhaustive`` enumerates every assignment
-and is the ground truth on tiny instances; ``optimal_bnb`` is a
-branch-and-bound over job-to-machine choices that scales to desk-size
+and is the ground truth on tiny instances; ``optimal_bnb`` tries machine sets
+in nondecreasing cost, packing the jobs onto each, which scales to desk-size
 instances and must agree with the exhaustive route wherever both run.
 Both follow one contract: an ``OracleResult`` is always a proved optimum, and
 a route that cannot prove one within its limit (the exhaustive guard or the
@@ -12,14 +12,20 @@ node budget) raises ``OracleTooLargeError``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-import math
 from dataclasses import dataclass
 
 from .instances import Instance
 
 EXHAUSTIVE_GUARD = 10**7
 DEFAULT_NODE_BUDGET = 10**7
+# Relative float slack of the set search's volume test and of its heap keys
+# (built as key + c and key - c_k + c_(k+1)) against the canonical cost. Each
+# side is a float sum of at most 2(m + n) roundings of relative size 2**-53 at
+# values no larger than itself, so both errors together stay below
+# 4 (m + n) 2**-53, under this slack while m + n <= 10**6.
+SET_SLACK = 1e-9
 
 
 class InfeasibleInstanceError(Exception):
@@ -28,7 +34,7 @@ class InfeasibleInstanceError(Exception):
 
 class OracleTooLargeError(Exception):
     """The search would pass its limit (the exhaustive guard or the
-    branch-and-bound node budget) before proving an optimum."""
+    set search's node budget) before proving an optimum."""
 
 
 @dataclass(frozen=True)
@@ -97,25 +103,24 @@ def optimal_exhaustive(instance: Instance, guard: int = EXHAUSTIVE_GUARD) -> Ora
 
 
 def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
-    """Branch-and-bound over job-to-machine choices.
+    """Best-first search over machine sets in nondecreasing cost.
 
-    Before the search, each job gets the machines it fits on (p_ij <= L) in
-    two orders: ``by_p`` by (p_ij, id) and ``by_cost`` by (cost, p_ij, id).
+    With the machines sorted by (cost, id), a lazy heap pops sets by cost:
+    the set ending at sorted position k has the children "add machine k + 1"
+    and "swap machine k for k + 1", so each set is reached once and no child
+    costs less than its parent. A popped set whose canonical cost
+    (``_activation_cost``) reaches the incumbent's is skipped. Any other gets
+    a depth-first packing of the jobs in arrival order, each job trying the
+    set's machines by processing time; a backtrack restores the saved load,
+    so every load is the float sum ``feasible()`` computes. A packing node is
+    pruned when its placed volume plus the least volume the remaining jobs
+    need in the set passes the set's capacity. The search stops once the
+    smallest key passes the incumbent's cost by ``SET_SLACK``.
 
-    Lower bound at a node: cost of machines already activated, plus (for
-    jobs that no activated machine can still take) the single cheapest extra
-    activation any of them would force, the first inactive machine of the
-    job's ``by_cost``. Taking the max over such jobs keeps the bound
-    admissible even when one new machine could serve them all. The search
-    only asks whether the bound reaches the incumbent's cost, so the scan
-    stops as soon as it does; the prune decisions, and so the nodes, are
-    those of the full bound.
-
-    Children are tried cheapest first: an active machine before a fresh one,
-    then by fresh cost, processing time and id. That is the active machines
-    of ``by_p`` followed by the inactive ones of ``by_cost``, since every
-    cost is > 0. The first leaf reached is therefore the greedy
-    cheapest-feasible-first assignment, the first incumbent.
+    The packing of the full machine set is the first incumbent; if it fails,
+    or a job fits on no machine, ``InfeasibleInstanceError`` is raised.
+    ``nodes_explored`` counts every popped set plus every packing node, and
+    ``node_budget`` bounds that sum.
     """
     m, n = instance.m, instance.n
     if n == 0:
@@ -123,76 +128,67 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     budget = instance.makespan_budget
     costs = instance.costs()
     ptimes = instance.ptimes()
-
-    by_p: list[list[tuple[int, float]]] = []
-    by_cost: list[list[tuple[int, float]]] = []
     for j, p in enumerate(ptimes):
-        fits = [i for i in range(m) if p[i] <= budget]
-        if not fits:
+        if all(p_i > budget for p_i in p):
             raise InfeasibleInstanceError(f"job {j} does not fit on any machine")
-        by_p.append([(i, p[i]) for i in sorted(fits, key=lambda i: (p[i], i))])
-        by_cost.append([(i, costs[i]) for i in sorted(fits, key=lambda i: (costs[i], p[i], i))])
-
-    loads = [0.0] * m
-    active = [False] * m
-    assign: list[int] = []
     nodes = 0
-    best_cost = math.inf
-    best_assign: tuple[int, ...] = ()
 
-    def bound_reaches_best(t: int, cost: float) -> bool:
-        extra = 0.0
-        for j in range(t, n):
-            for i, p_i in by_p[j]:
-                if active[i] and loads[i] + p_i <= budget:
-                    break
-            else:
-                for i, c_i in by_cost[j]:
-                    if not active[i]:
-                        break
-                else:
-                    return True  # job j cannot be placed anywhere from here
-                if c_i > extra:
-                    extra = c_i
-                    if cost + extra >= best_cost:
-                        return True
-        return cost + extra >= best_cost
-
-    def visit(t: int, cost: float) -> None:
-        nonlocal nodes, best_cost, best_assign
+    def count() -> None:
+        nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise OracleTooLargeError(
-                f"branch-and-bound hit its node budget ({node_budget}) without proof"
-            )
-        if t == n:
-            if cost < best_cost:
-                best_cost = _activation_cost(instance, assign)
-                best_assign = tuple(assign)
-            return
-        if bound_reaches_best(t, cost):
-            return
-        p = ptimes[t]
-        order = [i for i, _ in by_p[t] if active[i]] + [i for i, _ in by_cost[t] if not active[i]]
-        for i in order:
-            if loads[i] + p[i] > budget:
-                continue
-            was_active = active[i]
-            loads[i] += p[i]
-            active[i] = True
-            assign.append(i)
-            visit(t + 1, cost if was_active else cost + costs[i])
-            assign.pop()
-            active[i] = was_active
-            loads[i] -= p[i]
+            raise OracleTooLargeError(f"set search hit its node budget ({node_budget}) without proof")
 
-    visit(0, 0.0)
+    def pack(members) -> list[int] | None:
+        fits = [sorted((i for i in members if p[i] <= budget), key=lambda i: p[i]) for p in ptimes]
+        if not all(fits):
+            return None
+        rem = [0.0] * (n + 1)  # rem[t]: least volume jobs t.. need in the set
+        for t in range(n - 1, -1, -1):
+            rem[t] = rem[t + 1] + ptimes[t][fits[t][0]]
+        capacity = len(members) * budget * (1.0 + SET_SLACK)
+        loads = [0.0] * m
+        assign = [0] * n
 
-    if not best_assign:
+        def place(t: int, placed: float) -> bool:
+            count()
+            if t == n:
+                return True
+            if placed + rem[t] > capacity:
+                return False
+            p = ptimes[t]
+            for i in fits[t]:
+                saved = loads[i]
+                loads[i] = saved + p[i]
+                if loads[i] <= budget:
+                    assign[t] = i
+                    if place(t + 1, placed + p[i]):
+                        return True
+                loads[i] = saved
+            return False
+
+        return assign if place(0, 0.0) else None
+
+    order = sorted(range(m), key=lambda i: (costs[i], i))
+    best_assign = pack(order)
+    if best_assign is None:
         raise InfeasibleInstanceError("no assignment meets the makespan budget")
+    best_cost = _activation_cost(instance, best_assign)
+    heap = [(costs[order[0]], 0, (order[0],))]  # (cost key, last sorted position, machines)
+    while heap and heap[0][0] <= best_cost * (1.0 + SET_SLACK):
+        key, k, members = heapq.heappop(heap)
+        count()
+        if k + 1 < m:
+            nxt = order[k + 1]
+            heapq.heappush(heap, (key + costs[nxt], k + 1, members + (nxt,)))
+            heapq.heappush(heap, (key - costs[order[k]] + costs[nxt], k + 1, members[:-1] + (nxt,)))
+        if _activation_cost(instance, members) < best_cost:
+            found = pack(members)
+            if found is not None:
+                best_cost, best_assign = _activation_cost(instance, found), found
     return OracleResult(
         optimal_cost=best_cost,
-        witness=best_assign,
+        witness=tuple(best_assign),
         witness_makespan=max(machine_loads(instance, best_assign)),
         nodes_explored=nodes,
     )

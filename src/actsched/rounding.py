@@ -42,6 +42,13 @@ def draw_thresholds(m: int, seed: int) -> list[float]:
     return thr_rng.random(m).tolist()
 
 
+def sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """The index ``rng.choice(len(probs), p=probs)`` draws, without its checks."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 @dataclass(frozen=True, slots=True)
 class AssignmentRecord:
     job: int
@@ -85,12 +92,6 @@ class RoundingState:
         """Integer makespan in original time units."""
         return max(self.int_load) * self.budget if self.m else 0.0
 
-    def _activate(self, i: int) -> float:
-        if self.active[i]:
-            return 0.0
-        self.active[i] = True
-        return self.costs[i]
-
     def activation_step(self, frac: JobFraction) -> list[int]:
         """Open every eligible inactive machine whose threshold is cleared."""
         newly: list[int] = []
@@ -98,7 +99,7 @@ class RoundingState:
             if self.active[i] or not frac.eligible[i]:
                 continue
             if self.r[i] <= ACTIVATION_FACTOR * frac.x[i] * self._ln_mn:
-                self._activate(i)
+                self.active[i] = True
                 newly.append(i)
         return newly
 
@@ -140,17 +141,16 @@ class RoundingState:
                     (i for i in range(self.m) if frac.eligible[i]),
                     key=lambda i: (self.costs[i] * frac.p_scaled[i], i),
                 )
-                self._activate(best)
+                self.active[best] = True
                 self.assignment[j] = best
                 self.int_load[best] += frac.p_scaled[best]
                 return best
-            self._activate(best)
+            self.active[best] = True
         ids = [i for i in range(self.m) if self.active[i] and z[i] > 0.0]
         mass = sum(z[i] for i in ids)
         probs = np.array([z[i] / mass for i in ids])
         probs /= probs.sum()  # exact renormalization for the sampler
-        choice = int(self._pick_rng.choice(len(ids), p=probs))
-        i = ids[choice]
+        i = ids[sample_index(self._pick_rng, probs)]
         self.assignment[j] = i
         self.int_load[i] += frac.p_scaled[i]
         return i

@@ -1,10 +1,16 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actsched import experiment
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 from actsched.oracle import (
     InfeasibleInstanceError,
     OracleTooLargeError,
+    _activation_cost,
     feasible,
     machine_loads,
     optimal_bnb,
@@ -89,19 +95,120 @@ def test_bnb_matches_exhaustive_on_seeded_instances():
         assert feasible(inst, b.witness)
 
 
+# B of the benchmark's oracle-sweep instances (m=6, n=12, seeds 0-11 per
+# model), as the job-by-job branch-and-bound computed them.
+SWEEP_GRID_B = {
+    "uniform": (
+        5.945590859057347, 14.222815731149861, 8.868172978186829, 6.749294843821109,
+        12.58210596241114, 13.302615055936604, 18.624993040016882, 13.354220473558357,
+        15.908088458199957, 19.24810931666662, 13.051193382564147, 5.7466676614674,
+    ),
+    "restricted_assignment": (
+        5.945590859057347, 20.468030890257673, 8.868172978186829, 11.647437305949374,
+        17.681231653166996, 13.302615055936604, 20.949328603190253, 21.3353916857651,
+        16.640216641085644, 23.111426101310713, 15.89195580210584, 5.7466676614674,
+    ),
+    "power_law": (
+        5.945590859057347, 10.913857623324255, 8.868172978186829, 6.749294843821109,
+        11.717851449785128, 14.180722562212994, 12.781513876769392, 14.709532486323099,
+        12.330911294672443, 18.841931067982816, 13.051193382564147, 5.7466676614674,
+    ),
+}
+
+
 def test_bnb_search_on_oracle_sweep_grid():
-    # The instances of the benchmark's oracle sweep. Child order and pruning
-    # decide the node count, so this pins the search itself, not only B.
+    # The instances of the benchmark's oracle sweep. Set order, packing order
+    # and pruning decide the node count, so this pins the search itself; B
+    # must equal the earlier search's to the bit.
     nodes = 0
-    for model in ("uniform", "restricted_assignment", "power_law"):
-        for seed in range(12):
+    for model, optima in SWEEP_GRID_B.items():
+        for seed, B in enumerate(optima):
             inst = generate(GeneratorConfig(m=6, n=12, seed=seed, ptime_model=model))
             result = optimal_bnb(inst)
             nodes += result.nodes_explored
+            assert result.optimal_cost == B, f"{model} seed {seed}"
             assert feasible(inst, result.witness), f"{model} seed {seed}"
             costs = inst.costs()
             assert sum(costs[i] for i in sorted(set(result.witness))) == result.optimal_cost
-    assert nodes == 147_701
+    assert nodes == 5_558
+
+
+def test_bnb_restores_loads_exactly_on_backtrack():
+    # Backtracking by subtracting p from a load left float drift that
+    # rejected this packing, which feasible() accepts; B = 4.0 + 0.3.
+    inst = make_instance(
+        [4.0, 0.3],
+        [[1.5, 0.5], [0.2, 0.3], [0.3, 0.1], [0.1, 1.0], [1.5, 0.2], [1.0, 0.3]],
+    )
+    exact = optimal_exhaustive(inst)
+    assert exact.optimal_cost == 4.3
+    result = optimal_bnb(inst)
+    assert result.optimal_cost == exact.optimal_cost
+    assert feasible(inst, result.witness)
+
+
+def test_bnb_stops_only_past_the_float_slack():
+    # Machine 1 is forced; {1, 3} costs 0.2 + 0.7 = 0.8999999999999999 but
+    # its heap key, built by adding and swapping costs, is 0.9, the cost of
+    # {0, 1, 2} that the first packing finds. Stopping at a key equal to the
+    # incumbent's cost would miss the optimum.
+    inst = make_instance(
+        [0.1, 0.2, 0.6, 0.7],
+        [[1.5, 1.0, 1.5, 1.5], [0.5, 1.5, 1.5, 0.5], [1.5, 1.5, 0.5, 0.5]],
+    )
+    exact = optimal_exhaustive(inst)
+    assert exact.optimal_cost == 0.2 + 0.7 < 0.1 + 0.2 + 0.6
+    result = optimal_bnb(inst)
+    assert result.optimal_cost == exact.optimal_cost
+    assert set(result.witness) == {1, 3}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    costs=st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.0, 4.0]), min_size=1, max_size=4),
+    rows=st.lists(
+        st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5]), min_size=4, max_size=4),
+        min_size=1,
+        max_size=7,
+    ),
+)
+def test_bnb_matches_exhaustive_on_ties(costs, rows):
+    # Few distinct costs and times: equal-cost sets, float-tied sums and
+    # loads landing exactly on L are common.
+    inst = make_instance(costs, [row[: len(costs)] for row in rows])
+    try:
+        exact = optimal_exhaustive(inst)
+    except InfeasibleInstanceError:
+        with pytest.raises(InfeasibleInstanceError):
+            optimal_bnb(inst)
+        return
+    result = optimal_bnb(inst)
+    assert result.optimal_cost == exact.optimal_cost
+    assert feasible(inst, result.witness)
+    assert result.optimal_cost == _activation_cost(inst, result.witness)
+
+
+def milp_optimum(inst):
+    """Minimum activation cost by HiGHS, through the benchmark's MILP model."""
+    pytest.importorskip("scipy.optimize")
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.milp_optimum(inst)
+
+
+@pytest.mark.parametrize(
+    "model, seed, B",
+    [("uniform", 1, 16.84468186983432), ("power_law", 2, 11.228358805268003)],
+)
+def test_bnb_proves_m10_n20_within_default_budget(model, seed, B):
+    inst = generate(GeneratorConfig(m=10, n=20, seed=seed, ptime_model=model))
+    result = optimal_bnb(inst)
+    assert result.optimal_cost == B
+    assert feasible(inst, result.witness)
+    assert result.optimal_cost == _activation_cost(inst, result.witness)
+    assert milp_optimum(inst) == pytest.approx(B, rel=1e-9)
 
 
 def test_bnb_node_budget_is_exact():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from actsched.fractional import FractionalState, JobFraction
@@ -8,6 +9,7 @@ from actsched.rounding import (
     RoundingInvariantError,
     RoundingState,
     draw_thresholds,
+    sample_index,
 )
 
 
@@ -121,6 +123,24 @@ def test_score_above_one_rejected():
 
 
 # -- assignment ----------------------------------------------------------------------
+
+
+def test_sample_index_draws_what_generator_choice_draws():
+    # Same seed, same stream: the check-free draw must pick the index
+    # Generator.choice picks, draw for draw, including one-entry vectors,
+    # zeros, and weights spread over many orders of magnitude.
+    vectors = np.random.default_rng(2024)
+    by_choice = np.random.default_rng(7)
+    by_sample = np.random.default_rng(7)
+    for _ in range(20_000):
+        k = int(vectors.integers(1, 13))
+        z = vectors.random(k) ** int(vectors.integers(1, 8))
+        z[vectors.random(k) < 0.2] = 0.0
+        if z.sum() <= 0.0:
+            continue
+        probs = z / z.sum()
+        probs /= probs.sum()
+        assert sample_index(by_sample, probs) == int(by_choice.choice(k, p=probs))
 
 
 def test_single_positive_score_machine_always_chosen():
