@@ -123,6 +123,7 @@ class FractionalState:
         scale = self.m / alpha
         raw = [c * scale for c in costs]
         self.discarded = [c > alpha for c in costs]
+        self._eligible = tuple(not d for d in self.discarded)  # shared by every JobFraction
         self.scaled_costs = [max(c, 1.0) for c in raw]
         self.x = [0.0] * self.m
         for i in range(self.m):
@@ -181,10 +182,14 @@ class FractionalState:
         return [i for i in range(self.m) if not self.discarded[i] and prow[i] <= 1.0]
 
     def _rank(self, j: int) -> list[tuple[float, int]]:
-        """Rank job j's usable machines from scratch: (virtual cost, id)
-        pairs in ascending order, the order of a stable sort by virtual cost
-        over ascending ids."""
-        self._ranked = sorted((self.virtual_cost(i, j), i) for i in self.usable_machines(j))
+        """Rank job j's usable machines from scratch: (virtual cost, id) pairs
+        ascending, the order of a stable sort by virtual cost over ascending
+        ids. The keys are ``virtual_cost``'s expression, written out."""
+        x, load, costs, a, prow = self.x, self.load, self.scaled_costs, self.a, self.p[j]
+        self._ranked = sorted(
+            (costs[i] * a ** (load[i] - 1.0) * prow[i] if x[i] == 1.0 else costs[i] * prow[i], i)
+            for i in self.usable_machines(j)
+        )
         self._ranked_job = j
         return self._ranked
 
@@ -214,77 +219,80 @@ class FractionalState:
 
     # -- steps ---------------------------------------------------------------
 
-    def _grant(self, i: int, j: int, raw_inc: float) -> tuple[float, float]:
-        """Add up to raw_inc to y_ij, clamped so y_ij <= min(2 x_i, 1) and the
-        job's total coverage stays <= 1. Returns (delta_phi, the coverage granted)."""
-        yrow = self.y[j]
-        room_frac = min(2.0 * self.x[i], 1.0) - yrow[i]
-        room_cov = 1.0 - self.coverage[j]
-        inc = min(raw_inc, room_frac, room_cov)
-        if inc < 0.0:
-            inc = 0.0
-        if room_frac < raw_inc:
-            self.fraction_clamps += 1
-        if room_cov < raw_inc:
-            self.coverage_clamps += 1
-        if inc == 0.0:
-            return 0.0, 0.0
-        phi_before = self._phi_i(i)
-        yrow[i] += inc
-        self.load[i] += self.p[j][i] * inc
-        self.coverage[j] += inc
-        return self._phi_i(i) - phi_before, inc
-
-    def _raise_activation(self, i: int, j: int) -> tuple[float, float]:
-        """Multiplicative x-bump plus the assignment capacity it unlocks."""
-        x_old = self.x[i]
-        x_new = min(x_old * (1.0 + self._inv_cn[i]), 1.0)
-        dx = x_new - x_old
-        cap = effective_capacity(x_old, dx, self.p[j][i])
-        phi_before = self._phi_i(i)
-        self.x[i] = x_new
-        d_phi = self._phi_i(i) - phi_before
-        d_phi2, d_cov = self._grant(i, j, cap)
-        return d_phi + d_phi2, d_cov
-
     def execute_step(self, j: int) -> StepOutcome:
+        """One step of job j, one pass over the prefix and then the pivot: an
+        x-bump plus the capacity it unlocks, or for a fully active pivot (Type
+        B) a slice 6/(c*a^(load-1)*p_ij*n), then a clamped grant. A grant moves
+        phi_i = c*x of a partially active machine by exactly 0.0, so only a
+        fully active one recomputes c*a^(load-1)."""
         prefix, pivot = self.order_and_split(j)
-        type_b = pivot is not None and self.x[pivot] == 1.0
-        d_phi = 0.0
-        d_cov = 0.0
-        for i in prefix:
-            dp, dc = self._raise_activation(i, j)
-            d_phi += dp
-            d_cov += dc
-        if pivot is not None:
-            if type_b:
-                # Pivot is fully active: grant it a slice sized by its
-                # exponential load penalty; its x stays at 1.
-                eta = self.virtual_cost(pivot, j)
-                dp, dc = self._grant(pivot, j, 6.0 / (eta * self.n))
+        x, load, costs, inv_cn, a = self.x, self.load, self.scaled_costs, self._inv_cn, self.a
+        yrow, prow = self.y[j], self.p[j]
+        cov = self.coverage[j]
+        type_b = pivot is not None and x[pivot] == 1.0
+        touched = prefix if pivot is None else prefix + [pivot]
+        d_phi = d_cov = 0.0
+        fraction_clamps = coverage_clamps = 0
+        moved = []  # (virtual cost, id) of the touched machines now fully active
+        for i in touched:
+            c = costs[i]
+            p_ij = prow[i]
+            x_old = x[i]
+            if x_old == 1.0:  # a Type-B pivot: the prefix's x-sum stays below 1
+                phi = c * a ** (load[i] - 1.0)
+                raw = 6.0 / (phi * p_ij * self.n)
+                x_new = 1.0
+                dp = 0.0
             else:
-                dp, dc = self._raise_activation(pivot, j)
+                x_new = x_old * (1.0 + inv_cn[i])
+                if x_new > 1.0:  # min(x*(1 + 1/(c*n)), 1)
+                    x_new = 1.0
+                raw = effective_capacity(x_old, x_new - x_old, p_ij)
+                x[i] = x_new
+                if x_new == 1.0:
+                    phi = c * a ** (load[i] - 1.0)
+                    dp = phi - c * x_old
+                else:
+                    dp = c * x_new - c * x_old
+            # min(raw, min(2x, 1) - y_ij, 1 - coverage), written as comparisons
+            # (2x < 1 exactly when x < 0.5); each clamp that bites is counted.
+            room_frac = (2.0 * x_new if x_new < 0.5 else 1.0) - yrow[i]
+            room_cov = 1.0 - cov
+            inc = raw
+            if room_frac < raw:
+                fraction_clamps += 1
+                inc = room_frac
+            if room_cov < raw:
+                coverage_clamps += 1
+                if room_cov < inc:
+                    inc = room_cov
+            if inc > 0.0:
+                yrow[i] += inc
+                load[i] += p_ij * inc
+                cov += inc
+                d_cov += inc
+                if x_new == 1.0:
+                    phi_after = c * a ** (load[i] - 1.0)
+                    dp += phi_after - phi
+                    phi = phi_after
+            if x_new == 1.0:
+                moved.append((phi * p_ij, i))
             d_phi += dp
-            d_cov += dc
-        # The step touched the head of the ranking, the prefix and then the
-        # pivot; only a machine there that is now fully active can move.
-        ranked = self._ranked
-        touched = len(prefix) + (pivot is not None)
-        head = [
-            (self.virtual_cost(i, j), i) if self.x[i] == 1.0 else (key, i)
-            for key, i in ranked[:touched]
-        ]
-        if head != ranked[:touched]:
-            del ranked[:touched]
-            for entry in head:
+        self.coverage[j] = cov
+        self.fraction_clamps += fraction_clamps
+        self.coverage_clamps += coverage_clamps
+        if moved:
+            # The touched machines head the ranking; a partially active one
+            # keeps its key c*p_ij, so only the fully active ones move.
+            ranked = self._ranked
+            ranked[: len(touched)] = [e for e in ranked[: len(touched)] if x[e[1]] < 1.0]
+            for entry in moved:
                 insort(ranked, entry)
         outcome = StepOutcome(TYPE_B if type_b else TYPE_A, d_phi)
         self.step_log.append((j, len(self.step_log), outcome))
         self.phi += d_phi
         if d_cov <= 0.0:
-            raise StalledStepError(
-                f"job {j}: step produced no coverage (coverage={self.coverage[j]!r})"
-            )
+            raise StalledStepError(f"job {j}: step produced no coverage (coverage={cov!r})")
         return outcome
 
     def process_job(self, j: int) -> list[tuple[int, int, StepOutcome]]:
@@ -343,6 +351,6 @@ class FractionalState:
             x=tuple(self.x),
             y=tuple(self.y[j]),
             p_scaled=self.p[j],
-            eligible=tuple(not d for d in self.discarded),
+            eligible=self._eligible,
         )
 

@@ -79,6 +79,7 @@ class RoundingState:
         self.active = [False] * self.m
         self.assignment: dict[int, int] = {}
         self.int_load = [0.0] * self.m  # units of L
+        self._max_int_load = 0.0  # max(int_load): loads only grow
         self.fallback_count = 0
         self.deficit_jobs = 0  # jobs whose active z-mass was below 1 pre-fallback
         self.log: list[AssignmentRecord] = []
@@ -90,7 +91,7 @@ class RoundingState:
 
     def int_makespan(self) -> float:
         """Integer makespan in original time units."""
-        return max(self.int_load) * self.budget if self.m else 0.0
+        return self._max_int_load * self.budget
 
     def activation_step(self, frac: JobFraction) -> list[int]:
         """Open every eligible inactive machine whose threshold is cleared."""
@@ -123,7 +124,6 @@ class RoundingState:
         """Sample the machine for the job among active machines, proportional
         to z; falls back to a forced activation when no active machine has
         positive score (counted as an incident)."""
-        j = frac.job
         z = self.scores(frac)
         active_mass = sum(z[i] for i in range(self.m) if self.active[i])
         if active_mass < 1.0 - 1e-9:
@@ -142,17 +142,19 @@ class RoundingState:
                     key=lambda i: (self.costs[i] * frac.p_scaled[i], i),
                 )
                 self.active[best] = True
-                self.assignment[j] = best
-                self.int_load[best] += frac.p_scaled[best]
-                return best
+                return self._assign(frac, best)
             self.active[best] = True
         ids = [i for i in range(self.m) if self.active[i] and z[i] > 0.0]
         mass = sum(z[i] for i in ids)
         probs = np.array([z[i] / mass for i in ids])
         probs /= probs.sum()  # exact renormalization for the sampler
-        i = ids[sample_index(self._pick_rng, probs)]
-        self.assignment[j] = i
+        return self._assign(frac, ids[sample_index(self._pick_rng, probs)])
+
+    def _assign(self, frac: JobFraction, i: int) -> int:
+        """Put the job on machine i and keep the running max of the loads."""
+        self.assignment[frac.job] = i
         self.int_load[i] += frac.p_scaled[i]
+        self._max_int_load = max(self._max_int_load, self.int_load[i])
         return i
 
     def process_job(self, frac: JobFraction) -> AssignmentRecord:

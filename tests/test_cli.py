@@ -135,13 +135,15 @@ def test_run_twice_byte_identical(tmp_path):
         assert filecmp.cmp(tmp_path / "A" / name, tmp_path / "B" / name, shallow=False), name
 
 
-# sha256 of the fractional logs of two benchmark-sized runs (uniform, seed 0,
-# rounding seed 0), taken before the engine's ranking became incremental. A
-# speed-up must leave them unchanged; a change that moves results on purpose
-# updates them and says so in CHANGES.md.
+# sha256 of the fractional logs of three benchmark-sized runs (seed 0,
+# rounding seed 0). The uniform ones were taken before the engine's ranking
+# became incremental, the restricted one before a step became one pass over
+# its machines. A speed-up must leave them unchanged; a change that moves
+# results on purpose updates them and says so in CHANGES.md.
 PINNED_FRACTIONAL_LOGS = [
     (
         "fixed",
+        "uniform",
         100,
         300,
         {
@@ -151,6 +153,7 @@ PINNED_FRACTIONAL_LOGS = [
     ),
     (
         "double",
+        "uniform",
         20,
         100,
         {
@@ -158,13 +161,29 @@ PINNED_FRACTIONAL_LOGS = [
             "y.csv": "65f308c3d0d225e4d7d28d81ec0b506f2ab37c5177aa97218ddde6e030601034",
         },
     ),
+    # Three phases (the guess doubles twice) and 18,349 Type-A steps over
+    # many kept machines, against one phase of the uniform double case.
+    (
+        "double",
+        "restricted_assignment",
+        20,
+        100,
+        {
+            "steps.csv": "32de39a13a10f319307fbee7d28effa41cee97df013affa4682505f1f9758e3d",
+            "y.csv": "b5a80003397e9c667461ef4619779161913716b0624933058e89eeedd2f94eab",
+        },
+    ),
 ]
 
 
-@pytest.mark.parametrize("mode, m, n, digests", PINNED_FRACTIONAL_LOGS, ids=["fixed", "double"])
-def test_fractional_logs_match_pinned_digests(tmp_path, mode, m, n, digests):
+@pytest.mark.parametrize(
+    "mode, model, m, n, digests",
+    PINNED_FRACTIONAL_LOGS,
+    ids=["fixed", "double", "double-restricted"],
+)
+def test_fractional_logs_match_pinned_digests(tmp_path, mode, model, m, n, digests):
     # Fixed mode runs at a quarter of the total machine cost.
-    instance = generate(GeneratorConfig(m=m, n=n, seed=0))
+    instance = generate(GeneratorConfig(m=m, n=n, seed=0, ptime_model=model))
     alpha = sum(instance.costs()) / 4 if mode == "fixed" else None
     config = experiment.RunConfig(alpha_mode=mode, alpha_value=alpha, seed=0, checks=())
     experiment.write_run_logs(experiment.run_pipeline(instance, config), tmp_path)

@@ -1,4 +1,5 @@
 import math
+from bisect import insort
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,8 @@ from actsched.fractional import (
     TYPE_A,
     TYPE_B,
     FractionalState,
+    StalledStepError,
+    StepOutcome,
     effective_capacity,
 )
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
@@ -315,6 +318,181 @@ def test_step_cap_aborts_with_diagnostics(monkeypatch):
     monkeypatch.setattr(fractional, "STEP_CAP", 2)
     with pytest.raises(StepCapError, match="step cap 2 .*coverage"):
         fs.process_job(0)
+
+
+class PerMachineState(FractionalState):
+    """The engine's step as it was before it became one pass: per-machine
+    helpers for the x-bump and the grant, each recomputing phi_i before and
+    after, and a ranking keyed through ``virtual_cost``. The reference for
+    ``test_one_pass_step_matches_the_per_machine_reference``."""
+
+    def _phi_i(self, i: int) -> float:
+        c = self.scaled_costs[i]
+        if self.x[i] == 1.0:
+            return c * self.a ** (self.load[i] - 1.0)
+        return c * self.x[i]
+
+    def virtual_cost(self, i: int, j: int) -> float:
+        if self.discarded[i]:
+            raise ValueError(f"machine {i} was discarded by pre-processing")
+        c = self.scaled_costs[i]
+        p_ij = self.p[j][i]
+        if self.x[i] == 1.0:
+            return c * self.a ** (self.load[i] - 1.0) * p_ij
+        return c * p_ij
+
+    def _rank(self, j: int) -> list[tuple[float, int]]:
+        self._ranked = sorted((self.virtual_cost(i, j), i) for i in self.usable_machines(j))
+        self._ranked_job = j
+        return self._ranked
+
+    def _grant(self, i: int, j: int, raw_inc: float) -> tuple[float, float]:
+        yrow = self.y[j]
+        room_frac = min(2.0 * self.x[i], 1.0) - yrow[i]
+        room_cov = 1.0 - self.coverage[j]
+        inc = min(raw_inc, room_frac, room_cov)
+        if inc < 0.0:
+            inc = 0.0
+        if room_frac < raw_inc:
+            self.fraction_clamps += 1
+        if room_cov < raw_inc:
+            self.coverage_clamps += 1
+        if inc == 0.0:
+            return 0.0, 0.0
+        phi_before = self._phi_i(i)
+        yrow[i] += inc
+        self.load[i] += self.p[j][i] * inc
+        self.coverage[j] += inc
+        return self._phi_i(i) - phi_before, inc
+
+    def _raise_activation(self, i: int, j: int) -> tuple[float, float]:
+        x_old = self.x[i]
+        x_new = min(x_old * (1.0 + self._inv_cn[i]), 1.0)
+        dx = x_new - x_old
+        cap = effective_capacity(x_old, dx, self.p[j][i])
+        phi_before = self._phi_i(i)
+        self.x[i] = x_new
+        d_phi = self._phi_i(i) - phi_before
+        d_phi2, d_cov = self._grant(i, j, cap)
+        return d_phi + d_phi2, d_cov
+
+    def execute_step(self, j: int) -> StepOutcome:
+        prefix, pivot = self.order_and_split(j)
+        type_b = pivot is not None and self.x[pivot] == 1.0
+        d_phi = 0.0
+        d_cov = 0.0
+        for i in prefix:
+            dp, dc = self._raise_activation(i, j)
+            d_phi += dp
+            d_cov += dc
+        if pivot is not None:
+            if type_b:
+                eta = self.virtual_cost(pivot, j)
+                dp, dc = self._grant(pivot, j, 6.0 / (eta * self.n))
+            else:
+                dp, dc = self._raise_activation(pivot, j)
+            d_phi += dp
+            d_cov += dc
+        ranked = self._ranked
+        touched = len(prefix) + (pivot is not None)
+        head = [
+            (self.virtual_cost(i, j), i) if self.x[i] == 1.0 else (key, i)
+            for key, i in ranked[:touched]
+        ]
+        if head != ranked[:touched]:
+            del ranked[:touched]
+            for entry in head:
+                insort(ranked, entry)
+        outcome = StepOutcome(TYPE_B if type_b else TYPE_A, d_phi)
+        self.step_log.append((j, len(self.step_log), outcome))
+        self.phi += d_phi
+        if d_cov <= 0.0:
+            raise StalledStepError(f"job {j}: step produced no coverage")
+        return outcome
+
+
+def bits(values):
+    """Floats as exact hex strings, so that -0.0 and 0.0 differ too."""
+    return [float(v).hex() for v in values]
+
+
+def run_in_lockstep(inst, alpha, drawn, x=None):
+    """Run every job of inst at guess alpha on the engine and on
+    ``PerMachineState`` side by side, and after every step assert that both
+    hold the same floats to the bit. ``x``, if given, replaces the starting
+    activation levels of the kept machines. Counts Type-B steps, crossings
+    to x = 1 and clamps into ``drawn``."""
+    fs, ref = FractionalState(inst, alpha), PerMachineState(inst, alpha)
+    if x is not None:
+        for state in (fs, ref):
+            state.x = [0.0 if d else v for d, v in zip(state.discarded, x)]
+            state.phi = state.potential()
+    step = fs.execute_step
+
+    def lockstep(j):
+        if j not in ref.y:
+            ref.y[j] = [0.0] * ref.m
+            ref.coverage[j] = 0.0
+        x_before = list(fs.x)
+        outcome = step(j)
+        expected = ref.execute_step(j)
+        assert outcome.step_type == expected.step_type
+        assert bits([outcome.delta_potential, fs.phi]) == bits([expected.delta_potential, ref.phi])
+        assert bits(fs.x) == bits(ref.x) and bits(fs.load) == bits(ref.load)
+        assert bits(fs.y[j]) == bits(ref.y[j])
+        assert bits([fs.coverage[j]]) == bits([ref.coverage[j]])
+        assert (fs.fraction_clamps, fs.coverage_clamps) == (
+            ref.fraction_clamps,
+            ref.coverage_clamps,
+        )
+        drawn["type_b"] += outcome.step_type == TYPE_B
+        drawn["crossing"] += any(a < 1.0 and b == 1.0 for a, b in zip(x_before, fs.x))
+        return outcome
+
+    fs.execute_step = lockstep
+    for j in range(inst.n):
+        if fs.usable_machines(j):
+            fs.process_job(j)
+        else:
+            with pytest.raises(GuessTooSmallError):
+                fs.process_job(j)
+    drawn["fraction_clamp"] += fs.fraction_clamps
+    drawn["coverage_clamp"] += fs.coverage_clamps
+
+
+def test_one_pass_step_matches_the_per_machine_reference():
+    # Low guesses make cheap machines start fully active, so Type-B pivots
+    # and both clamps occur; each must be drawn at least once. Drawn starting
+    # levels close to 1 make bumps that reach x = 1 common.
+    drawn = dict.fromkeys(("type_b", "crossing", "fraction_clamp", "coverage_clamp"), 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(4, 16), label="n")
+        costs = data.draw(st.lists(st.floats(0.5, 10.0), min_size=m, max_size=m))
+        row = st.lists(st.floats(0.25, 1.25), min_size=m, max_size=m)
+        ptimes = data.draw(st.lists(row, min_size=n, max_size=n))
+        alpha = sum(costs) * data.draw(st.floats(0.05, 1.0), label="guess / sum(c)")
+        level = st.one_of(st.just(1.0), st.floats(0.5, 1.0), st.floats(0.01, 0.5))
+        x = data.draw(st.none() | st.lists(level, min_size=m, max_size=m), label="x")
+        run_in_lockstep(make_instance(costs, ptimes), alpha, drawn, x)
+
+    check()
+    assert all(drawn.values()), drawn
+
+
+def test_one_pass_step_matches_the_reference_across_crossings():
+    # Crossings to x = 1 reached by the engine's own growth from x = 1/m,
+    # not from drawn starting levels: the two runs of the crossing jump
+    # (test_full_activation_under_load_can_jump_potential) each have one.
+    drawn = dict.fromkeys(("type_b", "crossing", "fraction_clamp", "coverage_clamp"), 0)
+    below = generate(GeneratorConfig(m=9, n=13, seed=34))
+    run_in_lockstep(below, max(below.costs()), drawn)
+    at_b = generate(GeneratorConfig(m=13, n=91, seed=17, ptime_model="power_law"))
+    run_in_lockstep(at_b, 12.746888992435357, drawn)
+    assert drawn["crossing"] == 2 and drawn["type_b"], drawn
 
 
 # -- per-job feasibility and bookkeeping over seeded sweeps ---------------------------

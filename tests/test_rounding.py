@@ -160,6 +160,7 @@ def test_fallback_activates_best_scoring_machine():
     chosen = rs.assignment_step(frac)  # nothing active: forced activation
     assert chosen == 1
     assert rs.active[1] and rs.fallback_count == 1
+    assert rs.int_makespan() == max(rs.int_load) * inst.makespan_budget
 
 
 def test_fallback_all_zero_scores_uses_cost_weighted_ptime():
@@ -170,6 +171,7 @@ def test_fallback_all_zero_scores_uses_cost_weighted_ptime():
     assert chosen == 2
     assert rs.active == [False, False, True]
     assert rs.fallback_count == 1
+    assert rs.int_makespan() == max(rs.int_load) * inst.makespan_budget
 
 
 # -- full rounding over the pipeline ---------------------------------------------------
@@ -233,6 +235,7 @@ def test_assignment_log_columns():
         cum += rec.newly_activated_cost
         assert rec.cum_cost == pytest.approx(cum, abs=1e-12)
     assert rs.log[-1].int_makespan == rs.int_makespan()
+    assert rs.int_makespan() == max(rs.int_load) * inst.makespan_budget
 
 
 def test_deficit_fraction_small_monte_carlo():
