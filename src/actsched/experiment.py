@@ -27,8 +27,6 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .doubling import DEFAULT_BOUND_CONSTANT, DoublingResult, PhaseTrace, run_with_doubling
 
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
@@ -48,7 +46,7 @@ from .oracle import (
     optimal_bnb,
     optimal_exhaustive,
 )
-from .rounding import RoundingState
+from .rounding import RoundingState, pairwise_sum
 
 CHECK_FAMILIES = ("feasibility", "potential", "consistency", "rounding")
 TOL = 1e-9
@@ -640,6 +638,22 @@ def _sweep_plan(config_doc) -> tuple[RunConfig, list[tuple[str, GeneratorConfig,
     return config, plan
 
 
+def aggregate_stats(values: list[float]) -> dict[str, float]:
+    """Mean, max and 95th percentile of a non-empty column, each the float
+    numpy returns (``arr.mean()``, ``arr.max()``, ``np.percentile(arr, 95)``
+    by its default linear rule)."""
+    ordered = sorted(values)
+    v = (len(ordered) - 1) * 0.95
+    lo = math.floor(v)
+    a, b, g = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)], v - lo
+    d = b - a
+    return {
+        "mean": pairwise_sum(values) / len(values),
+        "max": ordered[-1],
+        "p95": b - d * (1.0 - g) if g >= 0.5 else a + d * g,
+    }
+
+
 def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
     """Run a seed grid and write per-run rows plus an aggregate table.
 
@@ -670,15 +684,9 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
 
     aggregate: dict[str, dict[str, float]] = {}
     for metric in AGGREGATE_METRICS:
-        values = [row[metric] for row in rows if row.get(metric) is not None]
-        if not values:
-            continue
-        arr = np.asarray(values, dtype=float)
-        aggregate[metric] = {
-            "mean": float(arr.mean()),
-            "max": float(arr.max()),
-            "p95": float(np.percentile(arr, 95)),
-        }
+        values = [float(row[metric]) for row in rows if row.get(metric) is not None]
+        if values:
+            aggregate[metric] = aggregate_stats(values)
     agg_path = out_path.with_name(out_path.stem + "_aggregate.csv")
     _write_csv(
         agg_path,

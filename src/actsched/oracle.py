@@ -111,11 +111,13 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     costs less than its parent. A popped set whose canonical cost
     (``_activation_cost``) reaches the incumbent's is skipped. Any other gets
     a depth-first packing of the jobs in arrival order, each job trying the
-    set's machines by processing time; a backtrack restores the saved load,
-    so every load is the float sum ``feasible()`` computes. A packing node is
-    pruned when its placed volume plus the least volume the remaining jobs
-    need in the set passes the set's capacity. The search stops once the
-    smallest key passes the incumbent's cost by ``SET_SLACK``.
+    set's machines by processing time (its fitting machines are sorted once
+    and filtered to each set); a backtrack restores the saved load, so every
+    load is the float sum ``feasible()`` computes. A packing node is pruned
+    when its placed volume plus the least volume the remaining jobs need in
+    the set passes the set's capacity; a set cut at the root costs its one
+    node and no per-job lists. The search stops once the smallest key passes
+    the incumbent's cost by ``SET_SLACK``.
 
     The packing of the full machine set is the first incumbent; if it fails,
     or a job fits on no machine, ``InfeasibleInstanceError`` is raised.
@@ -140,13 +142,20 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
             raise OracleTooLargeError(f"set search hit its node budget ({node_budget}) without proof")
 
     def pack(members) -> list[int] | None:
-        fits = [sorted((i for i in members if p[i] <= budget), key=lambda i: p[i]) for p in ptimes]
-        if not all(fits):
-            return None
+        inset = set(members)
         rem = [0.0] * (n + 1)  # rem[t]: least volume jobs t.. need in the set
         for t in range(n - 1, -1, -1):
-            rem[t] = rem[t + 1] + ptimes[t][fits[t][0]]
+            for i in job_orders[t]:  # by p: the first in the set needs least
+                if i in inset:
+                    rem[t] = rem[t + 1] + ptimes[t][i]
+                    break
+            else:
+                return None
         capacity = len(members) * budget * (1.0 + SET_SLACK)
+        if rem[0] > capacity:  # the root node's volume cut, counted as place(0) counts it
+            count()
+            return None
+        fits = [[i for i in job_order if i in inset] for job_order in job_orders]
         loads = [0.0] * m
         assign = [0] * n
 
@@ -170,6 +179,9 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
         return assign if place(0, 0.0) else None
 
     order = sorted(range(m), key=lambda i: (costs[i], i))
+    # Each job's fitting machines by processing time, ties in (cost, id)
+    # order: filtered to a set, the order a stable sort of the set gives.
+    job_orders = [sorted((i for i in order if p[i] <= budget), key=p.__getitem__) for p in ptimes]
     best_assign = pack(order)
     if best_assign is None:
         raise InfeasibleInstanceError("no assignment meets the makespan budget")

@@ -11,7 +11,10 @@ are derived from one master seed.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +45,37 @@ def draw_thresholds(m: int, seed: int) -> list[float]:
     return thr_rng.random(m).tolist()
 
 
-def sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
+def pairwise_sum(values: Sequence[float]) -> float:
+    """The float64 sum ``np.add.reduce`` returns: a plain loop below 8
+    entries, eight strided accumulators up to 128, and two halves, cut at a
+    multiple of 8, above 128."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    tail = n - n % 8
+    acc = []
+    for k in range(8):
+        total = values[k]
+        for v in values[k + 8 : tail : 8]:
+            total += v
+        acc.append(total)
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[tail:]:
+        total += v
+    return total
+
+
+def sample_index(rng: np.random.Generator, probs: Sequence[float]) -> int:
     """The index ``rng.choice(len(probs), p=probs)`` draws, without its checks."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    cdf = list(itertools.accumulate(probs))
+    last = cdf[-1]
+    return bisect.bisect_right([c / last for c in cdf], rng.random())
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +106,7 @@ class RoundingState:
             1.0 / (ACTIVATION_FACTOR * self._ln_mn) if self._ln_mn > 0 else math.inf
         )
         self.active = [False] * self.m
+        self.int_cost = 0.0  # original startup cost of the active set, in id order
         self.assignment: dict[int, int] = {}
         self.int_load = [0.0] * self.m  # units of L
         self._max_int_load = 0.0  # max(int_load): loads only grow
@@ -84,97 +114,77 @@ class RoundingState:
         self.deficit_jobs = 0  # jobs whose active z-mass was below 1 pre-fallback
         self.log: list[AssignmentRecord] = []
 
-    @property
-    def int_cost(self) -> float:
-        """Total original startup cost of the active set (derived, exact)."""
-        return sum((self.costs[i] for i in range(self.m) if self.active[i]), 0.0)
-
     def int_makespan(self) -> float:
         """Integer makespan in original time units."""
         return self._max_int_load * self.budget
 
-    def activation_step(self, frac: JobFraction) -> list[int]:
-        """Open every eligible inactive machine whose threshold is cleared."""
-        newly: list[int] = []
-        for i in range(self.m):
-            if self.active[i] or not frac.eligible[i]:
-                continue
-            if self.r[i] <= ACTIVATION_FACTOR * frac.x[i] * self._ln_mn:
-                self.active[i] = True
-                newly.append(i)
-        return newly
+    def process_job(self, frac: JobFraction) -> AssignmentRecord:
+        """Round one finished fractional job in one pass over the machines.
 
-    def scores(self, frac: JobFraction) -> list[float]:
-        """Per-machine assignment scores z for a finished fractional job."""
-        z = [0.0] * self.m
+        Each eligible machine is first opened if it is inactive and its
+        threshold is cleared, then scored if it holds y > 0: z = y / (2x)
+        below the cut, y above it. The job goes to an active machine sampled
+        in proportion to z. When no active machine scores (counted as a
+        fallback), the best-scoring eligible machine is opened first, or, if
+        nothing scores, the one with the cheapest cost-weighted processing
+        time is opened and takes the job without a draw.
+        """
+        x, y, p, eligible = frac.x, frac.y, frac.p_scaled, frac.eligible
+        active, r, ln_mn, z_cut = self.active, self.r, self._ln_mn, self._z_cut
+        cost_before = self.int_cost
+        opened = False
+        ids: list[int] = []  # active machines with z > 0, and their z
+        zs: list[float] = []
+        best, z_best, bad = -1, 0.0, None
         for i in range(self.m):
-            if not frac.eligible[i] or frac.y[i] <= 0.0:
+            if not eligible[i]:
                 continue
-            if frac.x[i] < self._z_cut:
-                z[i] = frac.y[i] / (2.0 * frac.x[i])
-                if z[i] > 1.0 + 1e-9:
-                    raise RoundingInvariantError(
-                        f"job {frac.job}, machine {i}: score {z[i]!r} exceeds 1"
-                    )
-            else:
-                z[i] = frac.y[i]
-        return z
-
-    def assignment_step(self, frac: JobFraction) -> int:
-        """Sample the machine for the job among active machines, proportional
-        to z; falls back to a forced activation when no active machine has
-        positive score (counted as an incident)."""
-        z = self.scores(frac)
-        active_mass = sum(z[i] for i in range(self.m) if self.active[i])
-        if active_mass < 1.0 - 1e-9:
+            if not active[i] and r[i] <= ACTIVATION_FACTOR * x[i] * ln_mn:
+                active[i] = opened = True
+            y_i = y[i]
+            if y_i <= 0.0:
+                continue
+            z = y_i / (2.0 * x[i]) if x[i] < z_cut else y_i
+            if z > 1.0 + 1e-9 and bad is None:
+                bad = f"job {frac.job}, machine {i}: score {z!r} exceeds 1"
+            if z > z_best:
+                best, z_best = i, z
+            if active[i]:
+                ids.append(i)
+                zs.append(z)
+        if bad is not None:
+            raise RoundingInvariantError(bad)
+        mass = sum(zs)
+        if mass < 1.0 - 1e-9:
             self.deficit_jobs += 1
-        if active_mass <= 0.0:
+        if mass <= 0.0:
             self.fallback_count += 1
-            best = max(
-                (i for i in range(self.m) if frac.eligible[i]),
-                key=lambda i: (z[i], -i),
-            )
-            if z[best] <= 0.0:
+            if best < 0:
                 # Nothing scored: open the machine with the cheapest
                 # cost-weighted processing time and assign directly.
-                best = min(
-                    (i for i in range(self.m) if frac.eligible[i]),
-                    key=lambda i: (self.costs[i] * frac.p_scaled[i], i),
+                i = min(
+                    (k for k in range(self.m) if eligible[k]),
+                    key=lambda k: (self.costs[k] * p[k], k),
                 )
-                self.active[best] = True
-                return self._assign(frac, best)
-            self.active[best] = True
-        ids = [i for i in range(self.m) if self.active[i] and z[i] > 0.0]
-        mass = sum(z[i] for i in ids)
-        probs = np.array([z[i] / mass for i in ids])
-        probs /= probs.sum()  # exact renormalization for the sampler
-        return self._assign(frac, ids[sample_index(self._pick_rng, probs)])
-
-    def _assign(self, frac: JobFraction, i: int) -> int:
-        """Put the job on machine i and keep the running max of the loads."""
+            else:
+                i, ids, zs, mass = best, [best], [z_best], z_best
+            active[i] = opened = True
+        if zs:
+            probs = [z / mass for z in zs]
+            total = pairwise_sum(probs)  # exact renormalization for the sampler
+            i = ids[sample_index(self._pick_rng, [q / total for q in probs])]
+        if opened:
+            self.int_cost = sum((self.costs[k] for k in range(self.m) if active[k]), 0.0)
         self.assignment[frac.job] = i
-        self.int_load[i] += frac.p_scaled[i]
+        self.int_load[i] += p[i]
         self._max_int_load = max(self._max_int_load, self.int_load[i])
-        return i
-
-    def process_job(self, frac: JobFraction) -> AssignmentRecord:
-        cost_before = self.int_cost
-        opened = self.activation_step(frac)
-        fallbacks = self.fallback_count
-        i = self.assignment_step(frac)
-        # Only an opened machine changes the sum; a fallback may open one.
-        if opened or self.fallback_count != fallbacks:
-            cost_after = self.int_cost
-        else:
-            cost_after = cost_before
         record = AssignmentRecord(
             job=frac.job,
             machine=i,
-            p_original=frac.p_scaled[i] * self.budget,
-            newly_activated_cost=cost_after - cost_before,
-            cum_cost=cost_after,
+            p_original=p[i] * self.budget,
+            newly_activated_cost=self.int_cost - cost_before,
+            cum_cost=self.int_cost,
             int_makespan=self.int_makespan(),
         )
         self.log.append(record)
         return record
-

@@ -4,6 +4,7 @@ import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from actsched import experiment
@@ -189,6 +190,68 @@ def test_fractional_logs_match_pinned_digests(tmp_path, mode, model, m, n, diges
     experiment.write_run_logs(experiment.run_pipeline(instance, config), tmp_path)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the outputs of two sweeps over the three ptime models, taken
+# before the rounding stage became one pass per job and the aggregates stopped
+# calling numpy. The oracle sweep has 135 rows, past the 128 at which numpy's
+# pairwise sum splits in halves; the double sweep's restricted cell runs three
+# phases.
+PINNED_SWEEPS = [
+    (
+        "oracle",
+        6,
+        12,
+        [0, 1, 2],
+        list(range(15)),
+        {
+            "report.csv": "8f7c64a716f6784f42c8939df84e5d08f77be49400e22b78047f8d5c89dddb03",
+            "report_aggregate.csv": "b3b5e3bfe788b6d418b097724f98b49128e7f6b965bfedef07fed6d83b8d7811",
+        },
+    ),
+    (
+        "double",
+        20,
+        100,
+        [0],
+        [0, 1, 2, 3],
+        {
+            "report.csv": "68a10bddd6898714350d541c0cdd2868a01438be434609c3f1cbb59ad47affac",
+            "report_aggregate.csv": "99f30a257ad64d6e4adc2e8fb3412aeb9a892d5533ffc43e23ea303dbd638b30",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, m, n, instance_seeds, rounding_seeds, digests", PINNED_SWEEPS, ids=["oracle", "double"]
+)
+def test_sweep_outputs_match_pinned_digests(
+    tmp_path, mode, m, n, instance_seeds, rounding_seeds, digests
+):
+    cells = [
+        {"m": m, "n": n, "model": model, "instance_seeds": instance_seeds,
+         "rounding_seeds": rounding_seeds}
+        for model in ("uniform", "power_law", "restricted_assignment")
+    ]
+    experiment.run_sweep({"cells": cells, "alpha_mode": mode}, tmp_path / "report.csv")
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_aggregate_stats_match_numpy_bit_for_bit():
+    gen = np.random.default_rng(16)
+    for n in range(1, 601):
+        spread = gen.random(n) * 10.0 ** gen.integers(-3, 3, n)
+        ties = gen.choice([0.1, 0.25, 1.0 / 3.0], n)
+        zeros = np.where(gen.random(n) < 0.5, 0.0, spread)
+        counts = gen.integers(0, 50, n).astype(float)
+        for arr in (spread, ties, zeros, counts):
+            stats = experiment.aggregate_stats(arr.tolist())
+            want = {"mean": arr.mean(), "max": arr.max(), "p95": np.percentile(arr, 95)}
+            assert {k: v.hex() for k, v in stats.items()} == {
+                k: float(v).hex() for k, v in want.items()
+            }, n
 
 
 def test_run_doubling_mode(tmp_path):

@@ -1,3 +1,4 @@
+import heapq
 import importlib.util
 from pathlib import Path
 
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from actsched import experiment
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 from actsched.oracle import (
+    SET_SLACK,
     InfeasibleInstanceError,
+    OracleResult,
     OracleTooLargeError,
     _activation_cost,
     feasible,
@@ -186,6 +189,108 @@ def test_bnb_matches_exhaustive_on_ties(costs, rows):
     assert result.optimal_cost == exact.optimal_cost
     assert feasible(inst, result.witness)
     assert result.optimal_cost == _activation_cost(inst, result.witness)
+
+
+def per_set_sort_bnb(instance: Instance, node_budget: int) -> OracleResult:
+    """``optimal_bnb`` as it was before the per-job orders: every packing
+    sorts each job's fitting machines of the set, and the root's volume cut
+    runs inside ``place(0)``. The reference for
+    ``test_set_search_matches_the_per_set_sort``."""
+    m, n = instance.m, instance.n
+    if n == 0:
+        return OracleResult(0.0, (), 0.0, 1)
+    budget = instance.makespan_budget
+    costs = instance.costs()
+    ptimes = instance.ptimes()
+    for j, p in enumerate(ptimes):
+        if all(p_i > budget for p_i in p):
+            raise InfeasibleInstanceError(f"job {j} does not fit on any machine")
+    nodes = 0
+
+    def count() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise OracleTooLargeError(f"set search hit its node budget ({node_budget}) without proof")
+
+    def pack(members) -> list[int] | None:
+        fits = [sorted((i for i in members if p[i] <= budget), key=lambda i: p[i]) for p in ptimes]
+        if not all(fits):
+            return None
+        rem = [0.0] * (n + 1)  # rem[t]: least volume jobs t.. need in the set
+        for t in range(n - 1, -1, -1):
+            rem[t] = rem[t + 1] + ptimes[t][fits[t][0]]
+        capacity = len(members) * budget * (1.0 + SET_SLACK)
+        loads = [0.0] * m
+        assign = [0] * n
+
+        def place(t: int, placed: float) -> bool:
+            count()
+            if t == n:
+                return True
+            if placed + rem[t] > capacity:
+                return False
+            p = ptimes[t]
+            for i in fits[t]:
+                saved = loads[i]
+                loads[i] = saved + p[i]
+                if loads[i] <= budget:
+                    assign[t] = i
+                    if place(t + 1, placed + p[i]):
+                        return True
+                loads[i] = saved
+            return False
+
+        return assign if place(0, 0.0) else None
+
+    order = sorted(range(m), key=lambda i: (costs[i], i))
+    best_assign = pack(order)
+    if best_assign is None:
+        raise InfeasibleInstanceError("no assignment meets the makespan budget")
+    best_cost = _activation_cost(instance, best_assign)
+    heap = [(costs[order[0]], 0, (order[0],))]  # (cost key, last sorted position, machines)
+    while heap and heap[0][0] <= best_cost * (1.0 + SET_SLACK):
+        key, k, members = heapq.heappop(heap)
+        count()
+        if k + 1 < m:
+            nxt = order[k + 1]
+            heapq.heappush(heap, (key + costs[nxt], k + 1, members + (nxt,)))
+            heapq.heappush(heap, (key - costs[order[k]] + costs[nxt], k + 1, members[:-1] + (nxt,)))
+        if _activation_cost(instance, members) < best_cost:
+            found = pack(members)
+            if found is not None:
+                best_cost, best_assign = _activation_cost(instance, found), found
+    return OracleResult(
+        optimal_cost=best_cost,
+        witness=tuple(best_assign),
+        witness_makespan=max(machine_loads(instance, best_assign)),
+        nodes_explored=nodes,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    costs=st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.0]), min_size=1, max_size=6),
+    rows=st.lists(
+        st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5]), min_size=6, max_size=6),
+        min_size=1,
+        max_size=8,
+    ),
+    node_budget=st.sampled_from([1, 5, 20, 100, 10**7]),
+)
+def test_set_search_matches_the_per_set_sort(costs, rows, node_budget):
+    # Tied processing times and costs make the order within a set matter:
+    # nodes, witness and B, or the error and the node at which it is raised,
+    # must be the reference's.
+    inst = make_instance(costs, [row[: len(costs)] for row in rows])
+
+    def outcome(search):
+        try:
+            return search(inst, node_budget=node_budget)
+        except (InfeasibleInstanceError, OracleTooLargeError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(optimal_bnb) == outcome(per_set_sort_bnb)
 
 
 def milp_optimum(inst):
