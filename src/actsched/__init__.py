@@ -4,7 +4,6 @@ harness."""
 
 from .doubling import (
     DoublingResult,
-    GuessBoundExceededError,
     PhaseTrace,
     default_initial_guess,
     run_with_doubling,
@@ -42,7 +41,6 @@ __all__ = [
     "DoublingResult",
     "FractionalState",
     "GeneratorConfig",
-    "GuessBoundExceededError",
     "GuessTooSmallError",
     "Instance",
     "InstanceFormatError",

@@ -13,7 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-from .doubling import DEFAULT_BOUND_CONSTANT, GuessBoundExceededError
 from .experiment import (
     CHECK_FAMILIES,
     RunConfig,
@@ -107,7 +106,6 @@ def cmd_run(args) -> int:
         alpha_value=value,
         seed=_default_seed(args.seed),
         a=args.a,
-        C=args.C,
         checks=() if args.no_checks else CHECK_FAMILIES,
     )
     artifacts = run_pipeline(instance, config)
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", default="oracle", help="'oracle', 'double', or a number")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--a", type=float, default=GROWTH_BASE_DEFAULT)
-    p_run.add_argument("--C", type=float, default=DEFAULT_BOUND_CONSTANT)
     p_run.add_argument("--no-checks", action="store_true")
     p_run.add_argument("--logdir", required=True)
     p_run.set_defaults(func=cmd_run)
@@ -209,7 +206,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         InstanceFormatError,
         GuessTooSmallError,
-        GuessBoundExceededError,
         StepCapError,
         StalledStepError,
         ValueError,

@@ -15,8 +15,8 @@ kept records afterwards (``experiment.replay_rounding``), with the same result
 as rounding each job as soon as it is kept.
 
 A known guess (the oracle's optimum or a fixed value) is the one-phase case of
-the same controller: with no cost bound (``C=None``) nothing trips, and a
-guess that proves too small raises ``GuessTooSmallError`` instead of doubling.
+the same controller: with ``double=False`` nothing trips, and a guess that
+proves too small raises ``GuessTooSmallError`` instead of doubling.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ from .fractional import (
 )
 from .instances import Instance
 
-DEFAULT_BOUND_CONSTANT = 50.0
-
-
-class GuessBoundExceededError(RuntimeError):
-    """The guess outgrew the total machine cost but the cost bound still
-    failed; the bound constant C is too small for this instance."""
+BOUND_CONSTANT = 50.0  # read at call time, so tests can patch it
 
 
 @dataclass
@@ -93,8 +88,8 @@ def default_initial_guess(instance: Instance) -> float:
     return min(per_job) if per_job else min(costs)
 
 
-def cost_bound(C: float, m: int) -> float:
-    return C * m * (1.0 + math.log(m))
+def cost_bound(m: int) -> float:
+    return BOUND_CONSTANT * m * (1.0 + math.log(m))
 
 
 @dataclass
@@ -107,13 +102,13 @@ class DoublingResult:
 def run_with_doubling(
     instance: Instance,
     initial_guess: float | None = None,
-    C: float | None = DEFAULT_BOUND_CONSTANT,
+    double: bool = True,
     a: float = GROWTH_BASE_DEFAULT,
 ) -> DoublingResult:
     """Cover all jobs fractionally under guess-and-double control.
 
-    ``C=None`` runs the guess as known: one phase with no cost bound, in
-    which a guess found too small raises ``GuessTooSmallError``.
+    ``double=False`` runs the guess as known: one phase with no cost bound,
+    in which a guess found too small raises ``GuessTooSmallError``.
     """
     m, n = instance.m, instance.n
     guess = initial_guess if initial_guess is not None else default_initial_guess(instance)
@@ -122,8 +117,7 @@ def run_with_doubling(
     if guess <= 0:
         raise ValueError("initial guess must be > 0")
 
-    total_cost = sum(instance.costs())
-    bound = None if C is None else cost_bound(C, m)
+    bound = cost_bound(m) if double else None
     phases: list[PhaseTrace] = []
     records: list[JobFraction] = []
     phase_idx = 0
@@ -132,30 +126,29 @@ def run_with_doubling(
     while True:
         fstate = FractionalState(instance, guess, a=a)
         kept = 0
-        trip: str | None = None
+        trip = False
         try:
             while j < n:
                 fstate.process_job(j)
-                if bound is not None:
-                    cost = fstate.fractional_cost()
-                    if cost > bound:
-                        trip = f"fractional cost {cost!r} above bound {bound!r} (C={C})"
-                        break
+                if bound is not None and fstate.fractional_cost() > bound:
+                    trip = True
+                    break
                 records.append(fstate.job_fraction(j))
                 kept += 1
                 j += 1
-        except GuessTooSmallError as exc:
-            if C is None:
+        except GuessTooSmallError:
+            # Every machine kept and the job still fits on none: it fits no
+            # machine at all, and no guess helps. So doubling ends: from the
+            # dearest cost on, every machine is kept, and at a guess >= sum(c)
+            # the fractional cost sum(max(c*m/guess, 1) * x) is at most
+            # sum(c)*m/guess + m <= 2m < cost_bound(m), so the cost trip stops.
+            if not double or not any(fstate.discarded):
                 raise
             # The job fits on no kept machine: re-cover it at a larger guess.
-            trip = str(exc)
+            trip = True
         phases.append(snapshot_phase(fstate, phase_idx, guess, kept))
-        if trip is None:
+        if not trip:
             break
-        if guess > total_cost:
-            raise GuessBoundExceededError(
-                f"guess {guess} exceeds total machine cost {total_cost}; {trip}"
-            )
         guess *= 2.0
         phase_idx += 1
 

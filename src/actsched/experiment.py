@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .doubling import DEFAULT_BOUND_CONSTANT, DoublingResult, PhaseTrace, run_with_doubling
+from .doubling import DoublingResult, PhaseTrace, run_with_doubling
 
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
 from .doubling import snapshot_phase  # noqa: F401
@@ -81,7 +81,6 @@ class RunConfig:
     alpha_value: float | None = None
     seed: int = 0
     a: float = GROWTH_BASE_DEFAULT
-    C: float = DEFAULT_BOUND_CONSTANT
     checks: tuple[str, ...] = CHECK_FAMILIES
 
     def __post_init__(self) -> None:
@@ -94,8 +93,6 @@ class RunConfig:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         check_growth_base(self.a)
-        if not 0 < self.C < math.inf:
-            raise ValueError(f"C must be finite and > 0, got {self.C!r}")
         unknown = set(self.checks) - set(CHECK_FAMILIES)
         if unknown:
             raise ValueError(f"unknown check families: {sorted(unknown)}")
@@ -303,13 +300,14 @@ def run_fractional(
     pairs in report order.
     """
     if config.alpha_mode == "double":
-        B, guess, C = None, config.alpha_value, config.C
+        B, guess = None, config.alpha_value
     elif config.alpha_mode == "fixed":
-        B, guess, C = None, float(config.alpha_value), None
+        B, guess = None, float(config.alpha_value)
     else:
         B = guess = oracle_solve(instance).optimal_cost
-        C = None
-    result = run_with_doubling(instance, initial_guess=guess, C=C, a=config.a)
+    result = run_with_doubling(
+        instance, initial_guess=guess, double=config.alpha_mode == "double", a=config.a
+    )
 
     check = config.checks.__contains__
     problems: list[tuple[str, list[str]]] = []
@@ -611,7 +609,6 @@ def _sweep_plan(config_doc) -> tuple[RunConfig, list[tuple[str, GeneratorConfig,
         alpha_mode=config_doc.get("alpha_mode", "oracle"),
         alpha_value=config_doc.get("alpha_value"),
         a=config_doc.get("a", GROWTH_BASE_DEFAULT),
-        C=config_doc.get("C", DEFAULT_BOUND_CONSTANT),
     )
     plan = []
     for cell in cells:
@@ -662,7 +659,7 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
         {"cells": [{"m": 4, "n": 8, "model": "uniform",
                     "cost_range": [1.0, 10.0],
                     "instance_seeds": [0, 1], "rounding_seeds": [0, 1, 2]}],
-         "alpha_mode": "oracle", "a": 1.05, "C": 50.0}
+         "alpha_mode": "oracle", "a": 1.05}
 
     Every run's configuration is built before the first run, so a malformed
     config raises ``ValueError`` and runs nothing.

@@ -38,8 +38,11 @@ TYPE_B = "B"
 
 
 class GuessTooSmallError(Exception):
-    """The optimum guess is too low: pre-processing discarded every machine a
-    job fits on within the budget (possibly every machine)."""
+    """A job fits within the budget on no kept machine. Either the optimum
+    guess is too low (pre-processing discarded every machine the job fits
+    on, possibly every machine), or the job fits on no machine at all, which
+    no guess mends: a doubling run raises it once a phase keeps every
+    machine."""
 
 
 class StalledStepError(Exception):

@@ -58,10 +58,9 @@ def feasible(instance: Instance, assignment: tuple[int, ...] | list[int]) -> boo
     return all(load <= budget for load in machine_loads(instance, assignment))
 
 
-def _activation_cost(instance: Instance, assignment) -> float:
+def _activation_cost(costs: list[float], assignment) -> float:
     # Canonical ascending-id summation so both oracle routes report
     # bitwise-identical costs for the same activated set.
-    costs = instance.costs()
     return sum(costs[i] for i in sorted(set(assignment)))
 
 
@@ -72,6 +71,7 @@ def optimal_exhaustive(instance: Instance, guard: int = EXHAUSTIVE_GUARD) -> Ora
     if m**n > guard:
         raise OracleTooLargeError(f"m^n = {m}**{n} exceeds guard {guard}")
     budget = instance.makespan_budget
+    costs = instance.costs()
     ptimes = instance.ptimes()
 
     best_cost = None
@@ -88,7 +88,7 @@ def optimal_exhaustive(instance: Instance, guard: int = EXHAUSTIVE_GUARD) -> Ora
                 break
         if not ok:
             continue
-        cost = _activation_cost(instance, assign)
+        cost = _activation_cost(costs, assign)
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best_assign = assign
@@ -122,8 +122,10 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     The packing of the full machine set is the first incumbent; if it fails,
     or a job fits on no machine, ``InfeasibleInstanceError`` is raised.
     ``nodes_explored`` counts every popped set plus every packing node, and
-    ``node_budget`` bounds that sum.
+    ``node_budget`` bounds that sum; a budget below 1 is a ``ValueError``.
     """
+    if node_budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {node_budget}")
     m, n = instance.m, instance.n
     if n == 0:
         return OracleResult(0.0, (), 0.0, 1)
@@ -185,7 +187,7 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     best_assign = pack(order)
     if best_assign is None:
         raise InfeasibleInstanceError("no assignment meets the makespan budget")
-    best_cost = _activation_cost(instance, best_assign)
+    best_cost = _activation_cost(costs, best_assign)
     heap = [(costs[order[0]], 0, (order[0],))]  # (cost key, last sorted position, machines)
     while heap and heap[0][0] <= best_cost * (1.0 + SET_SLACK):
         key, k, members = heapq.heappop(heap)
@@ -194,10 +196,10 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
             nxt = order[k + 1]
             heapq.heappush(heap, (key + costs[nxt], k + 1, members + (nxt,)))
             heapq.heappush(heap, (key - costs[order[k]] + costs[nxt], k + 1, members[:-1] + (nxt,)))
-        if _activation_cost(instance, members) < best_cost:
+        if _activation_cost(costs, members) < best_cost:
             found = pack(members)
             if found is not None:
-                best_cost, best_assign = _activation_cost(instance, found), found
+                best_cost, best_assign = _activation_cost(costs, found), found
     return OracleResult(
         optimal_cost=best_cost,
         witness=tuple(best_assign),

@@ -268,7 +268,7 @@ def test_criterion_8_doubling_sanity():
         fixed = run_pipeline(
             inst, RunConfig(alpha_mode="fixed", alpha_value=B, seed=s, checks=())
         )
-        doubled = run_with_doubling(inst, initial_guess=B / 8.0, C=50.0)
+        doubled = run_with_doubling(inst, initial_guess=B / 8.0)
         worst_phases = max(worst_phases, len(doubled.phases))
         doubled_cost = replay_rounding(inst, doubled.records, s).int_cost
         worst_ratio = max(worst_ratio, doubled_cost / fixed.rounding.int_cost)

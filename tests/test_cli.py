@@ -402,18 +402,18 @@ def _sweep_doc(second=None, **changes):
     ("run", _set_p([float("nan")] * 3), ["--alpha", "oracle"]),
     ("run", None, ["--alpha", "nan"]),
     ("run", None, ["--alpha", "inf"]),
-    ("run", None, ["--alpha", "double", "--C", "nan"]),
+    ("oracle", None, ["--node-budget", "0"]),
+    ("oracle", None, ["--node-budget", "-5"]),
     ("sweep", [1, 2], []),
     ("sweep", _sweep_doc(instance_seeds=5), []),
     ("sweep", _sweep_doc(m="3"), []),
-    ("sweep", {**_sweep_doc(), "C": "x"}, []),
     ("sweep", {**_sweep_doc(), "a": "x"}, []),
     ("sweep", _sweep_doc(instance_seeds=["a"]), []),
     ("sweep", _sweep_doc(rounding_seeds=["a"]), []),
     ("sweep", _sweep_doc(rounding_seeds=[1.5]), []),
     ("sweep", _sweep_doc(second={"m": 2.5}), []),
-], ids=["cost-str", "p-null", "p-nan", "alpha-nan", "alpha-inf", "C-nan",
-        "sweep-not-object", "seeds-not-list", "m-str", "C-str", "a-str", "instance-seed-str",
+], ids=["cost-str", "p-null", "p-nan", "alpha-nan", "alpha-inf",
+        "node-budget-0", "node-budget-neg", "sweep-not-object", "seeds-not-list", "m-str", "a-str", "instance-seed-str",
         "rounding-seed-str", "rounding-seed-float", "bad-second-cell"])
 def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, command, mutate, extra):
     if command == "sweep":
@@ -428,7 +428,9 @@ def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, command, mutat
             doc = json.loads(path.read_text())
             mutate(doc)
             path.write_text(json.dumps(doc))
-        args = ["run", "--in", str(path), *extra, "--logdir", str(tmp_path / "x")]
+        args = [command, "--in", str(path), *extra]
+        if command == "run":
+            args += ["--logdir", str(tmp_path / "x")]
     capsys.readouterr()
     assert main(args) == 2
     err = capsys.readouterr().err

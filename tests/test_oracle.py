@@ -188,7 +188,7 @@ def test_bnb_matches_exhaustive_on_ties(costs, rows):
     result = optimal_bnb(inst)
     assert result.optimal_cost == exact.optimal_cost
     assert feasible(inst, result.witness)
-    assert result.optimal_cost == _activation_cost(inst, result.witness)
+    assert result.optimal_cost == _activation_cost(inst.costs(), result.witness)
 
 
 def per_set_sort_bnb(instance: Instance, node_budget: int) -> OracleResult:
@@ -247,7 +247,7 @@ def per_set_sort_bnb(instance: Instance, node_budget: int) -> OracleResult:
     best_assign = pack(order)
     if best_assign is None:
         raise InfeasibleInstanceError("no assignment meets the makespan budget")
-    best_cost = _activation_cost(instance, best_assign)
+    best_cost = _activation_cost(costs, best_assign)
     heap = [(costs[order[0]], 0, (order[0],))]  # (cost key, last sorted position, machines)
     while heap and heap[0][0] <= best_cost * (1.0 + SET_SLACK):
         key, k, members = heapq.heappop(heap)
@@ -256,10 +256,10 @@ def per_set_sort_bnb(instance: Instance, node_budget: int) -> OracleResult:
             nxt = order[k + 1]
             heapq.heappush(heap, (key + costs[nxt], k + 1, members + (nxt,)))
             heapq.heappush(heap, (key - costs[order[k]] + costs[nxt], k + 1, members[:-1] + (nxt,)))
-        if _activation_cost(instance, members) < best_cost:
+        if _activation_cost(costs, members) < best_cost:
             found = pack(members)
             if found is not None:
-                best_cost, best_assign = _activation_cost(instance, found), found
+                best_cost, best_assign = _activation_cost(costs, found), found
     return OracleResult(
         optimal_cost=best_cost,
         witness=tuple(best_assign),
@@ -312,7 +312,7 @@ def test_bnb_proves_m10_n20_within_default_budget(model, seed, B):
     result = optimal_bnb(inst)
     assert result.optimal_cost == B
     assert feasible(inst, result.witness)
-    assert result.optimal_cost == _activation_cost(inst, result.witness)
+    assert result.optimal_cost == _activation_cost(inst.costs(), result.witness)
     assert milp_optimum(inst) == pytest.approx(B, rel=1e-9)
 
 
