@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,23 +42,12 @@ EXIT_INVALID = 2
 EXIT_VIOLATION = 3
 EXIT_ORACLE = 4
 
-SEED_ENV = "ACTSCHED_SEED"
-
-
-def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV)
-    if env:
-        return int(env)
-    return 0
-
 
 def cmd_gen(args) -> int:
     config = GeneratorConfig(
         m=args.m,
         n=args.n,
-        seed=_default_seed(args.seed),
+        seed=args.seed,
         cost_range=(args.cost_low, args.cost_high),
         ptime_model=args.model,
     )
@@ -71,7 +59,7 @@ def cmd_gen(args) -> int:
 
 def cmd_oracle(args) -> int:
     instance = load_instance(args.infile)
-    result = oracle_solve(instance, method=args.method, node_budget=args.node_budget)
+    result = oracle_solve(instance, node_budget=args.node_budget)
     print(
         json.dumps(
             {
@@ -104,7 +92,7 @@ def cmd_run(args) -> int:
     config = RunConfig(
         alpha_mode=mode,
         alpha_value=value,
-        seed=_default_seed(args.seed),
+        seed=args.seed,
         a=args.a,
         checks=() if args.no_checks else CHECK_FAMILIES,
     )
@@ -157,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random instance file")
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--model", choices=PTIME_MODELS, default="uniform")
     p_gen.add_argument("--cost-low", type=float, default=1.0)
     p_gen.add_argument("--cost-high", type=float, default=10.0)
@@ -166,14 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact offline optimum of an instance")
     p_oracle.add_argument("--in", dest="infile", required=True)
-    p_oracle.add_argument("--method", choices=("bnb", "exhaustive"), default="bnb")
     p_oracle.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_run = sub.add_parser("run", help="run the online pipeline on an instance")
     p_run.add_argument("--in", dest="infile", required=True)
     p_run.add_argument("--alpha", default="oracle", help="'oracle', 'double', or a number")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--a", type=float, default=GROWTH_BASE_DEFAULT)
     p_run.add_argument("--no-checks", action="store_true")
     p_run.add_argument("--logdir", required=True)

@@ -68,9 +68,10 @@ class Instance:
             raise ValueError("instance needs at least one machine")
         if not 0 < self.makespan_budget < math.inf:
             raise ValueError("makespan_budget must be finite and > 0")
-        ids = [mc.id for mc in self.machines]
-        if ids != list(range(len(self.machines))):
+        if [mc.id for mc in self.machines] != list(range(len(self.machines))):
             raise ValueError("machine ids must be 0..m-1 in order")
+        if [job.id for job in self.jobs] != list(range(len(self.jobs))):
+            raise ValueError("job ids must be 0..n-1 in order")
         m = len(self.machines)
         for job in self.jobs:
             if len(job.processing_times) != m:

@@ -1,12 +1,12 @@
 """Exact offline optimum: minimum total startup cost of a schedule whose
 makespan stays within the budget L.
 
-Two routes are provided. ``optimal_exhaustive`` enumerates every assignment
-and is the ground truth on tiny instances; ``optimal_bnb`` tries machine sets
-in nondecreasing cost, packing the jobs onto each, which scales to desk-size
-instances and must agree with the exhaustive route wherever both run.
-Both follow one contract: an ``OracleResult`` is always a proved optimum, and
-a route that cannot prove one within its limit (the exhaustive guard or the
+``optimal_bnb`` is the program's oracle: it tries machine sets in
+nondecreasing cost, packing the jobs onto each, which scales to desk-size
+instances. ``optimal_exhaustive`` enumerates every assignment; it is the
+reference that the tests hold the set search to on tiny instances. Both
+follow one contract: an ``OracleResult`` is always a proved optimum, and a
+search that cannot prove one within its limit (the exhaustive guard or the
 node budget) raises ``OracleTooLargeError``.
 """
 

@@ -91,7 +91,7 @@ def test_cost_trigger_doubles_and_reprocesses_job(monkeypatch):
 def test_phase_int_cost_deltas_sum_to_total(tmp_path, monkeypatch):
     monkeypatch.setattr(doubling, "BOUND_CONSTANT", 0.8)  # two phases, as above
     inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
-    config = RunConfig(alpha_mode="double", alpha_value=1.0, seed=3)
+    config = RunConfig(alpha_mode="double", seed=3)
     artifacts = run_pipeline(inst, config)
     assert len(artifacts.phases) == 2
     write_run_logs(artifacts, tmp_path)
