@@ -67,9 +67,17 @@ def test_oracle_prints_result(tmp_path, capsys):
     assert set(doc) == {"B", "witness_makespan", "nodes_explored", "exact"}
     assert doc["exact"] is True
     assert doc["witness_makespan"] <= 1.0
-    assert doc["B"] == optimal_exhaustive(load_instance(path)).optimal_cost
     # The set search is the only oracle route; there is no option to pick one.
     assert main(["oracle", "--in", str(path), "--method", "bnb"]) == 2
+
+
+def test_oracle_methods_agree(tmp_path, capsys):
+    # The CLI's set search and the exhaustive reference find the same B.
+    path = gen_file(tmp_path, m=2, n=4, seed=5)
+    capsys.readouterr()
+    assert main(["oracle", "--in", str(path)]) == 0
+    bnb = json.loads(capsys.readouterr().out)
+    assert bnb["B"] == optimal_exhaustive(load_instance(path)).optimal_cost
 
 
 def test_oracle_infeasible_exit_code(tmp_path):
