@@ -21,12 +21,7 @@ from .experiment import (
     verify_logdir,
     write_run_logs,
 )
-from .fractional import (
-    GROWTH_BASE_DEFAULT,
-    GuessTooSmallError,
-    StalledStepError,
-    StepCapError,
-)
+from .fractional import GuessTooSmallError, StalledStepError, StepCapError
 from .instances import (
     PTIME_MODELS,
     GeneratorConfig,
@@ -44,14 +39,7 @@ EXIT_ORACLE = 4
 
 
 def cmd_gen(args) -> int:
-    config = GeneratorConfig(
-        m=args.m,
-        n=args.n,
-        seed=args.seed,
-        cost_range=(args.cost_low, args.cost_high),
-        ptime_model=args.model,
-    )
-    instance = generate(config)
+    instance = generate(GeneratorConfig(m=args.m, n=args.n, seed=args.seed, ptime_model=args.model))
     save_instance(instance, args.out)
     print(f"wrote {args.out} (m={instance.m}, n={instance.n}, L={instance.makespan_budget})")
     return EXIT_OK
@@ -93,7 +81,6 @@ def cmd_run(args) -> int:
         alpha_mode=mode,
         alpha_value=value,
         seed=args.seed,
-        a=args.a,
         checks=() if args.no_checks else CHECK_FAMILIES,
     )
     artifacts = run_pipeline(instance, config)
@@ -140,37 +127,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="actsched",
         description="Online machine-activation scheduling harness",
     )
+    # No prefix matching of options: a removed option such as --a must fail,
+    # not be read as --alpha.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a random instance file")
+    p_gen = sub.add_parser("gen", allow_abbrev=False, help="generate a random instance file")
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--model", choices=PTIME_MODELS, default="uniform")
-    p_gen.add_argument("--cost-low", type=float, default=1.0)
-    p_gen.add_argument("--cost-high", type=float, default=10.0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_oracle = sub.add_parser("oracle", help="exact offline optimum of an instance")
+    p_oracle = sub.add_parser("oracle", allow_abbrev=False, help="exact offline optimum of an instance")
     p_oracle.add_argument("--in", dest="infile", required=True)
     p_oracle.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_run = sub.add_parser("run", help="run the online pipeline on an instance")
+    p_run = sub.add_parser("run", allow_abbrev=False, help="run the online pipeline on an instance")
     p_run.add_argument("--in", dest="infile", required=True)
     p_run.add_argument("--alpha", default="oracle", help="'oracle', 'double', or a number")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--a", type=float, default=GROWTH_BASE_DEFAULT)
     p_run.add_argument("--no-checks", action="store_true")
     p_run.add_argument("--logdir", required=True)
     p_run.set_defaults(func=cmd_run)
 
-    p_verify = sub.add_parser("verify", help="re-check invariants from run logs")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="re-check invariants from run logs")
     p_verify.add_argument("--logdir", required=True)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="run a seed grid from a config file")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="run a seed grid from a config file")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)

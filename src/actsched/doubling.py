@@ -24,13 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fractional import (
-    FractionalState,
-    GROWTH_BASE_DEFAULT,
-    GuessTooSmallError,
-    JobFraction,
-    StepOutcome,
-)
+from .fractional import FractionalState, GuessTooSmallError, JobFraction, StepOutcome
 from .instances import Instance
 
 BOUND_CONSTANT = 50.0  # read at call time, so tests can patch it
@@ -100,10 +94,7 @@ class DoublingResult:
 
 
 def run_with_doubling(
-    instance: Instance,
-    initial_guess: float | None = None,
-    double: bool = True,
-    a: float = GROWTH_BASE_DEFAULT,
+    instance: Instance, initial_guess: float | None = None, double: bool = True
 ) -> DoublingResult:
     """Cover all jobs fractionally under guess-and-double control.
 
@@ -124,7 +115,7 @@ def run_with_doubling(
     j = 0
 
     while True:
-        fstate = FractionalState(instance, guess, a=a)
+        fstate = FractionalState(instance, guess)
         kept = 0
         trip = False
         try:

@@ -24,14 +24,14 @@ import csv
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .doubling import DoublingResult, PhaseTrace, run_with_doubling
 
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
 from .doubling import snapshot_phase  # noqa: F401
-from .fractional import GROWTH_BASE_DEFAULT, JobFraction, check_growth_base
+from .fractional import GROWTH_BASE, JobFraction
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -75,8 +75,8 @@ class RunConfig:
     alpha_mode: str = "oracle"  # oracle | fixed | double
     alpha_value: float | None = None
     seed: int = 0
-    a: float = GROWTH_BASE_DEFAULT
-    checks: tuple[str, ...] = CHECK_FAMILIES
+    a: float = field(default=GROWTH_BASE, init=False)  # recorded in meta.json, not settable
+    checks: tuple[str, ...] = CHECK_FAMILIES  # CHECK_FAMILIES or ()
 
     def __post_init__(self) -> None:
         if self.alpha_mode not in ("oracle", "fixed", "double"):
@@ -86,14 +86,16 @@ class RunConfig:
                 f"alpha_value must be given in fixed alpha_mode and only there, got "
                 f"{self.alpha_value!r} in {self.alpha_mode!r} mode"
             )
-        if self.alpha_value is not None and not 0 < self.alpha_value < math.inf:
+        if self.alpha_value is not None and (
+            isinstance(self.alpha_value, bool) or not 0 < self.alpha_value < math.inf
+        ):
             raise ValueError(f"alpha_value must be finite and > 0, got {self.alpha_value!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
-        check_growth_base(self.a)
-        unknown = set(self.checks) - set(CHECK_FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown check families: {sorted(unknown)}")
+        if self.checks not in (CHECK_FAMILIES, ()):
+            raise ValueError(
+                f"checks must be all families {CHECK_FAMILIES} or none, got {self.checks!r}"
+            )
 
 
 class Violations:
@@ -151,10 +153,10 @@ def audit_phase(trace: PhaseTrace) -> list[str]:
     return out
 
 
-def audit_consistency(trace: PhaseTrace, p: list[tuple[float, ...]], a: float) -> list[str]:
+def audit_consistency(trace: PhaseTrace, p: list[tuple[float, ...]]) -> list[str]:
     """Bookkeeping of one finished phase: loads recomputed from the y rows
     (``p`` in units of L) against ``load_final``, and the potential
-    recomputed with growth base ``a`` against ``phi``."""
+    recomputed against ``phi``."""
     where = f"phase {trace.phase}"
     out = []
     m = len(trace.x_final)
@@ -170,7 +172,7 @@ def audit_consistency(trace: PhaseTrace, p: list[tuple[float, ...]], a: float) -
             out.append(f"{where}, machine {i}: load {load!r} vs recomputed {loads[i]!r}")
         if not trace.discarded[i]:
             c = trace.scaled_costs[i]
-            phi += c * a ** (load - 1.0) if x == 1.0 else c * x
+            phi += c * GROWTH_BASE ** (load - 1.0) if x == 1.0 else c * x
     if abs(phi - trace.phi) > TOL:
         out.append(f"{where}: phi {trace.phi!r} vs recomputed {phi!r}")
     return out
@@ -283,8 +285,8 @@ def build_report_row(
 def run_fractional(
     instance: Instance, config: RunConfig
 ) -> tuple[float | None, DoublingResult, list[tuple[str, list[str]]]]:
-    """The fractional stage of a run: the guess-and-double controller, then
-    the phase and step audits of ``config.checks`` on its finished records.
+    """The fractional stage of a run: the guess-and-double controller, then,
+    with audits on, the phase and step audits on its finished records.
 
     A known guess (oracle or fixed mode) is the controller's one-phase case:
     no cost bound, so nothing trips, and a guess found too small raises
@@ -294,19 +296,14 @@ def run_fractional(
     """
     B = oracle_solve(instance).optimal_cost if config.alpha_mode == "oracle" else None
     guess = float(config.alpha_value) if config.alpha_mode == "fixed" else B
-    result = run_with_doubling(
-        instance, initial_guess=guess, double=config.alpha_mode == "double", a=config.a
-    )
+    result = run_with_doubling(instance, initial_guess=guess, double=config.alpha_mode == "double")
 
-    check = config.checks.__contains__
     problems: list[tuple[str, list[str]]] = []
-    p = instance.scaled_ptimes() if check("consistency") else None
-    for trace in result.phases:
-        if check("feasibility"):
+    if config.checks:
+        p = instance.scaled_ptimes()
+        for trace in result.phases:
             problems.append(("feasibility", audit_phase(trace)))
-        if check("consistency"):
-            problems.append(("consistency", audit_consistency(trace, p, config.a)))
-    if check("potential"):
+            problems.append(("consistency", audit_consistency(trace, p)))
         steps = (
             (job, idx, o.delta_potential) for t in result.phases for job, idx, o in t.step_entries
         )
@@ -329,7 +326,7 @@ def round_run(
     violations = Violations()
     for family, messages in problems:
         violations.extend(family, messages)
-    if "rounding" in config.checks:
+    if config.checks:
         violations.extend(
             "rounding",
             audit_rounding(rounding.assignment, rounding.active, rounding.int_load, result.records),
@@ -527,7 +524,7 @@ def _verify_logs(logdir: Path) -> list[str]:
 
     problems = []
     for trace in phases:
-        problems += audit_phase(trace) + audit_consistency(trace, p, meta["config"]["a"])
+        problems += audit_phase(trace) + audit_consistency(trace, p)
     with open(logdir / "steps.csv", newline="", encoding="utf-8") as fh:
         problems += audit_steps(_step_rows(fh), instance.n)
 
@@ -570,10 +567,18 @@ def _verify_logs(logdir: Path) -> list[str]:
 
 SWEEP_COLUMNS = ("instance",) + REPORT_COLUMNS
 AGGREGATE_METRICS = REPORT_COLUMNS[3:]  # every report column after seed, B and L
+SWEEP_KEYS = ("cells", "alpha_mode", "alpha_value")
+CELL_KEYS = ("m", "n", "model", "instance_seeds", "rounding_seeds")  # all required
 
 
 def sweep_cell_label(m: int, n: int, seed: int, model: str) -> str:
     return f"m{m}-n{n}-s{seed}-{model}"
+
+
+def _reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {unknown}; known keys are {list(known)}")
 
 
 def _sweep_plan(config_doc) -> tuple[RunConfig, list[tuple[str, GeneratorConfig, list[RunConfig]]]]:
@@ -581,33 +586,29 @@ def _sweep_plan(config_doc) -> tuple[RunConfig, list[tuple[str, GeneratorConfig,
     config and one RunConfig per rounding seed."""
     if not isinstance(config_doc, dict):
         raise ValueError("top level must be an object")
+    _reject_unknown_keys(config_doc, SWEEP_KEYS, "top level")
     cells = config_doc.get("cells")
     if not isinstance(cells, list) or not cells:
         raise ValueError("'cells' must be a non-empty list")
     config = RunConfig(
         alpha_mode=config_doc.get("alpha_mode", "oracle"),
         alpha_value=config_doc.get("alpha_value"),
-        a=config_doc.get("a", GROWTH_BASE_DEFAULT),
     )
     plan = []
     for cell in cells:
         if not isinstance(cell, dict):
             raise ValueError("each cell must be an object")
-        for key in ("m", "n", "model", "instance_seeds", "rounding_seeds"):
+        _reject_unknown_keys(cell, CELL_KEYS, "cell")
+        for key in CELL_KEYS:
             if key not in cell:
                 raise ValueError(f"cell missing key '{key}'")
         for key in ("instance_seeds", "rounding_seeds"):
             if not isinstance(cell[key], list) or not cell[key]:
                 raise ValueError(f"cell '{key}' must be a non-empty list")
-        cost_range = tuple(cell.get("cost_range", (1.0, 10.0)))
         run_configs = [replace(config, seed=rseed) for rseed in cell["rounding_seeds"]]
         for iseed in cell["instance_seeds"]:
             gen_config = GeneratorConfig(
-                m=cell["m"],
-                n=cell["n"],
-                seed=iseed,
-                cost_range=cost_range,
-                ptime_model=cell["model"],
+                m=cell["m"], n=cell["n"], seed=iseed, ptime_model=cell["model"]
             )
             label = sweep_cell_label(cell["m"], cell["n"], iseed, cell["model"])
             plan.append((label, gen_config, run_configs))
@@ -636,12 +637,13 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
     Config document shape::
 
         {"cells": [{"m": 4, "n": 8, "model": "uniform",
-                    "cost_range": [1.0, 10.0],
                     "instance_seeds": [0, 1], "rounding_seeds": [0, 1, 2]}],
-         "alpha_mode": "oracle", "a": 1.05}
+         "alpha_mode": "oracle"}
 
-    Every run's configuration is built before the first run, so a malformed
-    config raises ``ValueError`` and runs nothing.
+    ``alpha_value`` goes with ``"alpha_mode": "fixed"`` only. Every run's
+    configuration is built before the first run, so a malformed config, a
+    key the sweep does not read among them, raises ``ValueError`` and runs
+    nothing.
     """
     try:
         config, plan = _sweep_plan(config_doc)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .instances import Instance
 
-GROWTH_BASE_DEFAULT = 1.05
-GROWTH_BASE_WINDOW = (1.0, 13.0 / 12.0)  # open interval for the load penalty base
+# Base a of the load penalty c*a^(load-1); the analysis needs 1 < a < 13/12.
+GROWTH_BASE = 1.05
 COVERAGE_TOL = 1e-9
 STEP_CAP = 10**7  # steps one job may take before StepCapError
 
@@ -75,12 +75,6 @@ class JobFraction:
     eligible: tuple[bool, ...]
 
 
-def check_growth_base(a: float) -> None:
-    lo, hi = GROWTH_BASE_WINDOW
-    if not lo < a < hi:
-        raise ValueError(f"a must lie strictly inside ({lo}, {hi:.6f})")
-
-
 def effective_capacity(x_before: float, delta_x: float, p_ij: float) -> float:
     """Assignment capacity unlocked by raising x from x_before by delta_x.
 
@@ -99,18 +93,11 @@ def effective_capacity(x_before: float, delta_x: float, p_ij: float) -> float:
 class FractionalState:
     """Mutable state of one covering phase; confined to a single run."""
 
-    def __init__(
-        self,
-        instance: Instance,
-        alpha: float,
-        a: float = GROWTH_BASE_DEFAULT,
-    ) -> None:
+    def __init__(self, instance: Instance, alpha: float) -> None:
         if alpha <= 0:
             raise ValueError("alpha must be > 0")
-        check_growth_base(a)
         self.m = instance.m
         self.n = instance.n
-        self.a = a
         self.alpha = alpha
         self.p = instance.scaled_ptimes()
 
@@ -161,7 +148,7 @@ class FractionalState:
     def _phi_i(self, i: int) -> float:
         c = self.scaled_costs[i]
         if self.x[i] == 1.0:
-            return c * self.a ** (self.load[i] - 1.0)
+            return c * GROWTH_BASE ** (self.load[i] - 1.0)
         return c * self.x[i]
 
     def potential(self) -> float:
@@ -176,7 +163,7 @@ class FractionalState:
         c = self.scaled_costs[i]
         p_ij = self.p[j][i]
         if self.x[i] == 1.0:
-            return c * self.a ** (self.load[i] - 1.0) * p_ij
+            return c * GROWTH_BASE ** (self.load[i] - 1.0) * p_ij
         return c * p_ij
 
     def usable_machines(self, j: int) -> list[int]:
@@ -188,7 +175,7 @@ class FractionalState:
         """Rank job j's usable machines from scratch: (virtual cost, id) pairs
         ascending, the order of a stable sort by virtual cost over ascending
         ids. The keys are ``virtual_cost``'s expression, written out."""
-        x, load, costs, a, prow = self.x, self.load, self.scaled_costs, self.a, self.p[j]
+        x, load, costs, a, prow = self.x, self.load, self.scaled_costs, GROWTH_BASE, self.p[j]
         self._ranked = sorted(
             (costs[i] * a ** (load[i] - 1.0) * prow[i] if x[i] == 1.0 else costs[i] * prow[i], i)
             for i in self.usable_machines(j)
@@ -229,7 +216,7 @@ class FractionalState:
         phi_i = c*x of a partially active machine by exactly 0.0, so only a
         fully active one recomputes c*a^(load-1)."""
         prefix, pivot = self.order_and_split(j)
-        x, load, costs, inv_cn, a = self.x, self.load, self.scaled_costs, self._inv_cn, self.a
+        x, load, costs, inv_cn, a = self.x, self.load, self.scaled_costs, self._inv_cn, GROWTH_BASE
         yrow, prow = self.y[j], self.p[j]
         cov = self.coverage[j]
         type_b = pivot is not None and x[pivot] == 1.0

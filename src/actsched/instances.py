@@ -25,6 +25,7 @@ SCHEMA_VERSION = 1
 INFEASIBLE_FACTOR = 1.0e6
 
 PTIME_MODELS = ("uniform", "restricted_assignment", "power_law")
+COST_RANGE = (1.0, 10.0)  # generated startup costs are drawn uniformly from [low, high)
 
 
 class InstanceFormatError(ValueError):
@@ -39,8 +40,8 @@ class Machine:
     startup_cost: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.startup_cost < math.inf:
-            raise ValueError(f"machine {self.id}: startup_cost must be finite and > 0")
+        if isinstance(self.startup_cost, bool) or not 0 < self.startup_cost < math.inf:
+            raise ValueError(f"machine {self.id}: startup_cost must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class Job:
     processing_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not all(0 < p < math.inf for p in self.processing_times):
-            raise ValueError(f"job {self.id}: processing times must be finite and > 0")
+        if not all(not isinstance(p, bool) and 0 < p < math.inf for p in self.processing_times):
+            raise ValueError(f"job {self.id}: processing times must be finite numbers > 0")
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,11 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.machines:
             raise ValueError("instance needs at least one machine")
-        if not 0 < self.makespan_budget < math.inf:
-            raise ValueError("makespan_budget must be finite and > 0")
-        if [mc.id for mc in self.machines] != list(range(len(self.machines))):
-            raise ValueError("machine ids must be 0..m-1 in order")
-        if [job.id for job in self.jobs] != list(range(len(self.jobs))):
-            raise ValueError("job ids must be 0..n-1 in order")
+        if isinstance(self.makespan_budget, bool) or not 0 < self.makespan_budget < math.inf:
+            raise ValueError("makespan_budget must be a finite number > 0")
+        for items, ids in ((self.machines, "machine ids"), (self.jobs, "job ids")):
+            if any(isinstance(x.id, bool) or x.id != k for k, x in enumerate(items)):
+                raise ValueError(f"{ids} must be 0..{len(items) - 1} in order")
         m = len(self.machines)
         for job in self.jobs:
             if len(job.processing_times) != m:
@@ -105,11 +105,11 @@ class GeneratorConfig:
     m: int
     n: int
     seed: int
-    cost_range: tuple[float, float] = (1.0, 10.0)
     ptime_model: str = "uniform"
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, int) for v in (self.m, self.n, self.seed)):
+        values = (self.m, self.n, self.seed)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
             raise ValueError(
                 f"m, n and seed must be ints, got {self.m!r}, {self.n!r}, {self.seed!r}"
             )
@@ -117,9 +117,6 @@ class GeneratorConfig:
             raise ValueError("m and n must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        lo, hi = self.cost_range
-        if not (0 < lo <= hi):
-            raise ValueError("cost_range must satisfy 0 < low <= high")
         if self.ptime_model not in PTIME_MODELS:
             raise ValueError(f"unknown ptime_model {self.ptime_model!r}")
 
@@ -135,7 +132,7 @@ def generate(config: GeneratorConfig) -> Instance:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     m, n = config.m, config.n
     budget = 1.0
-    lo, hi = config.cost_range
+    lo, hi = COST_RANGE
 
     costs = rng.uniform(lo, hi, size=m)
     planted = rng.integers(0, m, size=n)

@@ -37,8 +37,9 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="module")
 def feasibility_suite():
-    """100 seeded runs, m in [2,10], n in [5,50], a=1.05, alpha from the
-    oracle where the exhaustive guard permits, else the total machine cost."""
+    """100 seeded runs, m in [2,10], n in [5,50], all audits on, alpha from
+    the oracle where the exhaustive guard permits, else the total machine
+    cost."""
     runs = []
     t0 = time.perf_counter()
     for s in range(100):
@@ -46,13 +47,10 @@ def feasibility_suite():
         n = 5 + (7 * s) % 46
         model = PTIME_MODELS[s % 3]
         inst = generate(GeneratorConfig(m=m, n=n, seed=s, ptime_model=model))
-        checks = ("feasibility", "potential", "consistency")
         if m**n <= EXHAUSTIVE_GUARD:
-            cfg = RunConfig(alpha_mode="oracle", seed=s, a=1.05, checks=checks)
+            cfg = RunConfig(alpha_mode="oracle", seed=s)
         else:
-            cfg = RunConfig(
-                alpha_mode="fixed", alpha_value=sum(inst.costs()), seed=s, a=1.05, checks=checks
-            )
+            cfg = RunConfig(alpha_mode="fixed", alpha_value=sum(inst.costs()), seed=s)
         runs.append((s, m, n, model, run_pipeline(inst, cfg)))
     elapsed = time.perf_counter() - t0
     return {"elapsed": elapsed, "runs": runs}
@@ -67,7 +65,7 @@ def rounding_sweep():
         model = PTIME_MODELS[s % 3]
         inst = generate(GeneratorConfig(m=m, n=n, seed=2000 + s, ptime_model=model))
         B = oracle_solve(inst).optimal_cost
-        fs = FractionalState(inst, B, a=1.05)
+        fs = FractionalState(inst, B)
         records = []
         for j in range(n):
             fs.process_job(j)
@@ -115,7 +113,7 @@ def test_criterion_2_potential_bound(feasibility_suite):
         # The potential right after pre-processing is at most m (each kept
         # machine starts at phi_i <= 1); no log keeps it, so it is
         # recomputed here.
-        start = FractionalState(art.instance, art.alpha, a=art.config.a).phi
+        start = FractionalState(art.instance, art.alpha).phi
         if start > m + 1e-9:
             total += 1
             samples.append(f"seed {s} (m={m}, n={n}, {model}): starting potential {start!r} > m")
@@ -155,7 +153,7 @@ def test_criterion_3_fractional_bounds():
         model = PTIME_MODELS[s % 3]
         inst = generate(GeneratorConfig(m=m, n=n, seed=1000 + s, ptime_model=model))
         B = oracle_solve(inst).optimal_cost
-        fs = FractionalState(inst, B, a=1.05)
+        fs = FractionalState(inst, B)
         for j in range(n):
             fs.process_job(j)
         denom = m * (1.0 + math.log(m))

@@ -370,8 +370,15 @@ def test_run_bad_alpha_exit_two(tmp_path):
                  "--logdir", str(tmp_path / "x")]) == 2
 
 
-def _set_cost(doc):
-    doc["machines"][0]["cost"] = "abc"
+def _set_cost(value):
+    def mutate(doc):
+        doc["machines"][0]["cost"] = value
+
+    return mutate
+
+
+def _set_budget_true(doc):
+    doc["L"] = True
 
 
 def _set_p(value):
@@ -397,7 +404,10 @@ def _sweep_doc(second=None, **changes):
 
 
 @pytest.mark.parametrize("command,mutate,extra", [
-    ("run", _set_cost, ["--alpha", "oracle"]),
+    ("run", _set_cost("abc"), ["--alpha", "oracle"]),
+    ("run", _set_cost(True), ["--alpha", "oracle"]),
+    ("run", _set_budget_true, ["--alpha", "oracle"]),
+    ("run", _set_p([True] * 3), ["--alpha", "oracle"]),
     ("run", _set_p(None), ["--alpha", "oracle"]),
     ("run", _set_p([float("nan")] * 3), ["--alpha", "oracle"]),
     ("run", _set_job_ids, ["--alpha", "oracle"]),
@@ -408,18 +418,26 @@ def _sweep_doc(second=None, **changes):
     ("sweep", [1, 2], []),
     ("sweep", _sweep_doc(instance_seeds=5), []),
     ("sweep", _sweep_doc(m="3"), []),
+    ("sweep", _sweep_doc(m=True), []),
     ("sweep", {**_sweep_doc(), "a": "x"}, []),
+    ("sweep", {**_sweep_doc(), "a": 1.05}, []),
+    ("sweep", {**_sweep_doc(), "C": 50.0}, []),
+    ("sweep", _sweep_doc(cost_range=[1.0, 10.0]), []),
+    ("sweep", _sweep_doc(instance_seed=[1]), []),
     ("sweep", _sweep_doc(instance_seeds=["a"]), []),
     ("sweep", _sweep_doc(rounding_seeds=["a"]), []),
     ("sweep", _sweep_doc(rounding_seeds=[1.5]), []),
+    ("sweep", _sweep_doc(rounding_seeds=[True]), []),
     ("sweep", _sweep_doc(instance_seeds=[]), []),
     ("sweep", _sweep_doc(rounding_seeds=[]), []),
     ("sweep", {**_sweep_doc(), "alpha_mode": "oracle", "alpha_value": 5}, []),
     ("sweep", {**_sweep_doc(), "alpha_mode": "double", "alpha_value": 5}, []),
     ("sweep", _sweep_doc(second={"m": 2.5}), []),
-], ids=["cost-str", "p-null", "p-nan", "job-ids", "alpha-nan", "alpha-inf",
-        "node-budget-0", "node-budget-neg", "sweep-not-object", "seeds-not-list", "m-str", "a-str", "instance-seed-str",
-        "rounding-seed-str", "rounding-seed-float", "instance-seeds-empty", "rounding-seeds-empty",
+], ids=["cost-str", "cost-true", "L-true", "p-true", "p-null", "p-nan", "job-ids", "alpha-nan",
+        "alpha-inf", "node-budget-0", "node-budget-neg", "sweep-not-object", "seeds-not-list", "m-str",
+        "m-true", "a-str", "a-key", "C-key", "cell-cost-range", "misspelt-cell-key",
+        "instance-seed-str", "rounding-seed-str", "rounding-seed-float", "rounding-seed-true",
+        "instance-seeds-empty", "rounding-seeds-empty",
         "oracle-alpha-value", "double-alpha-value", "bad-second-cell"])
 def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, command, mutate, extra):
     if command == "sweep":
@@ -443,6 +461,33 @@ def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, command, mutat
     assert err.startswith("error: ") and "Traceback" not in err
     assert "p_ij <= L" not in err and "a must be a positive integer" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_removed_options_exit_two(tmp_path, capsys):
+    # The growth base and the cost range are constants, not options, and no
+    # option is matched by a prefix: --a is not read as --alpha.
+    out = tmp_path / "g.json"
+    path = gen_file(tmp_path)
+    logdir = tmp_path / "x"
+    for args in (
+        ["gen", "--m", "2", "--n", "3", "--cost-low", "1", "--out", str(out)],
+        ["gen", "--m", "2", "--n", "3", "--cost-high", "10", "--out", str(out)],
+        ["run", "--in", str(path), "--a", "1.05", "--logdir", str(logdir)],
+        ["run", "--in", str(path), "--alp", "oracle", "--logdir", str(logdir)],
+    ):
+        capsys.readouterr()
+        assert main(args) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists() and not logdir.exists()
+
+
+def test_checks_are_all_families_or_none():
+    assert experiment.RunConfig(checks=()).checks == ()
+    assert experiment.RunConfig().checks == experiment.CHECK_FAMILIES
+    with pytest.raises(ValueError, match="all families"):
+        experiment.RunConfig(checks=("feasibility", "potential", "consistency"))
+    with pytest.raises(ValueError):
+        experiment.RunConfig(checks=("rounding",))
 
 
 def test_verify_clean_logs(tmp_path):

@@ -9,6 +9,7 @@ from actsched import fractional
 from actsched.experiment import oracle_solve
 from actsched.fractional import (
     COVERAGE_TOL,
+    GROWTH_BASE,
     GuessTooSmallError,
     StepCapError,
     TYPE_A,
@@ -78,10 +79,6 @@ def test_parameter_validation():
     inst = make_instance([1.0], [[0.5]])
     with pytest.raises(ValueError):
         FractionalState(inst, alpha=0.0)
-    with pytest.raises(ValueError):
-        FractionalState(inst, alpha=1.0, a=1.0)
-    with pytest.raises(ValueError):
-        FractionalState(inst, alpha=1.0, a=13.0 / 12.0)
 
 
 # -- virtual cost ---------------------------------------------------------------
@@ -93,10 +90,9 @@ def test_virtual_cost_partially_active():
     assert fs.virtual_cost(2, 0) == pytest.approx(1.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("a", [1.01, 1.05, 1.08])
-def test_virtual_cost_fully_active_unit_load(a):
+def test_virtual_cost_fully_active_unit_load():
     inst = make_instance([2.0, 2.0], [[0.5, 0.9]])
-    fs = FractionalState(inst, alpha=2.0, a=a)
+    fs = FractionalState(inst, alpha=2.0)
     fs.x[0] = 1.0
     fs.load[0] = 1.0
     assert fs.virtual_cost(0, 0) == pytest.approx(1.0, rel=1e-12)
@@ -104,7 +100,7 @@ def test_virtual_cost_fully_active_unit_load(a):
 
 def test_virtual_cost_fully_active_load_two():
     inst = make_instance([1.0], [[1.0]])
-    fs = FractionalState(inst, alpha=1.0, a=1.05)
+    fs = FractionalState(inst, alpha=1.0)
     fs.load[0] = 2.0
     assert fs.virtual_cost(0, 0) == pytest.approx(1.05, rel=1e-12)
 
@@ -244,10 +240,10 @@ def test_effective_capacity_properties(x, dx, p):
 def test_type_b_grant_size():
     # Single machine, fully active, virtual cost 2, 10 declared jobs:
     # the pivot grant is 6 / (2 * 10) = 0.3 before clamping.
-    a = 1.05
+    a = GROWTH_BASE
     rows = [[1.0] for _ in range(10)]
     inst = make_instance([1.0], rows)
-    fs = FractionalState(inst, alpha=1.0, a=a)
+    fs = FractionalState(inst, alpha=1.0)
     fs.load[0] = 1.0 + math.log(2.0) / math.log(a)  # eta = 1 * a^(load-1) * 1 = 2
     fs.y[0] = [0.0]
     fs.coverage[0] = 0.0
@@ -329,7 +325,7 @@ class PerMachineState(FractionalState):
     def _phi_i(self, i: int) -> float:
         c = self.scaled_costs[i]
         if self.x[i] == 1.0:
-            return c * self.a ** (self.load[i] - 1.0)
+            return c * GROWTH_BASE ** (self.load[i] - 1.0)
         return c * self.x[i]
 
     def virtual_cost(self, i: int, j: int) -> float:
@@ -338,7 +334,7 @@ class PerMachineState(FractionalState):
         c = self.scaled_costs[i]
         p_ij = self.p[j][i]
         if self.x[i] == 1.0:
-            return c * self.a ** (self.load[i] - 1.0) * p_ij
+            return c * GROWTH_BASE ** (self.load[i] - 1.0) * p_ij
         return c * p_ij
 
     def _rank(self, j: int) -> list[tuple[float, int]]:
@@ -498,8 +494,8 @@ def test_one_pass_step_matches_the_reference_across_crossings():
 # -- per-job feasibility and bookkeeping over seeded sweeps ---------------------------
 
 
-def run_all(inst, alpha, a=1.05):
-    fs = FractionalState(inst, alpha, a=a)
+def run_all(inst, alpha):
+    fs = FractionalState(inst, alpha)
     for j in range(inst.n):
         fs.process_job(j)
     return fs
@@ -585,7 +581,7 @@ def test_engine_is_deterministic():
 
 def test_every_step_makes_progress():
     for inst, alpha in sweep_instances(12):
-        fs = FractionalState(inst, alpha, a=1.05)
+        fs = FractionalState(inst, alpha)
         steps = record_steps(fs)
         for j in range(inst.n):
             fs.process_job(j)
@@ -689,4 +685,4 @@ def test_job_fraction_snapshot():
     assert frac.y == tuple(fs.y[2])
     assert frac.eligible == tuple(not d for d in fs.discarded)
     with pytest.raises(ValueError):
-        run_all(inst, sum(inst.costs()), a=1.05).job_fraction(99)
+        run_all(inst, sum(inst.costs())).job_fraction(99)

@@ -108,7 +108,15 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         Machine(0, 0.0)
     with pytest.raises(ValueError):
+        Machine(0, True)
+    with pytest.raises(ValueError):
         Job(0, (1.0, -1.0))
+    with pytest.raises(ValueError):
+        Job(0, (1.0, True))
+    with pytest.raises(ValueError):
+        Instance(machines=(Machine(0, 1.0),), jobs=(), makespan_budget=True)
+    with pytest.raises(ValueError, match="machine ids"):
+        Instance(machines=(Machine(0, 1.0), Machine(True, 1.0)), jobs=(), makespan_budget=1.0)
     with pytest.raises(ValueError):
         Instance(machines=(Machine(0, 1.0),), jobs=(Job(0, (1.0, 1.0)),), makespan_budget=1.0)
     with pytest.raises(ValueError):
@@ -119,7 +127,7 @@ def test_generator_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(m=0, n=1, seed=0)
     with pytest.raises(ValueError):
-        GeneratorConfig(m=1, n=1, seed=0, cost_range=(2.0, 1.0))
+        GeneratorConfig(m=True, n=1, seed=0)
     with pytest.raises(ValueError):
         GeneratorConfig(m=1, n=1, seed=0, ptime_model="gaussian")
 
@@ -129,12 +137,8 @@ def test_generator_config_validation():
     m=st.integers(1, 6),
     n=st.integers(1, 12),
     seed=st.integers(0, 2**32),
-    lo=st.floats(0.1, 5.0),
-    spread=st.floats(0.0, 10.0),
 )
-def test_costs_respect_range(m, n, seed, lo, spread):
-    inst = generate(
-        GeneratorConfig(m=m, n=n, seed=seed, cost_range=(lo, lo + spread))
-    )
+def test_costs_respect_range(m, n, seed):
+    inst = generate(GeneratorConfig(m=m, n=n, seed=seed))
     for mc in inst.machines:
-        assert lo <= mc.startup_cost <= lo + spread
+        assert 1.0 <= mc.startup_cost <= 10.0
