@@ -13,7 +13,7 @@ self-contained log directory: the instance, a metadata document, per-step and
 per-job CSV logs, and a one-row report.
 
 Each invariant is written once, over the records a run leaves behind
-(``PhaseTrace``, ``JobFraction``, the steps and the integer schedule): the run
+(``PhaseTrace``, the steps, the kept jobs and the integer schedule): the run
 calls these checks on its finished records, and ``verify`` loads the same
 records back from the log files alone and calls the same functions.
 """
@@ -187,27 +187,44 @@ def audit_steps(steps: Iterable[tuple[object, object, float]], n: int) -> list[s
     return [f"job {job}, step {idx}: delta_phi {d!r} > 2/n" for job, idx, d in steps if d > cap]
 
 
+def audit_fractional(
+    phases: list[PhaseTrace],
+    steps: Iterable[tuple[object, object, float]],
+    p: list[tuple[float, ...]],
+    n: int,
+) -> list[tuple[str, list[str]]]:
+    """The fractional audits as (family, messages) pairs in report order:
+    per phase, feasibility then consistency, then the potential bound over
+    all steps."""
+    problems = []
+    for trace in phases:
+        problems.append(("feasibility", audit_phase(trace)))
+        problems.append(("consistency", audit_consistency(trace, p)))
+    problems.append(("potential", audit_steps(steps, n)))
+    return problems
+
+
 def audit_rounding(
     assignment: dict[int, int],
     active: list[bool],
     int_load: list[float],
-    records: list[JobFraction],
+    kept: Iterable[tuple[int, tuple[float, ...], tuple[bool, ...]]],
 ) -> list[str]:
-    """The integer schedule against the kept jobs' records: every job assigned
-    to an active machine its phase kept, and the integer loads recomputed."""
+    """The integer schedule against the kept jobs, given as (job, p row in
+    units of L, eligible): every job assigned to an active machine its phase
+    kept, and the integer loads recomputed."""
     out = []
     loads = [0.0] * len(active)
-    for frac in records:
-        j = frac.job
+    for j, prow, eligible in kept:
         if j not in assignment:
             out.append(f"job {j}: never assigned")
             continue
         i = assignment[j]
         if not active[i]:
             out.append(f"job {j}: assigned to inactive machine {i}")
-        if not frac.eligible[i]:
+        if not eligible[i]:
             out.append(f"job {j}: assigned to ineligible machine {i}")
-        loads[i] += frac.p_scaled[i]
+        loads[i] += prow[i]
     for i, load in enumerate(int_load):
         if abs(loads[i] - load) > TOL:
             out.append(f"machine {i}: integer load {load!r} vs recomputed {loads[i]!r}")
@@ -298,17 +315,12 @@ def run_fractional(
     guess = float(config.alpha_value) if config.alpha_mode == "fixed" else B
     result = run_with_doubling(instance, initial_guess=guess, double=config.alpha_mode == "double")
 
-    problems: list[tuple[str, list[str]]] = []
-    if config.checks:
-        p = instance.scaled_ptimes()
-        for trace in result.phases:
-            problems.append(("feasibility", audit_phase(trace)))
-            problems.append(("consistency", audit_consistency(trace, p)))
-        steps = (
-            (job, idx, o.delta_potential) for t in result.phases for job, idx, o in t.step_entries
-        )
-        problems.append(("potential", audit_steps(steps, instance.n)))
-    return B, result, problems
+    if not config.checks:
+        return B, result, []
+    steps = (
+        (job, idx, o.delta_potential) for t in result.phases for job, idx, o in t.step_entries
+    )
+    return B, result, audit_fractional(result.phases, steps, instance.scaled_ptimes(), instance.n)
 
 
 def round_run(
@@ -327,10 +339,9 @@ def round_run(
     for family, messages in problems:
         violations.extend(family, messages)
     if config.checks:
-        violations.extend(
-            "rounding",
-            audit_rounding(rounding.assignment, rounding.active, rounding.int_load, result.records),
-        )
+        kept = ((f.job, f.p_scaled, f.eligible) for f in result.records)
+        found = audit_rounding(rounding.assignment, rounding.active, rounding.int_load, kept)
+        violations.extend("rounding", found)
     return RunArtifacts(
         instance=instance,
         config=config,
@@ -350,13 +361,6 @@ def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
 
 
 # -- log output ------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    """A value as ``csv`` writes it: None as "", everything else as str()."""
-    if value is None:
-        return ""
-    return str(value)
 
 
 def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
@@ -421,23 +425,15 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
     meta = {
         "config": asdict(artifacts.config),
         "alpha": artifacts.alpha,
-        "B": artifacts.B,
-        "m": artifacts.instance.m,
-        "n": artifacts.instance.n,
-        "L": artifacts.instance.makespan_budget,
         "phases": [
             {k: v for k, v in vars(p).items() if k not in PHASE_FIELDS_NOT_IN_META}
             for p in artifacts.phases
         ],
         "rounding": {
-            "seed": artifacts.rounding.seed,
             "thresholds": artifacts.rounding.r,
             "active": artifacts.rounding.active,
             "int_load": artifacts.rounding.int_load,
-            "int_cost": artifacts.rounding.int_cost,
-            "fallback_count": artifacts.rounding.fallback_count,
             "deficit_jobs": artifacts.rounding.deficit_jobs,
-            "assignment": {str(j): i for j, i in sorted(artifacts.rounding.assignment.items())},
         },
         "violations": {
             "counts": artifacts.violations.counts,
@@ -452,7 +448,15 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
 # -- log verification --------------------------------------------------------------
 
 
-def _load_phases(meta: dict, y_path: Path, m: int) -> list[PhaseTrace]:
+def _id(value: str, size: int, what: str) -> int:
+    """A job or machine id column, which must lie in 0..size-1."""
+    k = int(value)
+    if not 0 <= k < size:
+        raise ValueError(f"{what} id {k} outside 0..{size - 1}")
+    return k
+
+
+def _load_phases(meta: dict, y_path: Path, m: int, n: int) -> list[PhaseTrace]:
     """The phases of ``meta.json`` with their covered y rows from ``y.csv``;
     the steps, which no phase check reads, stay out."""
     ys: dict[int, dict[int, list[float]]] = {}
@@ -460,8 +464,11 @@ def _load_phases(meta: dict, y_path: Path, m: int) -> list[PhaseTrace]:
         rows = csv.reader(fh)
         next(rows)
         for ph, job, mach, y in rows:
-            row = ys.setdefault(int(ph), {}).setdefault(int(job), [0.0] * m)
-            row[int(mach)] = float(y)
+            row = ys.setdefault(int(ph), {}).setdefault(_id(job, n, "y.csv job"), [0.0] * m)
+            row[_id(mach, m, "y.csv machine")] = float(y)
+    unknown = sorted(set(ys) - {pmeta["phase"] for pmeta in meta["phases"]})
+    if unknown:
+        raise ValueError(f"y.csv has rows of phase(s) {unknown} that meta.json lacks")
     return [
         PhaseTrace(
             **pmeta,
@@ -469,19 +476,6 @@ def _load_phases(meta: dict, y_path: Path, m: int) -> list[PhaseTrace]:
         )
         for pmeta in meta["phases"]
     ]
-
-
-def _kept_records(phases: list[PhaseTrace], p: list[tuple[float, ...]]) -> list[JobFraction]:
-    """The kept jobs' records as far as the logs hold them. Phases keep jobs
-    in stream order, ``jobs_processed`` each; a log keeps only the phase's
-    final x, which stands in for the x at the end of each job."""
-    records = []
-    for trace in phases:
-        eligible = tuple(not d for d in trace.discarded)
-        ys = dict(trace.covered_y)
-        for j in range(len(records), len(records) + trace.jobs_processed):
-            records.append(JobFraction(j, trace.x_final, ys[j], p[j], eligible))
-    return records
 
 
 def _step_rows(fh):
@@ -501,7 +495,8 @@ def verify_logdir(logdir: str | Path) -> list[str]:
     running sum, the ``int_makespan`` and ``p_ij`` columns, and the report
     row against ``meta.json``) are checked here. Raises InstanceFormatError
     when the directory or a log file is missing (invalid input); content
-    problems come back as violation messages.
+    problems, a job or machine id outside the instance among them, come back
+    as violation messages.
     """
     logdir = Path(logdir)
     expected = ("instance.json", "meta.json", "y.csv", "steps.csv", "assignments.csv", "report.csv")
@@ -519,21 +514,20 @@ def _verify_logs(logdir: Path) -> list[str]:
     meta = json.loads((logdir / "meta.json").read_text(encoding="utf-8"))
     budget = instance.makespan_budget
     p = instance.scaled_ptimes()
-    phases = _load_phases(meta, logdir / "y.csv", instance.m)
+    phases = _load_phases(meta, logdir / "y.csv", instance.m, instance.n)
     rmeta = meta["rounding"]
 
-    problems = []
-    for trace in phases:
-        problems += audit_phase(trace) + audit_consistency(trace, p)
     with open(logdir / "steps.csv", newline="", encoding="utf-8") as fh:
-        problems += audit_steps(_step_rows(fh), instance.n)
+        audits = audit_fractional(phases, _step_rows(fh), p, instance.n)
+    problems = [msg for _, messages in audits for msg in messages]
 
     assignment: dict[int, int] = {}
     int_load = [0.0] * instance.m
     cum = 0.0
     with open(logdir / "assignments.csv", newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            j, i = int(row["job"]), int(row["machine"])
+            j = _id(row["job"], instance.n, "assignments.csv job")
+            i = _id(row["machine"], instance.m, "assignments.csv machine")
             assignment[j] = i
             int_load[i] += p[j][i]
             if abs(float(row["p_ij"]) - p[j][i] * budget) > TOL:
@@ -543,11 +537,14 @@ def _verify_logs(logdir: Path) -> list[str]:
                 problems.append(f"job {j}: cum_cost {cum!r} breaks the running sum")
             if abs(float(row["int_makespan"]) - max(int_load) * budget) > TOL:
                 problems.append(f"job {j}: int_makespan column mismatch")
-    if assignment and abs(cum - rmeta["int_cost"]) > TOL:
+    if assignment and abs(cum - meta["report"]["int_cost"]) > TOL:
         problems.append("final cum_cost does not match reported int_cost")
-    problems += audit_rounding(
-        assignment, rmeta["active"], rmeta["int_load"], _kept_records(phases, p)
-    )
+    # Phases keep jobs in stream order, jobs_processed each.
+    kept = []
+    for trace in phases:
+        eligible = tuple(not d for d in trace.discarded)
+        kept += [(j, p[j], eligible) for j in range(len(kept), len(kept) + trace.jobs_processed)]
+    problems += audit_rounding(assignment, rmeta["active"], rmeta["int_load"], kept)
 
     with open(logdir / "report.csv", newline="", encoding="utf-8") as fh:
         report_rows = list(csv.DictReader(fh))
@@ -555,7 +552,8 @@ def _verify_logs(logdir: Path) -> list[str]:
         problems.append(f"report.csv has {len(report_rows)} rows (expected 1)")
     else:
         for col in REPORT_COLUMNS:
-            want = _fmt(meta["report"][col])
+            value = meta["report"][col]
+            want = "" if value is None else str(value)  # as csv writes it
             got = report_rows[0][col]
             if want != got:
                 problems.append(f"report column {col}: {got!r} != {want!r}")

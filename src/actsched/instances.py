@@ -187,13 +187,14 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict, where: str = "instance") -> Instance:
-    version = _require(doc, "version", where)
+    header = [_require(doc, key, where) for key in ("version", "m", "n")]
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in header):
+        raise InstanceFormatError(f"{where}: version, m and n must be integers, got {header}")
+    version, m, n = header
     if version != SCHEMA_VERSION:
         raise InstanceFormatError(
             f"{where}: unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
         )
-    m = _require(doc, "m", where)
-    n = _require(doc, "n", where)
     budget = _require(doc, "L", where)
     raw_machines = _require(doc, "machines", where)
     raw_jobs = _require(doc, "jobs", where)

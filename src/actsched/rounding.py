@@ -92,7 +92,6 @@ class RoundingState:
     """Integer-schedule state for one run; one instance per (run, seed)."""
 
     def __init__(self, instance: Instance, seed: int) -> None:
-        self.seed = seed
         self.m = instance.m
         self.n = instance.n
         self.budget = instance.makespan_budget

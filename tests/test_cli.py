@@ -393,6 +393,17 @@ def _set_job_ids(doc):
         job["id"] = 7
 
 
+def _header_true(key):
+    """One machine and one job, with header ``key`` set to true: True == 1,
+    so only the header's type check rejects the file."""
+
+    def mutate(doc):
+        doc.update(m=1, n=1, machines=doc["machines"][:1], jobs=[{"id": 0, "p": [0.5]}])
+        doc[key] = True
+
+    return mutate
+
+
 def _sweep_doc(second=None, **changes):
     """A sweep config whose one cell has ``changes``; ``second`` appends a
     second cell: the unchanged cell with ``second``'s changes."""
@@ -411,6 +422,9 @@ def _sweep_doc(second=None, **changes):
     ("run", _set_p(None), ["--alpha", "oracle"]),
     ("run", _set_p([float("nan")] * 3), ["--alpha", "oracle"]),
     ("run", _set_job_ids, ["--alpha", "oracle"]),
+    ("run", _header_true("version"), ["--alpha", "oracle"]),
+    ("run", _header_true("m"), ["--alpha", "oracle"]),
+    ("run", _header_true("n"), ["--alpha", "oracle"]),
     ("run", None, ["--alpha", "nan"]),
     ("run", None, ["--alpha", "inf"]),
     ("oracle", None, ["--node-budget", "0"]),
@@ -433,7 +447,8 @@ def _sweep_doc(second=None, **changes):
     ("sweep", {**_sweep_doc(), "alpha_mode": "oracle", "alpha_value": 5}, []),
     ("sweep", {**_sweep_doc(), "alpha_mode": "double", "alpha_value": 5}, []),
     ("sweep", _sweep_doc(second={"m": 2.5}), []),
-], ids=["cost-str", "cost-true", "L-true", "p-true", "p-null", "p-nan", "job-ids", "alpha-nan",
+], ids=["cost-str", "cost-true", "L-true", "p-true", "p-null", "p-nan", "job-ids",
+        "version-true", "header-m-true", "header-n-true", "alpha-nan",
         "alpha-inf", "node-budget-0", "node-budget-neg", "sweep-not-object", "seeds-not-list", "m-str",
         "m-true", "a-str", "a-key", "C-key", "cell-cost-range", "misspelt-cell-key",
         "instance-seed-str", "rounding-seed-str", "rounding-seed-float", "rounding-seed-true",
@@ -511,6 +526,103 @@ def test_verify_detects_tampering(tmp_path, target, mutate):
     victim = logdir / target
     lines = victim.read_text().splitlines()
     victim.write_text("\n".join(mutate(lines)) + "\n")
+    assert main(["verify", "--logdir", str(logdir)]) == 3
+
+
+REMOVED_META_KEYS = ("B", "m", "n", "L")
+REMOVED_ROUNDING_META_KEYS = ("seed", "int_cost", "fallback_count", "assignment")
+
+
+def _clean_run(tmp_path):
+    # Machine 2 takes five of the eight jobs; all four machines open, none is discarded.
+    path = gen_file(tmp_path, m=4, n=8, seed=1)
+    logdir = tmp_path / "logs"
+    assert main(["run", "--in", str(path), "--alpha", "oracle", "--seed", "1",
+                 "--logdir", str(logdir)]) == 0
+    return logdir
+
+
+def test_meta_json_copies_no_other_log_file(tmp_path):
+    meta = json.loads((_clean_run(tmp_path) / "meta.json").read_text())
+    assert not set(REMOVED_META_KEYS) & set(meta)
+    assert not set(REMOVED_ROUNDING_META_KEYS) & set(meta["rounding"])
+
+
+def _edit_rows(name, edit):
+    """A tamper of the CSV log ``name``: ``edit`` changes its data rows,
+    lists of strings, in place."""
+
+    def tamper(logdir):
+        path = logdir / name
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        edit(rows)
+        path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+
+    return tamper
+
+
+def _set_cell(row, col, value):
+    def edit(rows):
+        rows[row][col] = value
+
+    return edit
+
+
+def _machine_two_as_minus_two(col):
+    """Machine 2 written as 2 - m = -2 in every row: Python reads index -2
+    as machine 2."""
+
+    def edit(rows):
+        for row in rows:
+            if row[col] == "2":
+                row[col] = "-2"
+
+    return edit
+
+
+def _set_meta(*keys, value):
+    """A tamper of meta.json: the entry at ``keys`` set to ``value``."""
+
+    def tamper(logdir):
+        path = logdir / "meta.json"
+        meta = json.loads(path.read_text())
+        doc = meta
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+        path.write_text(json.dumps(meta, indent=2) + "\n")
+
+    return tamper
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_edit_rows("assignments.csv", _machine_two_as_minus_two(1)),
+     "cannot load logs: assignments.csv machine id -2 outside 0..3"),
+    (_edit_rows("y.csv", _machine_two_as_minus_two(2)),
+     "cannot load logs: y.csv machine id -2 outside 0..3"),
+    (_edit_rows("y.csv", _set_cell(-1, 1, "-1")), "cannot load logs: y.csv job id -1 outside 0..7"),
+    (_edit_rows("y.csv", lambda rows: rows.append(["7", "0", "0", "0.5"])),
+     "cannot load logs: y.csv has rows of phase(s) [7] that meta.json lacks"),
+    (_edit_rows("assignments.csv", list.pop), "job 7: never assigned"),
+    (_set_meta("rounding", "active", 1, value=False), "job 3: assigned to inactive machine 1"),
+    (_set_meta("phases", 0, "discarded", 1, value=True), "job 3: assigned to ineligible machine 1"),
+    (_set_meta("rounding", "int_load", 3, value=1.0),
+     "machine 3: integer load 1.0 vs recomputed 0.0"),
+    (_edit_rows("assignments.csv", _set_cell(0, 2, "0.5")),
+     "job 0: p_ij column 0.5 does not match the instance"),
+    (_edit_rows("assignments.csv", _set_cell(1, 3, "1.0")),
+     "job 1: cum_cost 26.995849427947626 breaks the running sum"),
+    (_edit_rows("assignments.csv", _set_cell(0, 5, "9.0")), "job 0: int_makespan column mismatch"),
+    (_set_meta("report", "int_cost", value=1.0), "final cum_cost does not match reported int_cost"),
+    (_edit_rows("report.csv", _set_cell(0, 10, "3")), "report column fallback_count: '3' != '0'"),
+], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "y-unknown-phase",
+        "never-assigned", "inactive-machine", "ineligible-machine", "integer-load", "p_ij-column",
+        "running-sum", "int_makespan-column", "final-cum-cost", "report-column"])
+def test_verify_reports_tampered_ids_and_rounding_logs(tmp_path, tamper, message):
+    logdir = _clean_run(tmp_path)
+    assert verify_logdir(logdir) == []
+    tamper(logdir)
+    assert message in verify_logdir(logdir)
     assert main(["verify", "--logdir", str(logdir)]) == 3
 
 
