@@ -180,10 +180,8 @@ def audit_consistency(trace: PhaseTrace, p: list[tuple[float, ...]]) -> list[str
 
 def audit_steps(steps: Iterable[tuple[object, object, float]], n: int) -> list[str]:
     """Steps, given as (job, step_idx, delta_phi), whose potential increase
-    exceeds 2/n."""
-    if n == 0:
-        return []
-    cap = 2.0 / n + TOL
+    exceeds 2/n. Consumes all of ``steps``, also when n = 0."""
+    cap = 2.0 / n + TOL if n else math.inf
     return [f"job {job}, step {idx}: delta_phi {d!r} > 2/n" for job, idx, d in steps if d > cap]
 
 
@@ -478,12 +476,15 @@ def _load_phases(meta: dict, y_path: Path, m: int, n: int) -> list[PhaseTrace]:
     ]
 
 
-def _step_rows(fh):
-    """(job, step_idx, delta_phi) of each steps.csv row; other columns stay unparsed."""
+def _step_rows(fh, jobs: set[str]):
+    """(job, step_idx, delta_phi) of each steps.csv row; the job and step_idx
+    stay labels, and each distinct job label is added to ``jobs`` for one
+    id check once the rows are read. The type column stays unparsed."""
     rows = csv.reader(fh)
     header = next(rows)
     job, idx, dphi = (header.index(col) for col in ("job", "step_idx", "delta_phi"))
     for row in rows:
+        jobs.add(row[job])
         yield row[job], row[idx], float(row[dphi])
 
 
@@ -517,8 +518,11 @@ def _verify_logs(logdir: Path) -> list[str]:
     phases = _load_phases(meta, logdir / "y.csv", instance.m, instance.n)
     rmeta = meta["rounding"]
 
+    step_jobs: set[str] = set()
     with open(logdir / "steps.csv", newline="", encoding="utf-8") as fh:
-        audits = audit_fractional(phases, _step_rows(fh), p, instance.n)
+        audits = audit_fractional(phases, _step_rows(fh, step_jobs), p, instance.n)
+    for label in sorted(step_jobs):  # sorted: the first bad id reported is fixed
+        _id(label, instance.n, "steps.csv job")
     problems = [msg for _, messages in audits for msg in messages]
 
     assignment: dict[int, int] = {}

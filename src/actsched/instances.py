@@ -52,7 +52,13 @@ class Job:
     processing_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not all(not isinstance(p, bool) and 0 < p < math.inf for p in self.processing_times):
+        ps = self.processing_times
+        # A row of positive finite floats passes in builtins alone. The sum
+        # is NaN or inf if any entry is (min and max can skip a NaN); every
+        # other row takes the per-element check and its exception.
+        if {*map(type, ps)} == {float} and min(ps) > 0 and sum(ps) < math.inf:
+            return
+        if not all(not isinstance(p, bool) and 0 < p < math.inf for p in ps):
             raise ValueError(f"job {self.id}: processing times must be finite numbers > 0")
 
 
@@ -158,10 +164,8 @@ def generate(config: GeneratorConfig) -> Instance:
         share = budget / counts[h]
         ptimes[j, h] = rng.uniform(0.3, 0.95) * share
 
-    machines = tuple(Machine(i, float(costs[i])) for i in range(m))
-    jobs = tuple(
-        Job(j, tuple(float(p) for p in ptimes[j])) for j in range(n)
-    )
+    machines = tuple(Machine(i, c) for i, c in enumerate(costs.tolist()))
+    jobs = tuple(Job(j, tuple(row)) for j, row in enumerate(ptimes.tolist()))
     return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
 
 
@@ -219,20 +223,30 @@ def instance_from_dict(doc: dict, where: str = "instance") -> Instance:
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
-    text = json.dumps(instance_to_dict(instance))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write the bytes ``load_instance`` read the instance from, as they
+    were; an instance built in memory (``generate``, ``instance_from_dict``,
+    ``dataclasses.replace``) has none and is encoded afresh."""
+    source = getattr(instance, "_source", None)
+    if source is None:
+        source = (json.dumps(instance_to_dict(instance)) + "\n").encode("utf-8")
+    Path(path).write_bytes(source)
 
 
 def load_instance(path: str | Path) -> Instance:
     path = Path(path)
     if not path.exists():
         raise InstanceFormatError(f"{path}: file not found")
+    source = path.read_bytes()
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(source.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
-    return instance_from_dict(doc, where=str(path))
+    instance = instance_from_dict(doc, where=str(path))
+    # Not a field: ==, hash, repr, asdict and replace ignore it, so a
+    # replaced instance is never written with its original's bytes.
+    object.__setattr__(instance, "_source", source)
+    return instance

@@ -10,7 +10,7 @@ import pytest
 from actsched import experiment
 from actsched.cli import main
 from actsched.experiment import verify_logdir
-from actsched.instances import GeneratorConfig, generate, load_instance
+from actsched.instances import GeneratorConfig, generate, load_instance, save_instance
 from actsched.oracle import optimal_exhaustive
 
 LOG_FILES = (
@@ -49,6 +49,7 @@ def test_gen_writes_loadable_instance(tmp_path):
     path = gen_file(tmp_path)
     inst = load_instance(path)
     assert inst.m == 3 and inst.n == 5
+    assert inst == generate(GeneratorConfig(m=3, n=5, seed=7))
 
 
 def test_gen_seed_defaults_to_zero(tmp_path):
@@ -120,6 +121,45 @@ def test_run_single_machine_cost_ratio_one(tmp_path, capsys):
     assert steps_header == "job,step_idx,type,delta_phi"
     for name in LOG_FILES:
         assert (logdir / name).exists()
+
+
+# Written by hand, as a user would: indented, integer costs and L, no final newline.
+HAND_WRITTEN_INSTANCE = {
+    "version": 1,
+    "m": 2,
+    "n": 3,
+    "L": 2,
+    "machines": [{"id": 0, "cost": 3}, {"id": 1, "cost": 5.5}],
+    "jobs": [
+        {"id": 0, "p": [1.0, 1.5]},
+        {"id": 1, "p": [0.75, 0.5]},
+        {"id": 2, "p": [3.0, 1.25]},
+    ],
+}
+
+
+@pytest.mark.parametrize("source", ["gen", "hand-written"])
+def test_run_logs_the_input_file_byte_for_byte(tmp_path, capsys, source):
+    if source == "gen":
+        path = gen_file(tmp_path, m=4, n=8, seed=1)
+    else:
+        path = tmp_path / "hand.json"
+        path.write_text(json.dumps(HAND_WRITTEN_INSTANCE, indent=2))
+    logdir = tmp_path / "logs"
+    assert main(["run", "--in", str(path), "--alpha", "oracle", "--seed", "0",
+                 "--logdir", str(logdir)]) == 0
+    assert (logdir / "instance.json").read_bytes() == path.read_bytes()
+    capsys.readouterr()
+    assert main(["verify", "--logdir", str(logdir)]) == 0
+    assert capsys.readouterr().out.startswith("ok")
+
+
+def test_replaced_instance_is_saved_with_its_own_values(tmp_path):
+    loaded = load_instance(gen_file(tmp_path))
+    changed = replace(loaded, makespan_budget=2.0)
+    save_instance(changed, tmp_path / "changed.json")
+    assert json.loads((tmp_path / "changed.json").read_text())["L"] == 2.0
+    assert load_instance(tmp_path / "changed.json") == changed
 
 
 def test_run_twice_byte_identical(tmp_path):
@@ -601,6 +641,8 @@ def _set_meta(*keys, value):
     (_edit_rows("y.csv", _machine_two_as_minus_two(2)),
      "cannot load logs: y.csv machine id -2 outside 0..3"),
     (_edit_rows("y.csv", _set_cell(-1, 1, "-1")), "cannot load logs: y.csv job id -1 outside 0..7"),
+    (_edit_rows("steps.csv", _set_cell(0, 0, "99")),
+     "cannot load logs: steps.csv job id 99 outside 0..7"),
     (_edit_rows("y.csv", lambda rows: rows.append(["7", "0", "0", "0.5"])),
      "cannot load logs: y.csv has rows of phase(s) [7] that meta.json lacks"),
     (_edit_rows("assignments.csv", list.pop), "job 7: never assigned"),
@@ -615,7 +657,8 @@ def _set_meta(*keys, value):
     (_edit_rows("assignments.csv", _set_cell(0, 5, "9.0")), "job 0: int_makespan column mismatch"),
     (_set_meta("report", "int_cost", value=1.0), "final cum_cost does not match reported int_cost"),
     (_edit_rows("report.csv", _set_cell(0, 10, "3")), "report column fallback_count: '3' != '0'"),
-], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "y-unknown-phase",
+], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "steps-job-99",
+        "y-unknown-phase",
         "never-assigned", "inactive-machine", "ineligible-machine", "integer-load", "p_ij-column",
         "running-sum", "int_makespan-column", "final-cum-cost", "report-column"])
 def test_verify_reports_tampered_ids_and_rounding_logs(tmp_path, tamper, message):

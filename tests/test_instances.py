@@ -1,7 +1,9 @@
+import hashlib
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actsched.instances import (
@@ -121,6 +123,46 @@ def test_instance_validation():
         Instance(machines=(Machine(0, 1.0),), jobs=(Job(0, (1.0, 1.0)),), makespan_budget=1.0)
     with pytest.raises(ValueError):
         Instance(machines=(Machine(1, 1.0),), jobs=(), makespan_budget=1.0)
+
+
+def _per_element_row_check(job_id, row):
+    """The check a Job made of every row before valid float rows passed in
+    builtins alone; the reference for which rows are rejected, and how."""
+    if not all(not isinstance(p, bool) and 0 < p < math.inf for p in row):
+        raise ValueError(f"job {job_id}: processing times must be finite numbers > 0")
+
+
+def _outcome(check):
+    try:
+        check()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+ROW_VALUES = (
+    0.5, 1.0, 5e-324, 1e308, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan,
+    True, False, 2, 10**400, "1.0", None,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(ROW_VALUES), max_size=6))
+@example([1.0, math.nan])  # min and max of this row are both 1.0
+@example([True, "1.0"])  # the bool is rejected before the string is compared
+@example([1e308, 1e308])  # finite, but the sum overflows
+@example([])
+def test_job_row_check_matches_the_per_element_reference(row):
+    assert _outcome(lambda: Job(3, tuple(row))) == _outcome(lambda: _per_element_row_check(3, row))
+
+
+# sha256 of the file save_instance writes for a generated instance, the
+# encoder that `gen` and every instance built in memory go through.
+def test_saved_generated_instance_matches_pinned_digest(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(generate(GeneratorConfig(m=100, n=300, seed=0, ptime_model="uniform")), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "50a5913e3072832e103a01bcb6a8c72f1b0399e9120278dd4382d530e781b0e1"
 
 
 def test_generator_config_validation():
