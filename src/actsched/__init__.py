@@ -13,7 +13,6 @@ from .fractional import (
     GuessTooSmallError,
     JobFraction,
     StepOutcome,
-    effective_capacity,
 )
 from .instances import (
     GeneratorConfig,
@@ -55,7 +54,6 @@ __all__ = [
     "StepOutcome",
     "default_initial_guess",
     "draw_thresholds",
-    "effective_capacity",
     "feasible",
     "generate",
     "load_instance",

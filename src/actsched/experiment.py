@@ -41,7 +41,7 @@ from .instances import (
     save_instance,
 )
 from .oracle import DEFAULT_NODE_BUDGET, OracleResult, optimal_bnb
-from .rounding import RoundingState, pairwise_sum
+from .rounding import RoundingState, draw_thresholds, pairwise_sum
 
 CHECK_FAMILIES = ("feasibility", "potential", "consistency", "rounding")
 TOL = 1e-9
@@ -549,6 +549,14 @@ def _verify_logs(logdir: Path) -> list[str]:
         eligible = tuple(not d for d in trace.discarded)
         kept += [(j, p[j], eligible) for j in range(len(kept), len(kept) + trace.jobs_processed)]
     problems += audit_rounding(assignment, rmeta["active"], rmeta["int_load"], kept)
+    # meta.json fields that follow from the other files.
+    if rmeta["thresholds"] != draw_thresholds(instance.m, meta["config"]["seed"]):
+        problems.append("rounding thresholds are not draw_thresholds(m, seed)")
+    if phases and meta["alpha"] != phases[-1].guess:
+        problems.append(f"alpha {meta['alpha']!r} is not the final guess {phases[-1].guess!r}")
+    counted = sum(meta["violations"]["counts"].values())
+    if counted != meta["report"]["invariant_violations"]:
+        problems.append(f"violation counts sum to {counted}, not the reported invariant_violations")
 
     with open(logdir / "report.csv", newline="", encoding="utf-8") as fh:
         report_rows = list(csv.DictReader(fh))

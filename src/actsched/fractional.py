@@ -2,11 +2,11 @@
 
 The engine keeps a fractional activation level x_i per machine and fractional
 assignments y_ij per (machine, job). Each arriving job is covered (its
-fractions sum to 1) by a loop of small steps: machines are ranked by a
-virtual cost, the cheapest prefix gets a multiplicative bump to x that also
-unlocks assignment capacity, and when the ranking pivots on a fully active
-machine that machine absorbs a slice of the job directly, sized inversely to
-its exponential load penalty.
+fractions sum to 1) by small steps: machines are ranked by a virtual cost,
+the cheapest prefix gets a multiplicative bump to x that also unlocks
+assignment capacity, and when the ranking pivots on a fully active machine
+that machine absorbs a slice of the job directly, sized inversely to its
+exponential load penalty. Steps come in runs that share one split.
 
 All processing times are divided by the makespan budget L on entry, so loads
 are tracked in units of L; startup costs are rescaled so the offline optimum
@@ -73,21 +73,6 @@ class JobFraction:
     y: tuple[float, ...]
     p_scaled: tuple[float, ...]
     eligible: tuple[bool, ...]
-
-
-def effective_capacity(x_before: float, delta_x: float, p_ij: float) -> float:
-    """Assignment capacity unlocked by raising x from x_before by delta_x.
-
-    A capacity below the smallest normal float is given as 0: in the
-    subnormal range 6*dx/p keeps too few bits to stay within 6*dx once
-    multiplied back by p, and no real step reaches it.
-    """
-    if delta_x < 0:
-        raise ValueError("delta_x must be >= 0")
-    cap = 6.0 * delta_x / p_ij
-    if cap < sys.float_info.min:
-        return 0.0
-    return min(2.0 * x_before, cap)
 
 
 class FractionalState:
@@ -189,12 +174,9 @@ class FractionalState:
         strictly below 1, plus the first machine after it (None if the prefix
         is everything).
 
-        The ranking is sorted once per job and then kept up to date by
-        ``execute_step``, which re-places only the machines its step touched:
-        it assumes x and load change only through steps. A partially active
-        machine's key c*p_ij is fixed for the whole job, so only a machine
-        that is fully active after the step (a Type-B pivot, or one whose x
-        just reached 1) can move.
+        The ranking is sorted once per job and then kept up to date by the
+        steps (``_advance``), which assume that x and load change only
+        through steps and split once per run of steps, not once per step.
         """
         ranked = self._ranked if self._ranked_job == j else self._rank(j)
         prefix: list[int] = []
@@ -210,80 +192,117 @@ class FractionalState:
     # -- steps ---------------------------------------------------------------
 
     def execute_step(self, j: int) -> StepOutcome:
-        """One step of job j, one pass over the prefix and then the pivot: an
-        x-bump plus the capacity it unlocks, or for a fully active pivot (Type
-        B) a slice 6/(c*a^(load-1)*p_ij*n), then a clamped grant. A grant moves
-        phi_i = c*x of a partially active machine by exactly 0.0, so only a
-        fully active one recomputes c*a^(load-1)."""
-        prefix, pivot = self.order_and_split(j)
+        """One step of job j, as ``process_job`` takes them (see ``_advance``)."""
+        self._advance(j, 1)
+        return self.step_log[-1][2]
+
+    def _advance(self, j: int, limit: int) -> None:
+        """Take steps of job j, at least one and at most ``limit``, until its
+        coverage reaches 1 - COVERAGE_TOL (the state is written back also if
+        a step stalls). A step is one pass over the prefix, then the pivot:
+        an x-bump plus the capacity min(2x, 6*dx/p_ij) it unlocks, or for a
+        fully active pivot (Type B) a slice 6/(c*a^(load-1)*p_ij*n); then a
+        clamped grant, which moves phi_i = c*x of a partially active machine
+        by exactly 0.0. Steps come in runs that share one split: the next
+        step touches the same machines while none of them moved in the
+        ranking and the prefix's running x-sum stays below 1 (a partially
+        active pivot's x only grew, so it still ends the prefix). A Type-B
+        pivot stays while its new key ranks between its neighbours; any other
+        move is re-placed with ``insort`` and starts a new run."""
         x, load, costs, inv_cn, a = self.x, self.load, self.scaled_costs, self._inv_cn, GROWTH_BASE
-        yrow, prow = self.y[j], self.p[j]
-        cov = self.coverage[j]
-        type_b = pivot is not None and x[pivot] == 1.0
-        touched = prefix if pivot is None else prefix + [pivot]
-        d_phi = d_cov = 0.0
-        fraction_clamps = coverage_clamps = 0
-        moved = []  # (virtual cost, id) of the touched machines now fully active
-        for i in touched:
-            c = costs[i]
-            p_ij = prow[i]
-            x_old = x[i]
-            if x_old == 1.0:  # a Type-B pivot: the prefix's x-sum stays below 1
-                phi = c * a ** (load[i] - 1.0)
-                raw = 6.0 / (phi * p_ij * self.n)
-                x_new = 1.0
-                dp = 0.0
-            else:
-                x_new = x_old * (1.0 + inv_cn[i])
-                if x_new > 1.0:  # min(x*(1 + 1/(c*n)), 1)
-                    x_new = 1.0
-                raw = effective_capacity(x_old, x_new - x_old, p_ij)
-                x[i] = x_new
-                if x_new == 1.0:
-                    phi = c * a ** (load[i] - 1.0)
-                    dp = phi - c * x_old
-                else:
-                    dp = c * x_new - c * x_old
-            # min(raw, min(2x, 1) - y_ij, 1 - coverage), written as comparisons
-            # (2x < 1 exactly when x < 0.5); each clamp that bites is counted.
-            room_frac = (2.0 * x_new if x_new < 0.5 else 1.0) - yrow[i]
-            room_cov = 1.0 - cov
-            inc = raw
-            if room_frac < raw:
-                fraction_clamps += 1
-                inc = room_frac
-            if room_cov < raw:
-                coverage_clamps += 1
-                if room_cov < inc:
-                    inc = room_cov
-            if inc > 0.0:
-                yrow[i] += inc
-                load[i] += p_ij * inc
-                cov += inc
-                d_cov += inc
-                if x_new == 1.0:
-                    phi_after = c * a ** (load[i] - 1.0)
-                    dp += phi_after - phi
-                    phi = phi_after
-            if x_new == 1.0:
-                moved.append((phi * p_ij, i))
-            d_phi += dp
-        self.coverage[j] = cov
-        self.fraction_clamps += fraction_clamps
-        self.coverage_clamps += coverage_clamps
-        if moved:
-            # The touched machines head the ranking; a partially active one
-            # keeps its key c*p_ij, so only the fully active ones move.
-            ranked = self._ranked
-            ranked[: len(touched)] = [e for e in ranked[: len(touched)] if x[e[1]] < 1.0]
-            for entry in moved:
-                insort(ranked, entry)
-        outcome = StepOutcome(TYPE_B if type_b else TYPE_A, d_phi)
-        self.step_log.append((j, len(self.step_log), outcome))
-        self.phi += d_phi
-        if d_cov <= 0.0:
-            raise StalledStepError(f"job {j}: step produced no coverage (coverage={cov!r})")
-        return outcome
+        n, yrow, prow, log, tiny = self.n, self.y[j], self.p[j], self.step_log, sys.float_info.min
+        cov, phi_total = self.coverage[j], self.phi
+        steps = 0
+        try:
+            while True:  # one run: split once, then step while the split holds
+                prefix, pivot = self.order_and_split(j)
+                ranked = self._ranked
+                touched = prefix if pivot is None else prefix + [pivot]
+                k = len(touched)
+                step_type = TYPE_B if pivot is not None and x[pivot] == 1.0 else TYPE_A
+                holds = True
+                while holds:
+                    d_phi = d_cov = 0.0
+                    moved = []  # (virtual cost, id) of the touched machines now fully active
+                    for i in touched:
+                        c, p_ij, x_old = costs[i], prow[i], x[i]
+                        if x_old == 1.0:  # a Type-B pivot: the prefix's x-sum stays below 1
+                            phi = c * a ** (load[i] - 1.0)
+                            raw = 6.0 / (phi * p_ij * n)
+                            x_new, dp = 1.0, 0.0
+                        else:
+                            x_new = x_old * (1.0 + inv_cn[i])
+                            if x_new > 1.0:  # min(x*(1 + 1/(c*n)), 1)
+                                x_new = 1.0
+                            # min(2x, 6*dx/p), or 0 if 6*dx/p is subnormal: it then keeps
+                            # too few bits to stay within 6*dx once multiplied back by p.
+                            raw = 6.0 * (x_new - x_old) / p_ij
+                            if raw < tiny:
+                                raw = 0.0
+                            elif 2.0 * x_old <= raw:
+                                raw = 2.0 * x_old
+                            x[i] = x_new
+                            if x_new == 1.0:
+                                phi = c * a ** (load[i] - 1.0)
+                                dp = phi - c * x_old
+                            else:
+                                dp = c * x_new - c * x_old
+                        # min(raw, min(2x, 1) - y_ij, 1 - coverage) as comparisons (2x < 1
+                        # exactly when x < 0.5); each clamp that bites is counted.
+                        room_frac = (2.0 * x_new if x_new < 0.5 else 1.0) - yrow[i]
+                        room_cov = 1.0 - cov
+                        inc = raw
+                        if room_frac < raw:
+                            self.fraction_clamps += 1
+                            inc = room_frac
+                        if room_cov < raw:
+                            self.coverage_clamps += 1
+                            if room_cov < inc:
+                                inc = room_cov
+                        if inc > 0.0:
+                            yrow[i] += inc
+                            load[i] += p_ij * inc
+                            cov += inc
+                            d_cov += inc
+                            if x_new == 1.0:
+                                phi_after = c * a ** (load[i] - 1.0)
+                                dp += phi_after - phi
+                                phi = phi_after
+                        if x_new == 1.0:
+                            moved.append((phi * p_ij, i))
+                        d_phi += dp
+                    log.append((j, len(log), StepOutcome(step_type, d_phi)))
+                    phi_total += d_phi
+                    steps += 1
+                    if moved:
+                        # The touched machines head the ranking, and only the fully
+                        # active ones move: a partially active key c*p_ij is fixed.
+                        entry = moved[0]
+                        lone_b = step_type is TYPE_B and len(moved) == 1
+                        if lone_b and (k == len(ranked) or entry < ranked[k]) and (
+                            k == 1 or ranked[k - 2] < entry
+                        ):
+                            ranked[k - 1] = entry
+                        else:
+                            ranked[:k] = [e for e in ranked[:k] if x[e[1]] < 1.0]
+                            for entry in moved:
+                                insort(ranked, entry)
+                            holds = False
+                    if d_cov <= 0.0:
+                        raise StalledStepError(
+                            f"job {j}: step produced no coverage (coverage={cov!r})"
+                        )
+                    if cov >= 1.0 - COVERAGE_TOL or steps >= limit:
+                        return
+                    total = 0.0
+                    for i in prefix if holds else ():  # order_and_split's test, in ranked order
+                        if total + x[i] >= 1.0:
+                            holds = False
+                            break
+                        total += x[i]
+        finally:
+            self.coverage[j] = cov
+            self.phi = phi_total
 
     def process_job(self, j: int) -> list[tuple[int, int, StepOutcome]]:
         """Run steps until job j is covered; returns its slice of ``step_log``.
@@ -308,13 +327,12 @@ class FractionalState:
         self.y[j] = [0.0] * self.m
         self.coverage[j] = 0.0
         start = len(self.step_log)
-        while self.coverage[j] < 1.0 - COVERAGE_TOL:
-            if len(self.step_log) - start >= STEP_CAP:
-                raise StepCapError(
-                    f"job {j}: exceeded step cap {STEP_CAP} "
-                    f"(coverage={self.coverage[j]!r}, x={self.x!r}, load={self.load!r})"
-                )
-            self.execute_step(j)
+        self._advance(j, STEP_CAP)
+        if self.coverage[j] < 1.0 - COVERAGE_TOL:
+            raise StepCapError(
+                f"job {j}: exceeded step cap {STEP_CAP} "
+                f"(coverage={self.coverage[j]!r}, x={self.x!r}, load={self.load!r})"
+            )
         return self.step_log[start:]
 
     # -- observables ----------------------------------------------------------

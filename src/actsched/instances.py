@@ -12,7 +12,7 @@ processing times stays total.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +32,11 @@ class InstanceFormatError(ValueError):
     """An instance file does not match the expected schema."""
 
 
+def _finite_positive(value) -> bool:
+    """A number in (0, largest float]: an int beyond float range fails too. Not a bool."""
+    return not isinstance(value, bool) and 0 < value <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class Machine:
     """A machine with a positive, finite one-time startup cost."""
@@ -40,7 +45,7 @@ class Machine:
     startup_cost: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.startup_cost, bool) or not 0 < self.startup_cost < math.inf:
+        if not _finite_positive(self.startup_cost):
             raise ValueError(f"machine {self.id}: startup_cost must be a finite number > 0")
 
 
@@ -56,9 +61,9 @@ class Job:
         # A row of positive finite floats passes in builtins alone. The sum
         # is NaN or inf if any entry is (min and max can skip a NaN); every
         # other row takes the per-element check and its exception.
-        if {*map(type, ps)} == {float} and min(ps) > 0 and sum(ps) < math.inf:
+        if {*map(type, ps)} == {float} and min(ps) > 0 and sum(ps) <= sys.float_info.max:
             return
-        if not all(not isinstance(p, bool) and 0 < p < math.inf for p in ps):
+        if not all(map(_finite_positive, ps)):
             raise ValueError(f"job {self.id}: processing times must be finite numbers > 0")
 
 
@@ -73,7 +78,7 @@ class Instance:
     def __post_init__(self) -> None:
         if not self.machines:
             raise ValueError("instance needs at least one machine")
-        if isinstance(self.makespan_budget, bool) or not 0 < self.makespan_budget < math.inf:
+        if not _finite_positive(self.makespan_budget):
             raise ValueError("makespan_budget must be a finite number > 0")
         for items, ids in ((self.machines, "machine ids"), (self.jobs, "job ids")):
             if any(isinstance(x.id, bool) or x.id != k for k, x in enumerate(items)):

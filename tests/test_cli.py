@@ -417,8 +417,11 @@ def _set_cost(value):
     return mutate
 
 
-def _set_budget_true(doc):
-    doc["L"] = True
+def _set_budget(value):
+    def mutate(doc):
+        doc["L"] = value
+
+    return mutate
 
 
 def _set_p(value):
@@ -457,10 +460,17 @@ def _sweep_doc(second=None, **changes):
 @pytest.mark.parametrize("command,mutate,extra", [
     ("run", _set_cost("abc"), ["--alpha", "oracle"]),
     ("run", _set_cost(True), ["--alpha", "oracle"]),
-    ("run", _set_budget_true, ["--alpha", "oracle"]),
+    ("run", _set_budget(True), ["--alpha", "oracle"]),
     ("run", _set_p([True] * 3), ["--alpha", "oracle"]),
     ("run", _set_p(None), ["--alpha", "oracle"]),
     ("run", _set_p([float("nan")] * 3), ["--alpha", "oracle"]),
+    # 401-digit integers: beyond float range, though Python compares them with inf exactly.
+    ("run", _set_p([10**400] * 3), ["--alpha", "oracle"]),
+    ("run", _set_p([10**400] * 3), ["--alpha", "double"]),
+    ("run", _set_cost(10**400), ["--alpha", "oracle"]),
+    ("run", _set_cost(10**400), ["--alpha", "double"]),
+    ("run", _set_budget(10**400), ["--alpha", "oracle"]),
+    ("run", _set_budget(10**400), ["--alpha", "double"]),
     ("run", _set_job_ids, ["--alpha", "oracle"]),
     ("run", _header_true("version"), ["--alpha", "oracle"]),
     ("run", _header_true("m"), ["--alpha", "oracle"]),
@@ -487,7 +497,9 @@ def _sweep_doc(second=None, **changes):
     ("sweep", {**_sweep_doc(), "alpha_mode": "oracle", "alpha_value": 5}, []),
     ("sweep", {**_sweep_doc(), "alpha_mode": "double", "alpha_value": 5}, []),
     ("sweep", _sweep_doc(second={"m": 2.5}), []),
-], ids=["cost-str", "cost-true", "L-true", "p-true", "p-null", "p-nan", "job-ids",
+], ids=["cost-str", "cost-true", "L-true", "p-true", "p-null", "p-nan", "p-huge-int",
+        "p-huge-int-double", "cost-huge-int", "cost-huge-int-double", "L-huge-int",
+        "L-huge-int-double", "job-ids",
         "version-true", "header-m-true", "header-n-true", "alpha-nan",
         "alpha-inf", "node-budget-0", "node-budget-neg", "sweep-not-object", "seeds-not-list", "m-str",
         "m-true", "a-str", "a-key", "C-key", "cell-cost-range", "misspelt-cell-key",
@@ -657,10 +669,16 @@ def _set_meta(*keys, value):
     (_edit_rows("assignments.csv", _set_cell(0, 5, "9.0")), "job 0: int_makespan column mismatch"),
     (_set_meta("report", "int_cost", value=1.0), "final cum_cost does not match reported int_cost"),
     (_edit_rows("report.csv", _set_cell(0, 10, "3")), "report column fallback_count: '3' != '0'"),
+    (_set_meta("rounding", "thresholds", 0, value=0.0),
+     "rounding thresholds are not draw_thresholds(m, seed)"),
+    (_set_meta("alpha", value=1.0), "alpha 1.0 is not the final guess 11.851609781410122"),
+    (_set_meta("violations", "counts", "potential", value=5),
+     "violation counts sum to 5, not the reported invariant_violations"),
 ], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "steps-job-99",
         "y-unknown-phase",
         "never-assigned", "inactive-machine", "ineligible-machine", "integer-load", "p_ij-column",
-        "running-sum", "int_makespan-column", "final-cum-cost", "report-column"])
+        "running-sum", "int_makespan-column", "final-cum-cost", "report-column",
+        "meta-thresholds", "meta-alpha", "meta-violation-counts"])
 def test_verify_reports_tampered_ids_and_rounding_logs(tmp_path, tamper, message):
     logdir = _clean_run(tmp_path)
     assert verify_logdir(logdir) == []

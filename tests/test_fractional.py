@@ -1,4 +1,5 @@
 import math
+import sys
 from bisect import insort
 
 import pytest
@@ -17,7 +18,6 @@ from actsched.fractional import (
     FractionalState,
     StalledStepError,
     StepOutcome,
-    effective_capacity,
 )
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 
@@ -161,6 +161,21 @@ def reference_split(fs, j):
     return prefix, None
 
 
+def process_by_steps(fs, j):
+    """``fs.process_job(j)`` taken one ``fs.execute_step(j)`` call at a time,
+    so that a wrapper on ``fs.execute_step`` sees every step; process_job
+    itself covers the job in runs of steps. A job with no usable machine
+    goes to process_job, which raises GuessTooSmallError."""
+    if not fs.usable_machines(j):
+        return fs.process_job(j)
+    start = len(fs.step_log)
+    fs.y[j] = [0.0] * fs.m
+    fs.coverage[j] = 0.0
+    while fs.coverage[j] < 1.0 - COVERAGE_TOL:
+        fs.execute_step(j)
+    return fs.step_log[start:]
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_incremental_ranking_matches_a_fresh_sort(data):
@@ -187,10 +202,10 @@ def test_incremental_ranking_matches_a_fresh_sort(data):
     fs.execute_step = checked
     for j in range(n):
         if fs.usable_machines(j):
-            fs.process_job(j)
+            process_by_steps(fs, j)
         else:
             with pytest.raises(GuessTooSmallError):
-                fs.process_job(j)
+                process_by_steps(fs, j)
 
 
 def test_ranking_moves_a_machine_whose_key_fell():
@@ -207,31 +222,6 @@ def test_ranking_moves_a_machine_whose_key_fell():
     assert fs.x[1] == 1.0 and fs.load[1] == pytest.approx(0.24, rel=1e-12)
     assert fs.order_and_split(0) == reference_split(fs, 0) == ([], 1)
     assert fs.execute_step(0).step_type == TYPE_B
-
-
-# -- effective capacity ------------------------------------------------------------
-
-
-def test_effective_capacity_values():
-    assert effective_capacity(0.1, 0.01, 0.5) == pytest.approx(0.12, rel=1e-12)
-    assert effective_capacity(0.1, 0.01, 1.0) == pytest.approx(0.06, rel=1e-12)
-    assert effective_capacity(0.1, 0.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        effective_capacity(0.1, -0.1, 1.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    x=st.floats(0.0, 1.0),
-    dx=st.floats(0.0, 1.0),
-    p=st.floats(1e-6, 1e7),
-)
-@example(x=1.0, dx=2.2250738585072014e-308, p=112490.0)  # 6*dx/p is subnormal
-def test_effective_capacity_properties(x, dx, p):
-    cap = effective_capacity(x, dx, p)
-    assert 0.0 <= cap <= 2.0 * x
-    assert cap * p <= 6.0 * dx * (1 + 1e-12)  # load gain never beats 6*dx
-    assert effective_capacity(x, dx * 2, p) >= cap
 
 
 # -- steps --------------------------------------------------------------------------
@@ -314,6 +304,48 @@ def test_step_cap_aborts_with_diagnostics(monkeypatch):
     monkeypatch.setattr(fractional, "STEP_CAP", 2)
     with pytest.raises(StepCapError, match="step cap 2 .*coverage"):
         fs.process_job(0)
+
+
+# -- effective capacity ------------------------------------------------------------
+
+
+def effective_capacity(x_before: float, delta_x: float, p_ij: float) -> float:
+    """Assignment capacity unlocked by raising x from x_before by delta_x:
+    min(2x, 6*dx/p), the engine's capacity written as a function, for
+    ``PerMachineState``.
+
+    A capacity below the smallest normal float is given as 0: in the
+    subnormal range 6*dx/p keeps too few bits to stay within 6*dx once
+    multiplied back by p, and no real step reaches it.
+    """
+    if delta_x < 0:
+        raise ValueError("delta_x must be >= 0")
+    cap = 6.0 * delta_x / p_ij
+    if cap < sys.float_info.min:
+        return 0.0
+    return min(2.0 * x_before, cap)
+
+
+def test_effective_capacity_values():
+    assert effective_capacity(0.1, 0.01, 0.5) == pytest.approx(0.12, rel=1e-12)
+    assert effective_capacity(0.1, 0.01, 1.0) == pytest.approx(0.06, rel=1e-12)
+    assert effective_capacity(0.1, 0.0, 1.0) == 0.0
+    with pytest.raises(ValueError):
+        effective_capacity(0.1, -0.1, 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    x=st.floats(0.0, 1.0),
+    dx=st.floats(0.0, 1.0),
+    p=st.floats(1e-6, 1e7),
+)
+@example(x=1.0, dx=2.2250738585072014e-308, p=112490.0)  # 6*dx/p is subnormal
+def test_effective_capacity_properties(x, dx, p):
+    cap = effective_capacity(x, dx, p)
+    assert 0.0 <= cap <= 2.0 * x
+    assert cap * p <= 6.0 * dx * (1 + 1e-12)  # load gain never beats 6*dx
+    assert effective_capacity(x, dx * 2, p) >= cap
 
 
 class PerMachineState(FractionalState):
@@ -412,6 +444,32 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def log_bits(entries):
+    """Step-log entries with Delta phi as an exact hex string."""
+    return [(j, idx, o.step_type, o.delta_potential.hex()) for j, idx, o in entries]
+
+
+def start_at(state, x):
+    """Replace the starting activation levels of the kept machines by x."""
+    state.x = [0.0 if d else v for d, v in zip(state.discarded, x)]
+    state.phi = state.potential()
+
+
+def draw_case(data):
+    """An instance, a guess and optional starting levels x. Low guesses make
+    cheap machines start fully active, so Type-B pivots and both clamps
+    occur; drawn levels close to 1 make bumps that reach x = 1 common."""
+    m = data.draw(st.integers(1, 6), label="m")
+    n = data.draw(st.integers(4, 16), label="n")
+    costs = data.draw(st.lists(st.floats(0.5, 10.0), min_size=m, max_size=m))
+    row = st.lists(st.floats(0.25, 1.25), min_size=m, max_size=m)
+    ptimes = data.draw(st.lists(row, min_size=n, max_size=n))
+    alpha = sum(costs) * data.draw(st.floats(0.05, 1.0), label="guess / sum(c)")
+    level = st.one_of(st.just(1.0), st.floats(0.5, 1.0), st.floats(0.01, 0.5))
+    x = data.draw(st.none() | st.lists(level, min_size=m, max_size=m), label="x")
+    return make_instance(costs, ptimes), alpha, x
+
+
 def run_in_lockstep(inst, alpha, drawn, x=None):
     """Run every job of inst at guess alpha on the engine and on
     ``PerMachineState`` side by side, and after every step assert that both
@@ -421,8 +479,7 @@ def run_in_lockstep(inst, alpha, drawn, x=None):
     fs, ref = FractionalState(inst, alpha), PerMachineState(inst, alpha)
     if x is not None:
         for state in (fs, ref):
-            state.x = [0.0 if d else v for d, v in zip(state.discarded, x)]
-            state.phi = state.potential()
+            start_at(state, x)
     step = fs.execute_step
 
     def lockstep(j):
@@ -448,32 +505,91 @@ def run_in_lockstep(inst, alpha, drawn, x=None):
     fs.execute_step = lockstep
     for j in range(inst.n):
         if fs.usable_machines(j):
-            fs.process_job(j)
+            process_by_steps(fs, j)
         else:
             with pytest.raises(GuessTooSmallError):
-                fs.process_job(j)
+                process_by_steps(fs, j)
     drawn["fraction_clamp"] += fs.fraction_clamps
     drawn["coverage_clamp"] += fs.coverage_clamps
 
 
 def test_one_pass_step_matches_the_per_machine_reference():
-    # Low guesses make cheap machines start fully active, so Type-B pivots
-    # and both clamps occur; each must be drawn at least once. Drawn starting
-    # levels close to 1 make bumps that reach x = 1 common.
+    # Type-B steps, crossings to x = 1 and both clamps must each be drawn at
+    # least once.
     drawn = dict.fromkeys(("type_b", "crossing", "fraction_clamp", "coverage_clamp"), 0)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def check(data):
-        m = data.draw(st.integers(1, 6), label="m")
-        n = data.draw(st.integers(4, 16), label="n")
-        costs = data.draw(st.lists(st.floats(0.5, 10.0), min_size=m, max_size=m))
-        row = st.lists(st.floats(0.25, 1.25), min_size=m, max_size=m)
-        ptimes = data.draw(st.lists(row, min_size=n, max_size=n))
-        alpha = sum(costs) * data.draw(st.floats(0.05, 1.0), label="guess / sum(c)")
-        level = st.one_of(st.just(1.0), st.floats(0.5, 1.0), st.floats(0.01, 0.5))
-        x = data.draw(st.none() | st.lists(level, min_size=m, max_size=m), label="x")
-        run_in_lockstep(make_instance(costs, ptimes), alpha, drawn, x)
+        inst, alpha, x = draw_case(data)
+        run_in_lockstep(inst, alpha, drawn, x)
+
+    check()
+    assert all(drawn.values()), drawn
+
+
+def test_runs_match_the_one_step_path():
+    # process_job covers a job in runs of steps that share one split; a twin
+    # takes the same steps one execute_step call at a time. After every job
+    # both must hold the same floats to the bit. Type-B steps, crossings to
+    # x = 1, both clamps, a split with no pivot and a run of more than one
+    # step must each be drawn at least once.
+    drawn = dict.fromkeys(
+        ("type_b", "crossing", "fraction_clamp", "coverage_clamp", "no_pivot", "long_run"), 0
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        inst, alpha, x = draw_case(data)
+        fs, twin = FractionalState(inst, alpha), FractionalState(inst, alpha)
+        if x is not None:
+            start_at(fs, x)
+            start_at(twin, x)
+        splits = {"runs": 0}
+        split, twin_split, twin_step = fs.order_and_split, twin.order_and_split, twin.execute_step
+
+        def counted_split(j):
+            splits["runs"] += 1
+            return split(j)
+
+        def recorded_split(j):
+            prefix, pivot = twin_split(j)
+            drawn["no_pivot"] += pivot is None
+            return prefix, pivot
+
+        def recorded_step(j):
+            x_before = list(twin.x)
+            outcome = twin_step(j)
+            drawn["type_b"] += outcome.step_type == TYPE_B
+            drawn["crossing"] += any(a < 1.0 and b == 1.0 for a, b in zip(x_before, twin.x))
+            return outcome
+
+        fs.order_and_split = counted_split
+        twin.order_and_split, twin.execute_step = recorded_split, recorded_step
+        for j in range(inst.n):
+            if not fs.usable_machines(j):
+                for state in (fs, twin):
+                    with pytest.raises(GuessTooSmallError):
+                        process_by_steps(state, j)
+                continue
+            splits["runs"] = 0
+            steps = fs.process_job(j)
+            assert log_bits(steps) == log_bits(process_by_steps(twin, j))
+            assert log_bits(fs.step_log) == log_bits(twin.step_log)
+            drawn["long_run"] += splits["runs"] < len(steps)
+            assert bits(fs.x) == bits(twin.x) and bits(fs.load) == bits(twin.load)
+            assert bits(fs.y[j]) == bits(twin.y[j])
+            assert bits([fs.coverage[j], fs.phi]) == bits([twin.coverage[j], twin.phi])
+            assert (fs.fraction_clamps, fs.coverage_clamps) == (
+                twin.fraction_clamps,
+                twin.coverage_clamps,
+            )
+            assert [(bits([key]), i) for key, i in fs._ranked] == [
+                (bits([key]), i) for key, i in twin._ranked
+            ]
+        drawn["fraction_clamp"] += fs.fraction_clamps
+        drawn["coverage_clamp"] += fs.coverage_clamps
 
     check()
     assert all(drawn.values()), drawn
@@ -504,7 +620,7 @@ def run_all(inst, alpha):
 def record_steps(fs):
     """Wrap ``fs.execute_step`` on this instance so that each step appends
     (coverage before, coverage after, x before, x after, load before) to the
-    returned list, in step order."""
+    returned list, in step order; drive the jobs with ``process_by_steps``."""
     step = fs.execute_step
     records = []
 
@@ -584,7 +700,7 @@ def test_every_step_makes_progress():
         fs = FractionalState(inst, alpha)
         steps = record_steps(fs)
         for j in range(inst.n):
-            fs.process_job(j)
+            process_by_steps(fs, j)
         assert len(steps) == len(fs.step_log)
         assert all(after > before for before, after, *_ in steps)
         assert [idx for _, idx, _ in fs.step_log] == list(range(len(fs.step_log)))
@@ -627,7 +743,7 @@ def test_full_activation_under_load_can_jump_potential():
         fs = FractionalState(inst, alpha)
         steps = record_steps(fs)
         for j in range(inst.n):
-            fs.process_job(j)
+            process_by_steps(fs, j)
         cap = 2.0 / fs.n + 1e-9
         job_start_load = {}
         jumps = []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -127,8 +128,9 @@ def test_instance_validation():
 
 def _per_element_row_check(job_id, row):
     """The check a Job made of every row before valid float rows passed in
-    builtins alone; the reference for which rows are rejected, and how."""
-    if not all(not isinstance(p, bool) and 0 < p < math.inf for p in row):
+    builtins alone, with an int beyond float range rejected as well; the
+    reference for which rows are rejected, and how."""
+    if not all(not isinstance(p, bool) and 0 < p <= sys.float_info.max for p in row):
         raise ValueError(f"job {job_id}: processing times must be finite numbers > 0")
 
 
