@@ -25,6 +25,7 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, islice
 from pathlib import Path
 
 from .doubling import DoublingResult, PhaseTrace, run_with_doubling
@@ -62,6 +63,8 @@ REPORT_COLUMNS = (
 )
 
 STEP_COLUMNS = ("job", "step_idx", "type", "delta_phi")
+STEP_WRITE_ROWS = 4096  # steps.csv rows formatted into one string per write
+STEP_READ_BYTES = 1 << 16  # the readlines hint by which verify streams steps.csv
 ASSIGNMENT_COLUMNS = ("job", "machine", "p_ij", "newly_activated_cost", "cum_cost", "int_makespan")
 PHASE_COLUMNS = ("phase", "guess", "jobs_processed", "frac_cost", "int_cost_delta")
 Y_COLUMNS = ("phase", "job", "machine", "y")
@@ -315,9 +318,7 @@ def run_fractional(
 
     if not config.checks:
         return B, result, []
-    steps = (
-        (job, idx, o.delta_potential) for t in result.phases for job, idx, o in t.step_entries
-    )
+    steps = ((job, idx, d) for t in result.phases for job, idx, (_, d) in t.step_entries)
     return B, result, audit_fractional(result.phases, steps, instance.scaled_ptimes(), instance.n)
 
 
@@ -372,20 +373,21 @@ def write_report_csv(path: Path, rows: list[dict], columns=REPORT_COLUMNS) -> No
     _write_csv(path, tuple(columns), ([row.get(col) for col in columns] for row in rows))
 
 
+def write_steps_csv(path: Path, phases: list[PhaseTrace]) -> None:
+    """The phases' steps as ``csv.writer`` writes them: ints by ``str``, floats by ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(STEP_COLUMNS) + "\n")
+        rows = (f"{job},{idx},{t},{d!r}\n" for p in phases for job, idx, (t, d) in p.step_entries)
+        while block := "".join(islice(rows, STEP_WRITE_ROWS)):
+            fh.write(block)
+
+
 def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
     logdir = Path(logdir)
     logdir.mkdir(parents=True, exist_ok=True)
     save_instance(artifacts.instance, logdir / "instance.json")
 
-    _write_csv(
-        logdir / "steps.csv",
-        STEP_COLUMNS,
-        (
-            (job, idx, o.step_type, o.delta_potential)
-            for trace in artifacts.phases
-            for job, idx, o in trace.step_entries
-        ),
-    )
+    write_steps_csv(logdir / "steps.csv", artifacts.phases)
     _write_csv(
         logdir / "y.csv",
         Y_COLUMNS,
@@ -477,15 +479,25 @@ def _load_phases(meta: dict, y_path: Path, m: int, n: int) -> list[PhaseTrace]:
 
 
 def _step_rows(fh, jobs: set[str]):
-    """(job, step_idx, delta_phi) of each steps.csv row; the job and step_idx
-    stay labels, and each distinct job label is added to ``jobs`` for one
-    id check once the rows are read. The type column stays unparsed."""
-    rows = csv.reader(fh)
-    header = next(rows)
+    """An iterator of (job, step_idx, delta_phi) per ``readlines(STEP_READ_BYTES)``
+    chunk of steps.csv. Each row must have the header's field count (no CSV
+    quoting) and a step_idx of 0 or the previous row's + 1. The job and step_idx
+    stay labels; each distinct job label goes to ``jobs`` for one id check."""
+    header = fh.readline().rstrip("\n").split(",")
     job, idx, dphi = (header.index(col) for col in ("job", "step_idx", "delta_phi"))
-    for row in rows:
-        jobs.add(row[job])
-        yield row[job], row[idx], float(row[dphi])
+    width, prev = len(header) + 1, -1  # width: a row's cells and its "\n"
+    while lines := fh.readlines(STEP_READ_BYTES):
+        text = "".join(lines)
+        cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")[:-1]
+        if cells[width - 1 :: width] != ["\n"] * len(lines):  # each row's "\n" after header-many cells
+            raise ValueError(f"steps.csv has a row without the header's {width - 1} fields")
+        labels = cells[idx::width]
+        for i in map(int, labels):
+            if i != prev + 1 and i != 0:
+                raise ValueError(f"steps.csv step_idx {i} follows {prev}")
+            prev = i
+        jobs.update(cells[job::width])
+        yield zip(cells[job::width], labels, map(float, cells[dphi::width]))
 
 
 def verify_logdir(logdir: str | Path) -> list[str]:
@@ -519,8 +531,9 @@ def _verify_logs(logdir: Path) -> list[str]:
     rmeta = meta["rounding"]
 
     step_jobs: set[str] = set()
-    with open(logdir / "steps.csv", newline="", encoding="utf-8") as fh:
-        audits = audit_fractional(phases, _step_rows(fh, step_jobs), p, instance.n)
+    with open(logdir / "steps.csv", encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
+        steps = chain.from_iterable(_step_rows(fh, step_jobs))
+        audits = audit_fractional(phases, steps, p, instance.n)
     for label in sorted(step_jobs):  # sorted: the first bad id reported is fixed
         _id(label, instance.n, "steps.csv job")
     problems = [msg for _, messages in audits for msg in messages]

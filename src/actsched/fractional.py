@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from bisect import insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .instances import Instance
 
@@ -53,8 +54,7 @@ class StepCapError(Exception):
     """A single job exceeded the per-job step cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     step_type: str
     delta_potential: float
 
@@ -211,6 +211,7 @@ class FractionalState:
         move is re-placed with ``insort`` and starts a new run."""
         x, load, costs, inv_cn, a = self.x, self.load, self.scaled_costs, self._inv_cn, GROWTH_BASE
         n, yrow, prow, log, tiny = self.n, self.y[j], self.p[j], self.step_log, sys.float_info.min
+        outcome = tuple.__new__  # builds a StepOutcome as its _make does, with no Python frame
         cov, phi_total = self.coverage[j], self.phi
         steps = 0
         try:
@@ -271,7 +272,7 @@ class FractionalState:
                         if x_new == 1.0:
                             moved.append((phi * p_ij, i))
                         d_phi += dp
-                    log.append((j, len(log), StepOutcome(step_type, d_phi)))
+                    log.append((j, len(log), outcome(StepOutcome, (step_type, d_phi))))
                     phi_total += d_phi
                     steps += 1
                     if moved:

@@ -1,15 +1,24 @@
+import csv
 import filecmp
 import hashlib
+import io
 import json
 import re
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actsched import experiment
 from actsched.cli import main
 from actsched.experiment import verify_logdir
+from actsched.fractional import TYPE_A, TYPE_B, StepOutcome
 from actsched.instances import GeneratorConfig, generate, load_instance, save_instance
 from actsched.oracle import optimal_exhaustive
 
@@ -225,6 +234,45 @@ def test_fractional_logs_match_pinned_digests(tmp_path, mode, model, m, n, diges
     experiment.write_run_logs(experiment.run_pipeline(instance, config), tmp_path)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _csv_writer_steps(phases) -> bytes:
+    """steps.csv as csv.writer writes it: the reference for write_steps_csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(experiment.STEP_COLUMNS)
+    writer.writerows(
+        (job, idx, o.step_type, o.delta_potential) for p in phases for job, idx, o in p.step_entries
+    )
+    return buf.getvalue().encode("utf-8")
+
+
+EDGE_DELTA_PHI = [-0.0, 0.0, 5e-324, 1e-07, 1e16, sys.float_info.max, -sys.float_info.max]
+BLOCK = experiment.STEP_WRITE_ROWS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.sampled_from([0, 1, BLOCK, BLOCK + 1]), min_size=2, max_size=2),
+    values=st.lists(st.sampled_from(EDGE_DELTA_PHI) | st.floats(), min_size=1, max_size=12),
+    types=st.lists(st.sampled_from([TYPE_A, TYPE_B]), min_size=1, max_size=5),
+    jobs_per_step=st.sampled_from([0.01, 0.5, 1.0]),
+)
+def test_steps_csv_writer_matches_csv_writer(counts, values, types, jobs_per_step):
+    # Each phase restarts its step index at 0; entry counts of 0, 1, one
+    # write block and one more row cover the block boundaries.
+    phases = []
+    for count in counts:
+        entries = []
+        for idx in range(count):
+            job = int(idx * jobs_per_step) + len(phases) * 1000
+            outcome = StepOutcome(types[idx % len(types)], values[idx % len(values)])
+            entries.append((job, idx, outcome))
+        phases.append(SimpleNamespace(step_entries=entries))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "steps.csv"
+        experiment.write_steps_csv(path, phases)
+        assert path.read_bytes() == _csv_writer_steps(phases)
 
 
 # sha256 of the outputs of two sweeps over the three ptime models, taken
@@ -632,6 +680,19 @@ def _machine_two_as_minus_two(col):
     return edit
 
 
+# Rows of a steps.csv that spans more than one read chunk of verify: jobs 0..7
+# in order, delta_phi 0.0 but for the last row's 1.0 (2/n = 0.25).
+LONG_STEPS = experiment.STEP_READ_BYTES // 8
+
+
+def _long_steps_csv(logdir):
+    rows = [f"{idx * 8 // LONG_STEPS},{idx},A,0.0\n" for idx in range(LONG_STEPS - 1)]
+    rows.append(f"7,{LONG_STEPS - 1},A,1.0\n")
+    path = logdir / "steps.csv"
+    path.write_text("job,step_idx,type,delta_phi\n" + "".join(rows))
+    assert path.stat().st_size > experiment.STEP_READ_BYTES
+
+
 def _set_meta(*keys, value):
     """A tamper of meta.json: the entry at ``keys`` set to ``value``."""
 
@@ -674,17 +735,43 @@ def _set_meta(*keys, value):
     (_set_meta("alpha", value=1.0), "alpha 1.0 is not the final guess 11.851609781410122"),
     (_set_meta("violations", "counts", "potential", value=5),
      "violation counts sum to 5, not the reported invariant_violations"),
+    (_edit_rows("steps.csv", lambda rows: rows[1].pop()),
+     "cannot load logs: steps.csv has a row without the header's 4 fields"),
+    (_edit_rows("steps.csv", lambda rows: rows[0].append("x")),
+     "cannot load logs: steps.csv has a row without the header's 4 fields"),
+    (_edit_rows("steps.csv", lambda rows: rows[0].extend(["x"] * 5)),
+     "cannot load logs: steps.csv has a row without the header's 4 fields"),
+    (_edit_rows("steps.csv", lambda rows: rows[0].append(rows[1].pop())),
+     "cannot load logs: steps.csv has a row without the header's 4 fields"),
+    (_edit_rows("steps.csv", _set_cell(2, 3, "x")),
+     "cannot load logs: could not convert string to float: 'x'"),
+    (_edit_rows("steps.csv", lambda rows: rows.insert(3, [""])),
+     "cannot load logs: steps.csv has a row without the header's 4 fields"),
+    (_edit_rows("steps.csv", lambda rows: rows.insert(2, rows.pop(1))),
+     "cannot load logs: steps.csv step_idx 2 follows 0"),
+    (_long_steps_csv, f"job 7, step {LONG_STEPS - 1}: delta_phi 1.0 > 2/n"),
+    (lambda logdir: (logdir / "steps.csv").write_text(""), "cannot load logs: 'job' is not in list"),
 ], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "steps-job-99",
         "y-unknown-phase",
         "never-assigned", "inactive-machine", "ineligible-machine", "integer-load", "p_ij-column",
         "running-sum", "int_makespan-column", "final-cum-cost", "report-column",
-        "meta-thresholds", "meta-alpha", "meta-violation-counts"])
+        "meta-thresholds", "meta-alpha", "meta-violation-counts",
+        "steps-short-row", "steps-extra-field", "steps-nine-fields", "steps-field-moved-up",
+        "steps-delta-phi-not-a-number",
+        "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-empty"])
 def test_verify_reports_tampered_ids_and_rounding_logs(tmp_path, tamper, message):
     logdir = _clean_run(tmp_path)
     assert verify_logdir(logdir) == []
     tamper(logdir)
     assert message in verify_logdir(logdir)
     assert main(["verify", "--logdir", str(logdir)]) == 3
+
+
+def test_verify_reads_a_crlf_steps_csv(tmp_path):
+    logdir = _clean_run(tmp_path)
+    path = logdir / "steps.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert verify_logdir(logdir) == []
 
 
 def _bump_y(line: str) -> str:
