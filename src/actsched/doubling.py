@@ -10,9 +10,9 @@ one ``PhaseTrace`` behind, and each kept job one ``JobFraction`` record, taken
 right after its update; every check runs on those finished records.
 
 The controller is purely fractional. Rounding job j reads only job j's record
-and never feeds back into the engine, so the rounding stage runs over the
-kept records afterwards (``experiment.replay_rounding``), with the same result
-as rounding each job as soon as it is kept.
+and never feeds back into the engine, so the rounding stage scores the kept
+records once and rounds them per seed afterwards (``experiment.round_run``),
+with the same result as rounding each job as soon as it is kept.
 
 A known guess (the oracle's optimum or a fixed value) is the one-phase case of
 the same controller: with ``double=False`` nothing trips, and a guess that

@@ -5,10 +5,10 @@ A run has two stages. The fractional stage (``run_fractional``) resolves
 the optimum guess (exact oracle, fixed value, or guess-and-double), covers the
 job stream fractionally through the guess-and-double controller (a known
 guess is its one-phase case), and audits the finished phases and steps. The
-rounding stage (``round_run``) rounds the kept jobs' records with one seed,
-audits the integer schedule, and builds the report row. A single run goes
-through both once; a sweep runs the fractional stage once per instance and
-the rounding stage once per rounding seed. A run leaves behind a
+rounding stage (``round_run``) scores the kept jobs once, then, per rounding
+seed, rounds them, audits the integer schedule, and builds the report row. A
+single run goes through both with one seed; a sweep runs both once per
+instance, with all of its rounding seeds. A run leaves behind a
 self-contained log directory: the instance, a metadata document, per-step and
 per-job CSV logs, and a one-row report.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -42,7 +42,7 @@ from .instances import (
     save_instance,
 )
 from .oracle import DEFAULT_NODE_BUDGET, OracleResult, optimal_bnb
-from .rounding import RoundingState, draw_thresholds, pairwise_sum
+from .rounding import RoundingState, ScoredJob, draw_thresholds, pairwise_sum, score_job
 
 CHECK_FAMILIES = ("feasibility", "potential", "consistency", "rounding")
 TOL = 1e-9
@@ -257,15 +257,13 @@ class RunArtifacts:
     row: dict
 
 
-def replay_rounding(
-    instance: Instance, records: list[JobFraction], seed: int
-) -> RoundingState:
-    """Round the kept jobs' records in stream order. Rounding job j reads
-    only its record, so this equals rounding each job as soon as the
-    fractional stage keeps it."""
+def replay_rounding(instance: Instance, jobs: list[ScoredJob], seed: int) -> RoundingState:
+    """Round the scored kept jobs in stream order with one seed. Rounding
+    job j reads only its record, so this equals rounding each job as soon as
+    the fractional stage keeps it."""
     rstate = RoundingState(instance, seed)
-    for frac in records:
-        rstate.process_job(frac)
+    for job in jobs:
+        rstate.process_job(job)
     return rstate
 
 
@@ -324,39 +322,42 @@ def run_fractional(
 
 def round_run(
     instance: Instance,
-    config: RunConfig,
+    configs: list[RunConfig],
     B: float | None,
     result: DoublingResult,
     problems: list[tuple[str, list[str]]],
-) -> RunArtifacts:
-    """The rounding stage of a run with seed ``config.seed``: the kept
-    records of a fractional stage rounded in stream order, the rounding
-    audit, and the report row, which counts the fractional stage's
-    ``problems`` too."""
-    rounding = replay_rounding(instance, result.records, config.seed)
-    violations = Violations()
-    for family, messages in problems:
-        violations.extend(family, messages)
-    if config.checks:
-        kept = ((f.job, f.p_scaled, f.eligible) for f in result.records)
-        found = audit_rounding(rounding.assignment, rounding.active, rounding.int_load, kept)
-        violations.extend("rounding", found)
-    return RunArtifacts(
-        instance=instance,
-        config=config,
-        alpha=result.final_guess,
-        B=B,
-        phases=result.phases,
-        records=result.records,
-        rounding=rounding,
-        violations=violations,
-        row=build_report_row(config, instance, B, result.phases, rounding, violations),
-    )
+) -> Iterator[RunArtifacts]:
+    """The rounding stage of one fractional stage, one run per config in
+    turn: the kept records, scored once, rounded in stream order with the
+    config's seed, the rounding audit, and the report row, which counts the
+    fractional stage's ``problems`` too."""
+    jobs = [score_job(instance, frac) for frac in result.records]
+    for config in configs:
+        rounding = replay_rounding(instance, jobs, config.seed)
+        violations = Violations()
+        for family, messages in problems:
+            violations.extend(family, messages)
+        if config.checks:
+            kept = ((f.job, f.p_scaled, f.eligible) for f in result.records)
+            found = audit_rounding(rounding.assignment, rounding.active, rounding.int_load, kept)
+            violations.extend("rounding", found)
+        yield RunArtifacts(
+            instance=instance,
+            config=config,
+            alpha=result.final_guess,
+            B=B,
+            phases=result.phases,
+            records=result.records,
+            rounding=rounding,
+            violations=violations,
+            row=build_report_row(config, instance, B, result.phases, rounding, violations),
+        )
 
 
 def run_pipeline(instance: Instance, config: RunConfig) -> RunArtifacts:
-    """One run: the fractional stage, then the rounding stage once."""
-    return round_run(instance, config, *run_fractional(instance, config))
+    """One run: the fractional stage, then the rounding stage with one seed."""
+    (artifacts,) = round_run(instance, [config], *run_fractional(instance, config))
+    return artifacts
 
 
 # -- log output ------------------------------------------------------------------
@@ -400,14 +401,7 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
         ),
     )
 
-    _write_csv(
-        logdir / "assignments.csv",
-        ASSIGNMENT_COLUMNS,
-        (
-            (r.job, r.machine, r.p_original, r.newly_activated_cost, r.cum_cost, r.int_makespan)
-            for r in artifacts.rounding.log
-        ),
-    )
+    _write_csv(logdir / "assignments.csv", ASSIGNMENT_COLUMNS, artifacts.rounding.log)
 
     # A phase's integer cost delta is the rounding log's cum_cost across the
     # phase's kept jobs (phases keep jobs in stream order).
@@ -478,6 +472,17 @@ def _load_phases(meta: dict, y_path: Path, m: int, n: int) -> list[PhaseTrace]:
     ]
 
 
+def _csv_records(fh, name: str):
+    """The data rows of a CSV log as dicts by header column. Each row must
+    have the header's field count."""
+    rows = csv.reader(fh)
+    header = next(rows, [])
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{name} has a row without the header's {len(header)} fields")
+        yield dict(zip(header, row))
+
+
 def _step_rows(fh, jobs: set[str]):
     """An iterator of (job, step_idx, delta_phi) per ``readlines(STEP_READ_BYTES)``
     chunk of steps.csv. Each row must have the header's field count (no CSV
@@ -542,7 +547,7 @@ def _verify_logs(logdir: Path) -> list[str]:
     int_load = [0.0] * instance.m
     cum = 0.0
     with open(logdir / "assignments.csv", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        for row in _csv_records(fh, "assignments.csv"):
             j = _id(row["job"], instance.n, "assignments.csv job")
             i = _id(row["machine"], instance.m, "assignments.csv machine")
             assignment[j] = i
@@ -572,7 +577,7 @@ def _verify_logs(logdir: Path) -> list[str]:
         problems.append(f"violation counts sum to {counted}, not the reported invariant_violations")
 
     with open(logdir / "report.csv", newline="", encoding="utf-8") as fh:
-        report_rows = list(csv.DictReader(fh))
+        report_rows = list(_csv_records(fh, "report.csv"))
     if len(report_rows) != 1:
         problems.append(f"report.csv has {len(report_rows)} rows (expected 1)")
     else:
@@ -676,9 +681,8 @@ def run_sweep(config_doc: dict, out_path: str | Path) -> dict:
     rows: list[dict] = []
     for label, gen_config, run_configs in plan:
         instance = generate(gen_config)
-        frac = run_fractional(instance, config)
-        for run_config in run_configs:
-            rows.append({"instance": label, **round_run(instance, run_config, *frac).row})
+        for artifacts in round_run(instance, run_configs, *run_fractional(instance, config)):
+            rows.append({"instance": label, **artifacts.row})
 
     out_path = Path(out_path)
     write_report_csv(out_path, rows, columns=SWEEP_COLUMNS)

@@ -7,15 +7,20 @@ job is then assigned to one open machine, sampled with probability
 proportional to a per-machine score z derived from the fractional
 assignment. Two independent RNG streams (thresholds, assignment sampling)
 are derived from one master seed.
+
+``score_job`` scores a job once for all seeds, and its result memoises the
+sampling cdf of each set of open scored machines; ``RoundingState`` opens
+one seed's machines and draws.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
+from bisect import bisect_right
+from functools import cache
 from collections.abc import Sequence
-from dataclasses import dataclass
+from itertools import accumulate, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +35,19 @@ class RoundingInvariantError(Exception):
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    thr_seq, pick_seq = np.random.SeedSequence(seed).spawn(2)
-    return (
-        np.random.Generator(np.random.PCG64(thr_seq)),
-        np.random.Generator(np.random.PCG64(pick_seq)),
+    # The two children SeedSequence(seed).spawn(2) returns, built directly.
+    return tuple(
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+        for k in (0, 1)
     )
+
+
+@cache
+def _log_mn(m: int, n: int) -> tuple[float, float]:
+    """log(mn) over the original machine count and the declared job count,
+    and the cut 1 / (5 log(mn)): a score is y / (2x) below it, y above it."""
+    ln_mn = math.log(m * n) if m * n > 1 else 0.0
+    return ln_mn, 1.0 / (ACTIVATION_FACTOR * ln_mn) if ln_mn > 0 else math.inf
 
 
 def draw_thresholds(m: int, seed: int) -> list[float]:
@@ -71,21 +84,54 @@ def pairwise_sum(values: Sequence[float]) -> float:
     return total
 
 
-def sample_index(rng: np.random.Generator, probs: Sequence[float]) -> int:
-    """The index ``rng.choice(len(probs), p=probs)`` draws, without its checks."""
-    cdf = list(itertools.accumulate(probs))
+def cdf_of(weights: Sequence[float]) -> list[float]:
+    """The running sum of weights over its last entry: ``bisect_right`` of a
+    ``random()`` draw into it is the index ``Generator.choice`` draws."""
+    cdf = list(accumulate(weights))
     last = cdf[-1]
-    return bisect.bisect_right([c / last for c in cdf], rng.random())
+    return [c / last for c in cdf]
 
 
-@dataclass(frozen=True, slots=True)
-class AssignmentRecord:
+class AssignmentRecord(NamedTuple):
     job: int
     machine: int
     p_original: float
     newly_activated_cost: float
     cum_cost: float
     int_makespan: float
+
+
+class ScoredJob(NamedTuple):
+    """The seed-independent half of rounding one kept job, shared by all
+    rounding seeds of its fractional stage."""
+
+    frac: JobFraction
+    ids: tuple[int, ...]  # the eligible machines with y > 0, in id order
+    zs: tuple[float, ...]  # their scores
+    best: int  # the first machine of the highest score; -1 when nothing scores
+    bad: str | None  # the first score above 1, which process_job raises
+    cdfs: dict[tuple[int, ...], tuple[float, list[float]]]  # z-mass and cdf by active ids
+
+
+def score_job(instance: Instance, frac: JobFraction) -> ScoredJob:
+    """Score each eligible machine that holds y > 0: z = y / (2x) below the
+    cut 1 / (5 ln(mn)), y above it."""
+    _, z_cut = _log_mn(instance.m, instance.n)
+    x, y, eligible = frac.x, frac.y, frac.eligible
+    ids, zs = [], []
+    best, z_best, bad = -1, 0.0, None
+    for i in compress(range(len(y)), y):  # y is mostly zero: skip its zeros in C
+        y_i = y[i]
+        if y_i <= 0.0 or not eligible[i]:
+            continue
+        z = y_i / (2.0 * x[i]) if x[i] < z_cut else y_i
+        if z > 1.0 + 1e-9 and bad is None:
+            bad = f"job {frac.job}, machine {i}: score {z!r} exceeds 1"
+        if z > z_best:
+            best, z_best = i, z
+        ids.append(i)
+        zs.append(z)
+    return ScoredJob(frac, tuple(ids), tuple(zs), best, bad, {})
 
 
 class RoundingState:
@@ -97,14 +143,13 @@ class RoundingState:
         self.budget = instance.makespan_budget
         self.costs = instance.costs()
         # The thresholds are those of draw_thresholds(m, seed).
-        thr_rng, self._pick_rng = _streams(seed)
+        thr_rng, pick_rng = _streams(seed)
         self.r = thr_rng.random(self.m).tolist()
-        # log(mn) uses the original machine count and the declared job count.
-        self._ln_mn = math.log(self.m * self.n) if self.m * self.n > 1 else 0.0
-        self._z_cut = (
-            1.0 / (ACTIVATION_FACTOR * self._ln_mn) if self._ln_mn > 0 else math.inf
-        )
+        # One pick per job, drawn up front: the values of n random() calls.
+        self._picks = iter(pick_rng.random(self.n).tolist())
+        self._ln_mn, _ = _log_mn(self.m, self.n)
         self.active = [False] * self.m
+        self._closed = set(range(self.m))  # the inactive machines
         self.int_cost = 0.0  # original startup cost of the active set, in id order
         self.assignment: dict[int, int] = {}
         self.int_load = [0.0] * self.m  # units of L
@@ -117,73 +162,60 @@ class RoundingState:
         """Integer makespan in original time units."""
         return self._max_int_load * self.budget
 
-    def process_job(self, frac: JobFraction) -> AssignmentRecord:
-        """Round one finished fractional job in one pass over the machines.
+    def process_job(self, job: ScoredJob) -> AssignmentRecord:
+        """Round one kept job with this state's seed (at most n jobs).
 
-        Each eligible machine is first opened if it is inactive and its
-        threshold is cleared, then scored if it holds y > 0: z = y / (2x)
-        below the cut, y above it. The job goes to an active machine sampled
-        in proportion to z. When no active machine scores (counted as a
-        fallback), the best-scoring eligible machine is opened first, or, if
-        nothing scores, the one with the cheapest cost-weighted processing
-        time is opened and takes the job without a draw.
+        Each closed eligible machine whose threshold is cleared opens first;
+        then a score above 1 raises. The job goes to an active scored machine
+        drawn in proportion to z, by the job's cdf for that set of machines.
+        When no active machine scores (counted as a fallback), the
+        best-scoring machine is opened and drawn as a set of one, or, if
+        nothing scores, the eligible machine with the cheapest cost-weighted
+        processing time is opened and takes the job without a draw.
         """
-        x, y, p, eligible = frac.x, frac.y, frac.p_scaled, frac.eligible
-        active, r, ln_mn, z_cut = self.active, self.r, self._ln_mn, self._z_cut
+        frac = job.frac
+        x, p, eligible = frac.x, frac.p_scaled, frac.eligible
+        active, closed, r, ln_mn = self.active, self._closed, self.r, self._ln_mn
         cost_before = self.int_cost
-        opened = False
-        ids: list[int] = []  # active machines with z > 0, and their z
-        zs: list[float] = []
-        best, z_best, bad = -1, 0.0, None
-        for i in range(self.m):
-            if not eligible[i]:
-                continue
-            if not active[i] and r[i] <= ACTIVATION_FACTOR * x[i] * ln_mn:
-                active[i] = opened = True
-            y_i = y[i]
-            if y_i <= 0.0:
-                continue
-            z = y_i / (2.0 * x[i]) if x[i] < z_cut else y_i
-            if z > 1.0 + 1e-9 and bad is None:
-                bad = f"job {frac.job}, machine {i}: score {z!r} exceeds 1"
-            if z > z_best:
-                best, z_best = i, z
-            if active[i]:
-                ids.append(i)
-                zs.append(z)
-        if bad is not None:
-            raise RoundingInvariantError(bad)
-        mass = sum(zs)
-        if mass < 1.0 - 1e-9:
-            self.deficit_jobs += 1
-        if mass <= 0.0:
+        opened = [i for i in closed if eligible[i] and r[i] <= ACTIVATION_FACTOR * x[i] * ln_mn]
+        for i in opened:
+            active[i] = True
+        closed.difference_update(opened)
+        if job.bad is not None:
+            raise RoundingInvariantError(job.bad)
+        ids = job.ids
+        key = ids if closed.isdisjoint(ids) else tuple(compress(ids, map(active.__getitem__, ids)))
+        deficit = not key
+        if deficit:
             self.fallback_count += 1
-            if best < 0:
-                # Nothing scored: open the machine with the cheapest
-                # cost-weighted processing time and assign directly.
-                i = min(
-                    (k for k in range(self.m) if eligible[k]),
-                    key=lambda k: (self.costs[k] * p[k], k),
-                )
+            i = job.best
+            if i < 0:  # nothing scored: the cheapest cost-weighted processing time
+                i = min(compress(range(self.m), eligible), key=lambda k: (self.costs[k] * p[k], k))
             else:
-                i, ids, zs, mass = best, [best], [z_best], z_best
-            active[i] = opened = True
-        if zs:
-            probs = [z / mass for z in zs]
-            total = pairwise_sum(probs)  # exact renormalization for the sampler
-            i = ids[sample_index(self._pick_rng, [q / total for q in probs])]
+                key = (i,)
+            active[i] = True
+            closed.discard(i)
+            opened.append(i)
+        if key:
+            entry = job.cdfs.get(key)
+            if entry is None:  # the z-mass in id order, and the cdf of z / mass renormalised
+                zs = job.zs if key is ids else list(compress(job.zs, map(active.__getitem__, ids)))
+                mass = sum(zs)
+                probs = [z / mass for z in zs]
+                total = pairwise_sum(probs)  # exact renormalization for the sampler
+                entry = job.cdfs[key] = mass, cdf_of([q / total for q in probs])
+            mass, cdf = entry
+            deficit = deficit or mass < 1.0 - 1e-9
+            i = key[bisect_right(cdf, next(self._picks))]
+        self.deficit_jobs += deficit
         if opened:
             self.int_cost = sum((self.costs[k] for k in range(self.m) if active[k]), 0.0)
         self.assignment[frac.job] = i
         self.int_load[i] += p[i]
         self._max_int_load = max(self._max_int_load, self.int_load[i])
-        record = AssignmentRecord(
-            job=frac.job,
-            machine=i,
-            p_original=p[i] * self.budget,
-            newly_activated_cost=self.int_cost - cost_before,
-            cum_cost=self.int_cost,
-            int_makespan=self.int_makespan(),
-        )
+        # Built as AssignmentRecord._make builds it, with no Python frame.
+        cost, budget = self.int_cost, self.budget
+        fields = (frac.job, i, p[i] * budget, cost - cost_before, cost, self._max_int_load * budget)
+        record = tuple.__new__(AssignmentRecord, fields)
         self.log.append(record)
         return record

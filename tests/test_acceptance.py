@@ -23,6 +23,7 @@ from actsched.experiment import (
 from actsched.fractional import FractionalState
 from actsched.instances import PTIME_MODELS, GeneratorConfig, generate, save_instance
 from actsched.oracle import optimal_bnb, optimal_exhaustive
+from actsched.rounding import score_job
 
 EXHAUSTIVE_GUARD = 10**7
 
@@ -66,16 +67,16 @@ def rounding_sweep():
         inst = generate(GeneratorConfig(m=m, n=n, seed=2000 + s, ptime_model=model))
         B = oracle_solve(inst).optimal_cost
         fs = FractionalState(inst, B)
-        records = []
+        jobs = []
         for j in range(n):
             fs.process_job(j)
-            records.append(fs.job_fraction(j))
+            jobs.append(score_job(inst, fs.job_fraction(j)))
         frac_cost_original = fs.fractional_cost() * B / m  # rescaled -> original units
         int_costs = []
         makespan_ratios = []
         fallbacks = 0
         for rseed in range(200):
-            rs = replay_rounding(inst, records, rseed)
+            rs = replay_rounding(inst, jobs, rseed)
             int_costs.append(rs.int_cost)
             makespan_ratios.append(rs.int_makespan() / inst.makespan_budget)
             fallbacks += rs.fallback_count
@@ -268,7 +269,8 @@ def test_criterion_8_doubling_sanity():
         )
         doubled = run_with_doubling(inst, initial_guess=B / 8.0)
         worst_phases = max(worst_phases, len(doubled.phases))
-        doubled_cost = replay_rounding(inst, doubled.records, s).int_cost
+        jobs = [score_job(inst, frac) for frac in doubled.records]
+        doubled_cost = replay_rounding(inst, jobs, s).int_cost
         worst_ratio = max(worst_ratio, doubled_cost / fixed.rounding.int_cost)
     ok = worst_phases <= 5 and worst_ratio <= 4.0
     _report(

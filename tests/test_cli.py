@@ -183,7 +183,8 @@ def test_run_twice_byte_identical(tmp_path):
 # sha256 of the fractional logs of three benchmark-sized runs (seed 0,
 # rounding seed 0). The uniform ones were taken before the engine's ranking
 # became incremental, the restricted one before a step became one pass over
-# its machines. A speed-up must leave them unchanged; a change that moves
+# its machines; the rounding log's (assignments.csv) before the scores of a
+# job were shared by its rounding seeds. A speed-up must leave them unchanged; a change that moves
 # results on purpose updates them and says so in CHANGES.md.
 PINNED_FRACTIONAL_LOGS = [
     (
@@ -194,6 +195,7 @@ PINNED_FRACTIONAL_LOGS = [
         {
             "steps.csv": "0a4a519f98b709c6b71d9952568eb92ce875299b7a3d214355e2ca7ddc1544bf",
             "y.csv": "d3ecb488507fa5c3a9b9f15060cea4f9de52545f7ad66ebb2ca040ee22f0a0e2",
+            "assignments.csv": "25fb4d66ebbcb5adba6662d3ab30a60c29f7bc498d81e807d4845fbe612af288",
         },
     ),
     (
@@ -204,6 +206,7 @@ PINNED_FRACTIONAL_LOGS = [
         {
             "steps.csv": "80c77db60bb2a29a27ef2ba8400ab755e4cff14c6def601b4f1a5bdee606538d",
             "y.csv": "65f308c3d0d225e4d7d28d81ec0b506f2ab37c5177aa97218ddde6e030601034",
+            "assignments.csv": "2cf1582bce7d990fa2a472fb8ea981b0cbaddc6ebe7ae21cf959665bd9e525bf",
         },
     ),
     # Three phases (the guess doubles twice) and 18,349 Type-A steps over
@@ -216,6 +219,7 @@ PINNED_FRACTIONAL_LOGS = [
         {
             "steps.csv": "32de39a13a10f319307fbee7d28effa41cee97df013affa4682505f1f9758e3d",
             "y.csv": "b5a80003397e9c667461ef4619779161913716b0624933058e89eeedd2f94eab",
+            "assignments.csv": "e49df2d08879f5d98cd21921252296a7d5f14b78493748f74846acedc00c7469",
         },
     ),
 ]
@@ -743,6 +747,14 @@ def _set_meta(*keys, value):
      "cannot load logs: steps.csv has a row without the header's 4 fields"),
     (_edit_rows("steps.csv", lambda rows: rows[0].append(rows[1].pop())),
      "cannot load logs: steps.csv has a row without the header's 4 fields"),
+    (_edit_rows("assignments.csv", lambda rows: rows[0].append("x")),
+     "cannot load logs: assignments.csv has a row without the header's 6 fields"),
+    (_edit_rows("assignments.csv", lambda rows: rows[1].pop()),
+     "cannot load logs: assignments.csv has a row without the header's 6 fields"),
+    (_edit_rows("report.csv", lambda rows: rows[0].append("x")),
+     "cannot load logs: report.csv has a row without the header's 12 fields"),
+    (_edit_rows("report.csv", lambda rows: rows[0].pop()),
+     "cannot load logs: report.csv has a row without the header's 12 fields"),
     (_edit_rows("steps.csv", _set_cell(2, 3, "x")),
      "cannot load logs: could not convert string to float: 'x'"),
     (_edit_rows("steps.csv", lambda rows: rows.insert(3, [""])),
@@ -757,6 +769,7 @@ def _set_meta(*keys, value):
         "running-sum", "int_makespan-column", "final-cum-cost", "report-column",
         "meta-thresholds", "meta-alpha", "meta-violation-counts",
         "steps-short-row", "steps-extra-field", "steps-nine-fields", "steps-field-moved-up",
+        "assignments-extra-field", "assignments-short-row", "report-extra-field", "report-short-row",
         "steps-delta-phi-not-a-number",
         "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-empty"])
 def test_verify_reports_tampered_ids_and_rounding_logs(tmp_path, tamper, message):

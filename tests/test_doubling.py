@@ -8,7 +8,7 @@ from actsched.doubling import cost_bound, default_initial_guess, run_with_doubli
 from actsched.experiment import RunConfig, oracle_solve, run_pipeline, write_run_logs
 from actsched.fractional import FractionalState, GuessTooSmallError
 from actsched.instances import PTIME_MODELS, GeneratorConfig, Instance, Job, Machine, generate
-from actsched.rounding import RoundingState
+from actsched.rounding import RoundingState, score_job
 
 
 def make_instance(costs, ptimes, budget=1.0):
@@ -177,7 +177,7 @@ def _round_online(inst, guess, double, seed):
                 fs.process_job(j)
                 if fs.fractional_cost() > bound:
                     break
-                rounding.process_job(fs.job_fraction(j))
+                rounding.process_job(score_job(inst, fs.job_fraction(j)))
                 j += 1
         except GuessTooSmallError:
             if not double or not any(fs.discarded):

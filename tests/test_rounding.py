@@ -1,6 +1,6 @@
+import bisect
 import math
 import sys
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,9 +15,11 @@ from actsched.rounding import (
     AssignmentRecord,
     RoundingInvariantError,
     RoundingState,
+    ScoredJob,
+    cdf_of,
     draw_thresholds,
     pairwise_sum,
-    sample_index,
+    score_job,
 )
 
 
@@ -61,6 +63,13 @@ def test_thresholds_empirical_mean(seed):
     assert 0.48 <= mean <= 0.52
 
 
+def test_streams_are_the_spawned_children_of_the_seed():
+    for seed in (0, 1, 2**32 - 1):
+        children = np.random.SeedSequence(seed).spawn(2)
+        for rng, child in zip(rounding._streams(seed), children):
+            assert rng.random(4).tolist() == np.random.Generator(np.random.PCG64(child)).random(4).tolist()
+
+
 def test_rounding_state_uses_the_drawn_thresholds():
     inst = uniform_instance(7, 5, 0)
     assert RoundingState(inst, seed=11).r == draw_thresholds(7, 11)
@@ -73,7 +82,7 @@ def test_activation_threshold_formula():
     inst = uniform_instance(10, 10, 0)
     rs = RoundingState(inst, seed=0)
     rs.r = [0.2] + [1.0] * 9
-    record = rs.process_job(frac_of(10, x=[0.05] + [0.0] * 9, y=[0.1] + [0.0] * 9))
+    record = rs.process_job(score_job(inst, frac_of(10, x=[0.05] + [0.0] * 9, y=[0.1] + [0.0] * 9)))
     # 5 * 0.05 * ln(100) = 1.151 >= 0.2
     assert rs.active == [True] + [False] * 9
     assert record.machine == 0 and rs.fallback_count == 0
@@ -86,7 +95,7 @@ def test_activation_below_threshold_stays_inactive():
     rs.r = [0.999] * 50
     x = [1.0 / 50] * 50
     assert 5 * (1 / 50) * math.log(100) < 0.999
-    rs.process_job(frac_of(50, x=x, y=[0.01] + [0.0] * 49, p=[0.5] * 50))
+    rs.process_job(score_job(inst, frac_of(50, x=x, y=[0.01] + [0.0] * 49, p=[0.5] * 50)))
     # No threshold is cleared: the only open machine is the fallback's.
     assert rs.fallback_count == 1
     assert rs.active == [True] + [False] * 49
@@ -97,10 +106,10 @@ def test_activation_idempotent_no_double_charge():
     inst = uniform_instance(3, 4, 2)
     rs = RoundingState(inst, seed=0)
     rs.r = [0.0, 1.0, 1.0]
-    first = rs.process_job(frac_of(3, job=0, x=[0.9, 0.0, 0.0], y=[0.5, 0.0, 0.0]))
+    first = rs.process_job(score_job(inst, frac_of(3, job=0, x=[0.9, 0.0, 0.0], y=[0.5, 0.0, 0.0])))
     cost_after_first = rs.int_cost
     assert first.newly_activated_cost == cost_after_first == inst.costs()[0]
-    second = rs.process_job(frac_of(3, job=1, x=[0.9, 0.0, 0.0], y=[0.5, 0.0, 0.0]))
+    second = rs.process_job(score_job(inst, frac_of(3, job=1, x=[0.9, 0.0, 0.0], y=[0.5, 0.0, 0.0])))
     assert second.newly_activated_cost == 0.0
     assert rs.active == [True, False, False]
     assert rs.int_cost == cost_after_first == second.cum_cost
@@ -111,23 +120,24 @@ def test_discarded_machines_never_activate():
     rs = RoundingState(inst, seed=0)
     rs.r = [0.0, 0.0, 0.0]
     frac = frac_of(3, x=[1.0, 1.0, 1.0], y=[0.5, 0.0, 0.5], eligible=[True, False, True])
-    assert rs.process_job(frac).machine in (0, 2)
+    assert rs.process_job(score_job(inst, frac)).machine in (0, 2)
     assert rs.active == [True, False, True]
 
 
 # -- scores ------------------------------------------------------------------------
 
 
-def drawn_weights(monkeypatch, rs, frac):
-    """The sampling weights that process_job hands to sample_index for frac."""
+def drawn_weights(monkeypatch, rs, job):
+    """The sampling weights from which process_job builds the cdf it draws
+    job's machine by."""
     seen = []
 
-    def spy(rng, probs):
-        seen.append(list(probs))
-        return 0
+    def spy(weights):
+        seen.append(list(weights))
+        return cdf_of(weights)
 
-    monkeypatch.setattr(rounding, "sample_index", spy)
-    rs.process_job(frac)
+    monkeypatch.setattr(rounding, "cdf_of", spy)
+    rs.process_job(job)
     (probs,) = seen
     return probs
 
@@ -141,10 +151,10 @@ def test_score_branches_at_cut(monkeypatch):
     rs = RoundingState(inst, seed=0)
     rs.r = [0.0] * 10  # every machine opens
     high = frac_of(10, y=[0.4, 0.5] + [0.0] * 8, x=[0.5] * 10)
-    p0, p1 = drawn_weights(monkeypatch, rs, high)
+    p0, p1 = drawn_weights(monkeypatch, rs, score_job(inst, high))
     assert 0.5 * p0 / p1 == pytest.approx(0.4, rel=1e-12)
     low = frac_of(10, y=[0.03, 0.5] + [0.0] * 8, x=[0.02] + [0.5] * 9)
-    p0, p1 = drawn_weights(monkeypatch, rs, low)
+    p0, p1 = drawn_weights(monkeypatch, rs, score_job(inst, low))
     assert 0.5 * p0 / p1 == pytest.approx(0.75, rel=1e-12)
 
 
@@ -153,10 +163,16 @@ def test_score_above_one_rejected():
     rs = RoundingState(inst, seed=0)
     bad = frac_of(10, y=[0.05] + [0.0] * 9, x=[0.02] + [0.5] * 9)  # y > 2x
     with pytest.raises(RoundingInvariantError, match="machine 0"):
-        rs.process_job(bad)
+        rs.process_job(score_job(inst, bad))
 
 
 # -- assignment ----------------------------------------------------------------------
+
+
+def sample_index(rng: np.random.Generator, probs) -> int:
+    """The index ``rng.choice(len(probs), p=probs)`` draws, without its checks,
+    as process_job draws: one ``random()`` draw bisected into ``cdf_of(probs)``."""
+    return bisect.bisect_right(cdf_of(probs), rng.random())
 
 
 def test_sample_index_draws_what_generator_choice_draws():
@@ -202,7 +218,7 @@ def test_single_positive_score_machine_always_chosen():
         rs = RoundingState(inst, seed=seed)
         rs.r = [0.0, 0.0, 1.0, 1.0]  # machines 0 and 1 open
         frac = frac_of(4, y=[0.0, 0.8, 0.0, 0.0], x=[0.5, 0.5, 0.0, 0.0])
-        assert rs.process_job(frac).machine == 1
+        assert rs.process_job(score_job(inst, frac)).machine == 1
         assert rs.active == [True, True, False, False]
         assert rs.int_load[1] == frac.p_scaled[1]
 
@@ -212,7 +228,7 @@ def test_fallback_activates_best_scoring_machine():
     rs = RoundingState(inst, seed=0)
     rs.r = [math.inf] * 3  # no threshold is cleared
     frac = frac_of(3, y=[0.2, 0.8, 0.2], x=[0.5] * 3)
-    chosen = rs.process_job(frac).machine  # nothing active: forced activation
+    chosen = rs.process_job(score_job(inst, frac)).machine  # nothing active: forced activation
     assert chosen == 1
     assert rs.active[1] and rs.fallback_count == 1
     assert rs.int_makespan() == max(rs.int_load) * inst.makespan_budget
@@ -223,7 +239,7 @@ def test_fallback_all_zero_scores_uses_cost_weighted_ptime():
     rs = RoundingState(inst, seed=0)
     rs.r = [math.inf] * 3  # no threshold is cleared
     frac = frac_of(3, y=[0.0, 0.0, 0.0], x=[0.5] * 3, p=[0.5, 0.9, 0.1])
-    chosen = rs.process_job(frac).machine  # c*p = [2.0, 0.9, 0.2] -> machine 2
+    chosen = rs.process_job(score_job(inst, frac)).machine  # c*p = [2.0, 0.9, 0.2] -> machine 2
     assert chosen == 2
     assert rs.active == [False, False, True]
     assert rs.fallback_count == 1
@@ -238,7 +254,7 @@ def run_rounded(inst, alpha, seed):
     rs = RoundingState(inst, seed=seed)
     for j in range(inst.n):
         fs.process_job(j)
-        rs.process_job(fs.job_fraction(j))
+        rs.process_job(score_job(inst, fs.job_fraction(j)))
     return fs, rs
 
 
@@ -276,7 +292,7 @@ def test_activation_is_monotone_and_snapshots_recorded():
     active_before = list(rs.active)
     for j in range(6):
         fs.process_job(j)
-        rs.process_job(fs.job_fraction(j))
+        rs.process_job(score_job(inst, fs.job_fraction(j)))
         assert all(b or not a for a, b in zip(active_before, rs.active))
         active_before = list(rs.active)
         assert fs.job_fraction(j).x == tuple(fs.x)
@@ -305,12 +321,12 @@ def test_deficit_fraction_small_monte_carlo():
         inst = uniform_instance(10, 10, 70 + iseed)
         alpha = oracle_solve(inst).optimal_cost
         fs = FractionalState(inst, alpha)
-        records = []
+        scored = []
         for j in range(10):
             fs.process_job(j)
-            records.append(fs.job_fraction(j))
+            scored.append(score_job(inst, fs.job_fraction(j)))
         for rseed in range(500):
-            rs = replay_rounding(inst, records, rseed)
+            rs = replay_rounding(inst, scored, rseed)
             deficits += rs.deficit_jobs
             jobs += 10
     assert deficits / jobs <= 0.05
@@ -438,7 +454,7 @@ class PerStepRoundingState:
 
 def record_bits(record: AssignmentRecord) -> tuple:
     """An assignment record with its floats as exact hex strings."""
-    return tuple(v if isinstance(v, int) else float(v).hex() for v in astuple(record))
+    return tuple(v if isinstance(v, int) else float(v).hex() for v in tuple(record))
 
 
 # How a drawn job's activation levels and fractional assignment are made:
@@ -490,29 +506,70 @@ def recorded(sampler, weights: list):
     return record
 
 
-def run_both(
-    inst: Instance, seed: int, records: list[JobFraction], weights: dict, drawn: dict
-) -> None:
-    """Round records on RoundingState and on PerStepRoundingState side by side
-    and assert that every job leaves the same floats to the bit, the weights
-    each sampler drew with (recorded into ``weights``) included. Counts the
-    fallback kinds, the deficit jobs and the sizes of the sampled sets into
-    ``drawn``."""
+class TaggedCdf(list):
+    """A cdf that carries the weights it was built from, as hex strings."""
+
+    weights: list[str]
+
+
+def recorded_draws(weights: list, counts: dict):
+    """cdf_of and bisect_right as process_job calls them: each cdf carries
+    its weights, and each draw appends the weights of the cdf it bisects to
+    ``weights``, also when that cdf comes from a memo that an earlier seed
+    filled. Counts the cdfs built and the draws into ``counts``."""
+
+    def tagged_cdf_of(ws):
+        counts["built"] += 1
+        cdf = TaggedCdf(cdf_of(ws))
+        cdf.weights = [float(q).hex() for q in ws]
+        return cdf
+
+    def draw(cdf, u):
+        counts["drawn"] += 1
+        weights.append(cdf.weights)
+        return bisect.bisect_right(cdf, u)
+
+    return tagged_cdf_of, draw
+
+
+def record_both_samplers(monkeypatch) -> tuple[dict, dict]:
+    """Patch both sides to record each draw's weights; returns the weights
+    by side and the one-pass side's counts of cdfs built and draws."""
+    weights: dict[str, list] = {"one_pass": [], "reference": []}
+    counts = {"built": 0, "drawn": 0}
+    tagged_cdf_of, draw = recorded_draws(weights["one_pass"], counts)
+    monkeypatch.setattr(rounding, "cdf_of", tagged_cdf_of)
+    monkeypatch.setattr(rounding, "bisect_right", draw)
+    monkeypatch.setattr(
+        sys.modules[__name__],
+        "reference_sample_index",
+        recorded(reference_sample_index, weights["reference"]),
+    )
+    return weights, counts
+
+
+def run_both(inst: Instance, seed: int, jobs: list[ScoredJob], weights: dict, drawn: dict) -> None:
+    """Round jobs on RoundingState and their records on PerStepRoundingState
+    side by side and assert that every job leaves the same floats to the bit,
+    the weights each sampler drew with (recorded into ``weights``) included.
+    Counts the fallback kinds, the deficit jobs and the sizes of the sampled
+    sets into ``drawn``."""
     rs, ref = RoundingState(inst, seed), PerStepRoundingState(inst, seed)
-    for frac in records:
+    for job in jobs:
+        frac = job.frac
         weights["one_pass"].clear()
         weights["reference"].clear()
         try:
             expected = ref.process_job(frac)
         except RoundingInvariantError as exc:
             with pytest.raises(RoundingInvariantError) as raised:
-                rs.process_job(frac)
+                rs.process_job(job)
             assert str(raised.value) == str(exc)
             assert rs.active == ref.active
             drawn["rejected"] += 1
             return
         fallbacks, deficits = rs.fallback_count, rs.deficit_jobs
-        record = rs.process_job(frac)
+        record = rs.process_job(job)
         assert record_bits(record) == record_bits(expected)
         assert weights["one_pass"] == weights["reference"]
         assert [v.hex() for v in rs.int_load] == [v.hex() for v in ref.int_load]
@@ -528,47 +585,72 @@ def run_both(
         drawn["deficit"] += rs.deficit_jobs > deficits
 
 
+DRAWN_CASES = (
+    "fallback_best",
+    "fallback_cheapest",
+    "deficit",
+    "sampled_under_8",
+    "sampled_8_to_128",
+    "sampled_over_128",
+    "rejected",
+)
+
+
+def drawn_jobs(data) -> tuple[Instance, list[ScoredJob]]:
+    """An instance and its scored jobs, drawn over JOB_KINDS, with the last
+    job rejected in some examples."""
+    m = data.draw(st.integers(1, 12) | st.integers(140, 160), label="m")
+    n = data.draw(st.integers(1, 8), label="n")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="value seed"))
+    costs = gen.uniform(0.5, 10.0, m).tolist()
+    inst = make_instance(costs, gen.uniform(0.01, 1.0, (n, m)).tolist())
+    discarded = data.draw(st.sampled_from([0.0, 0.05, 0.3]), label="discarded share")
+    eligible = (gen.random(m) >= discarded).tolist()
+    eligible[int(gen.integers(m))] = True
+    kinds = data.draw(st.lists(st.sampled_from(JOB_KINDS[:-1]), min_size=n, max_size=n))
+    if data.draw(st.booleans(), label="last job rejected"):
+        kinds[-1] = "bad"
+    records = [drawn_job(gen, kind, j, inst, tuple(eligible)) for j, kind in enumerate(kinds)]
+    return inst, [score_job(inst, frac) for frac in records]
+
+
 def test_one_pass_rounding_matches_the_per_step_reference(monkeypatch):
-    weights: dict[str, list] = {"one_pass": [], "reference": []}
-    monkeypatch.setattr(rounding, "sample_index", recorded(sample_index, weights["one_pass"]))
-    monkeypatch.setattr(
-        sys.modules[__name__],
-        "reference_sample_index",
-        recorded(reference_sample_index, weights["reference"]),
-    )
-    drawn = dict.fromkeys(
-        (
-            "fallback_best",
-            "fallback_cheapest",
-            "deficit",
-            "sampled_under_8",
-            "sampled_8_to_128",
-            "sampled_over_128",
-            "rejected",
-        ),
-        0,
-    )
+    weights, _ = record_both_samplers(monkeypatch)
+    drawn = dict.fromkeys(DRAWN_CASES, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def check(data):
-        m = data.draw(st.integers(1, 12) | st.integers(140, 160), label="m")
-        n = data.draw(st.integers(1, 8), label="n")
+        inst, jobs = drawn_jobs(data)
         seed = data.draw(st.integers(0, 2**32 - 1), label="rounding seed")
-        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="value seed"))
-        costs = gen.uniform(0.5, 10.0, m).tolist()
-        inst = make_instance(costs, gen.uniform(0.01, 1.0, (n, m)).tolist())
-        discarded = data.draw(st.sampled_from([0.0, 0.05, 0.3]), label="discarded share")
-        eligible = (gen.random(m) >= discarded).tolist()
-        eligible[int(gen.integers(m))] = True
-        kinds = data.draw(st.lists(st.sampled_from(JOB_KINDS[:-1]), min_size=n, max_size=n))
-        if data.draw(st.booleans(), label="last job rejected"):
-            kinds[-1] = "bad"
-        records = [drawn_job(gen, kind, j, inst, tuple(eligible)) for j, kind in enumerate(kinds)]
-        run_both(inst, seed, records, weights, drawn)
+        run_both(inst, seed, jobs, weights, drawn)
 
     check()
     assert all(drawn.values()), drawn
+
+
+def test_shared_jobs_match_the_per_step_reference_under_each_seed(monkeypatch):
+    # One scored job list rounded under 2 to 5 seeds in turn, as a sweep
+    # rounds one fractional stage: later seeds draw by cdfs that earlier
+    # seeds left in the jobs' memos.
+    weights, counts = record_both_samplers(monkeypatch)
+    drawn = dict.fromkeys(DRAWN_CASES, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        inst, jobs = drawn_jobs(data)
+        seeds = data.draw(
+            st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=5, unique=True),
+            label="rounding seeds",
+        )
+        for seed in seeds:
+            run_both(inst, seed, jobs, weights, drawn)
+
+    check()
+    assert all(drawn.values()), drawn
+    # Each cdf built is drawn by once on the spot; the other draws hit a memo.
+    assert counts["drawn"] > counts["built"] > 0, counts
 
 
 def test_pairwise_sum_matches_numpy_bit_for_bit():
