@@ -28,11 +28,10 @@ from .oracle import (
     InfeasibleInstanceError,
     OracleResult,
     OracleTooLargeError,
-    feasible,
     optimal_bnb,
     optimal_exhaustive,
 )
-from .rounding import RoundingState, draw_thresholds
+from .rounding import RoundingState
 
 __version__ = "0.1.0"
 
@@ -53,8 +52,6 @@ __all__ = [
     "RoundingState",
     "StepOutcome",
     "default_initial_guess",
-    "draw_thresholds",
-    "feasible",
     "generate",
     "load_instance",
     "optimal_bnb",

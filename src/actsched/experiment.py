@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
 
-from .doubling import DoublingResult, PhaseTrace, run_with_doubling
+from .doubling import DoublingResult, PhaseTrace, default_initial_guess, run_with_doubling
 
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
 from .doubling import snapshot_phase  # noqa: F401
@@ -42,7 +42,7 @@ from .instances import (
     save_instance,
 )
 from .oracle import DEFAULT_NODE_BUDGET, OracleResult, optimal_bnb
-from .rounding import RoundingState, ScoredJob, draw_thresholds, pairwise_sum, score_job
+from .rounding import RoundingState, ScoredJob, pairwise_sum, score_job
 
 CHECK_FAMILIES = ("feasibility", "potential", "consistency", "rounding")
 TOL = 1e-9
@@ -66,7 +66,6 @@ STEP_COLUMNS = ("job", "step_idx", "type", "delta_phi")
 STEP_WRITE_ROWS = 4096  # steps.csv rows formatted into one string per write
 STEP_READ_BYTES = 1 << 16  # the readlines hint by which verify streams steps.csv
 ASSIGNMENT_COLUMNS = ("job", "machine", "p_ij", "newly_activated_cost", "cum_cost", "int_makespan")
-PHASE_COLUMNS = ("phase", "guess", "jobs_processed", "frac_cost", "int_cost_delta")
 Y_COLUMNS = ("phase", "job", "machine", "y")
 # PhaseTrace fields that meta.json leaves out: the y rows go to y.csv and
 # the steps to steps.csv.
@@ -402,31 +401,16 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
     )
 
     _write_csv(logdir / "assignments.csv", ASSIGNMENT_COLUMNS, artifacts.rounding.log)
-
-    # A phase's integer cost delta is the rounding log's cum_cost across the
-    # phase's kept jobs (phases keep jobs in stream order).
-    cum = [0.0] + [r.cum_cost for r in artifacts.rounding.log]
-    phase_rows = []
-    start = 0
-    for p in artifacts.phases:
-        end = start + p.jobs_processed
-        phase_rows.append((p.phase, p.guess, p.jobs_processed, p.frac_cost, cum[end] - cum[start]))
-        start = end
-    _write_csv(logdir / "phases.csv", PHASE_COLUMNS, phase_rows)
-
     write_report_csv(logdir / "report.csv", [artifacts.row])
 
     meta = {
         "config": asdict(artifacts.config),
-        "alpha": artifacts.alpha,
         "phases": [
             {k: v for k, v in vars(p).items() if k not in PHASE_FIELDS_NOT_IN_META}
             for p in artifacts.phases
         ],
         "rounding": {
-            "thresholds": artifacts.rounding.r,
             "active": artifacts.rounding.active,
-            "int_load": artifacts.rounding.int_load,
             "deficit_jobs": artifacts.rounding.deficit_jobs,
         },
         "violations": {
@@ -456,7 +440,8 @@ def _load_phases(meta: dict, y_path: Path, m: int, n: int) -> list[PhaseTrace]:
     ys: dict[int, dict[int, list[float]]] = {}
     with open(y_path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
-        next(rows)
+        if next(rows, None) != list(Y_COLUMNS):
+            raise ValueError(f"y.csv does not start with the header {','.join(Y_COLUMNS)}")
         for ph, job, mach, y in rows:
             row = ys.setdefault(int(ph), {}).setdefault(_id(job, n, "y.csv job"), [0.0] * m)
             row[_id(mach, m, "y.csv machine")] = float(y)
@@ -509,8 +494,9 @@ def verify_logdir(logdir: str | Path) -> list[str]:
     """Re-run the live checks on the records loaded back from a run's logs.
 
     The phase, step and rounding checks are the functions the run itself
-    calls; only the columns that exist in the logs alone (the ``cum_cost``
-    running sum, the ``int_makespan`` and ``p_ij`` columns, and the report
+    calls, with the integer loads summed from ``assignments.csv``; only the
+    values that exist in the logs alone (the ``cum_cost`` running sum, the
+    ``int_makespan`` and ``p_ij`` columns, each phase's guess, and the report
     row against ``meta.json``) are checked here. Raises InstanceFormatError
     when the directory or a log file is missing (invalid input); content
     problems, a job or machine id outside the instance among them, come back
@@ -533,7 +519,6 @@ def _verify_logs(logdir: Path) -> list[str]:
     budget = instance.makespan_budget
     p = instance.scaled_ptimes()
     phases = _load_phases(meta, logdir / "y.csv", instance.m, instance.n)
-    rmeta = meta["rounding"]
 
     step_jobs: set[str] = set()
     with open(logdir / "steps.csv", encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
@@ -566,12 +551,19 @@ def _verify_logs(logdir: Path) -> list[str]:
     for trace in phases:
         eligible = tuple(not d for d in trace.discarded)
         kept += [(j, p[j], eligible) for j in range(len(kept), len(kept) + trace.jobs_processed)]
-    problems += audit_rounding(assignment, rmeta["active"], rmeta["int_load"], kept)
-    # meta.json fields that follow from the other files.
-    if rmeta["thresholds"] != draw_thresholds(instance.m, meta["config"]["seed"]):
-        problems.append("rounding thresholds are not draw_thresholds(m, seed)")
-    if phases and meta["alpha"] != phases[-1].guess:
-        problems.append(f"alpha {meta['alpha']!r} is not the final guess {phases[-1].guess!r}")
+    problems += audit_rounding(assignment, meta["rounding"]["active"], int_load, kept)
+    # meta.json fields that follow from the other files: the guesses are the
+    # mode's first guess, doubled per phase, and the violation counts sum to
+    # the report's total.
+    config = meta["config"]
+    if config["alpha_mode"] == "double":
+        guess = default_initial_guess(instance)
+    else:
+        guess = meta["report"]["B"] if config["alpha_mode"] == "oracle" else config["alpha_value"]
+    for trace in phases:
+        if trace.guess != guess:
+            problems.append(f"phase {trace.phase}: guess {trace.guess!r} is not {guess!r}")
+        guess *= 2.0
     counted = sum(meta["violations"]["counts"].values())
     if counted != meta["report"]["invariant_violations"]:
         problems.append(f"violation counts sum to {counted}, not the reported invariant_violations")

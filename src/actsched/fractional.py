@@ -142,15 +142,6 @@ class FractionalState:
 
     # -- ranking -------------------------------------------------------------
 
-    def virtual_cost(self, i: int, j: int) -> float:
-        if self.discarded[i]:
-            raise ValueError(f"machine {i} was discarded by pre-processing")
-        c = self.scaled_costs[i]
-        p_ij = self.p[j][i]
-        if self.x[i] == 1.0:
-            return c * GROWTH_BASE ** (self.load[i] - 1.0) * p_ij
-        return c * p_ij
-
     def usable_machines(self, j: int) -> list[int]:
         """Kept machines on which job j fits within the budget (p_ij <= L)."""
         prow = self.p[j]
@@ -159,7 +150,8 @@ class FractionalState:
     def _rank(self, j: int) -> list[tuple[float, int]]:
         """Rank job j's usable machines from scratch: (virtual cost, id) pairs
         ascending, the order of a stable sort by virtual cost over ascending
-        ids. The keys are ``virtual_cost``'s expression, written out."""
+        ids. A machine's virtual cost is c * p_ij, times a^(load - 1) once it
+        is fully active."""
         x, load, costs, a, prow = self.x, self.load, self.scaled_costs, GROWTH_BASE, self.p[j]
         self._ranked = sorted(
             (costs[i] * a ** (load[i] - 1.0) * prow[i] if x[i] == 1.0 else costs[i] * prow[i], i)

@@ -52,12 +52,6 @@ def machine_loads(instance: Instance, assignment: tuple[int, ...] | list[int]) -
     return loads
 
 
-def feasible(instance: Instance, assignment: tuple[int, ...] | list[int]) -> bool:
-    """True iff every machine load under the assignment is <= L."""
-    budget = instance.makespan_budget
-    return all(load <= budget for load in machine_loads(instance, assignment))
-
-
 def _activation_cost(costs: list[float], assignment) -> float:
     # Canonical ascending-id summation so both oracle routes report
     # bitwise-identical costs for the same activated set.
@@ -113,7 +107,7 @@ def optimal_bnb(instance: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> O
     a depth-first packing of the jobs in arrival order, each job trying the
     set's machines by processing time (its fitting machines are sorted once
     and filtered to each set); a backtrack restores the saved load, so every
-    load is the float sum ``feasible()`` computes. A packing node is pruned
+    load is the float sum ``machine_loads()`` computes. A packing node is pruned
     when its placed volume plus the least volume the remaining jobs need in
     the set passes the set's capacity; a set cut at the root costs its one
     node and no per-job lists. The search stops once the smallest key passes

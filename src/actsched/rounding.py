@@ -50,14 +50,6 @@ def _log_mn(m: int, n: int) -> tuple[float, float]:
     return ln_mn, 1.0 / (ACTIVATION_FACTOR * ln_mn) if ln_mn > 0 else math.inf
 
 
-def draw_thresholds(m: int, seed: int) -> list[float]:
-    """The m activation thresholds, uniform on [0, 1], deterministic in seed."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    thr_rng, _ = _streams(seed)
-    return thr_rng.random(m).tolist()
-
-
 def pairwise_sum(values: Sequence[float]) -> float:
     """The float64 sum ``np.add.reduce`` returns: a plain loop below 8
     entries, eight strided accumulators up to 128, and two halves, cut at a
@@ -142,9 +134,8 @@ class RoundingState:
         self.n = instance.n
         self.budget = instance.makespan_budget
         self.costs = instance.costs()
-        # The thresholds are those of draw_thresholds(m, seed).
         thr_rng, pick_rng = _streams(seed)
-        self.r = thr_rng.random(self.m).tolist()
+        self.r = thr_rng.random(self.m).tolist()  # the activation thresholds, uniform on [0, 1]
         # One pick per job, drawn up front: the values of n random() calls.
         self._picks = iter(pick_rng.random(self.n).tolist())
         self._ln_mn, _ = _log_mn(self.m, self.n)

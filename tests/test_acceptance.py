@@ -242,7 +242,6 @@ def test_criterion_7_determinism(tmp_path):
         "steps.csv",
         "y.csv",
         "assignments.csv",
-        "phases.csv",
         "report.csv",
     )
     identical = all(

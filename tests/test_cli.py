@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from actsched import experiment
 from actsched.cli import main
-from actsched.experiment import verify_logdir
+from actsched.experiment import audit_rounding, verify_logdir
 from actsched.fractional import TYPE_A, TYPE_B, StepOutcome
 from actsched.instances import GeneratorConfig, generate, load_instance, save_instance
 from actsched.oracle import optimal_exhaustive
@@ -28,7 +28,6 @@ LOG_FILES = (
     "steps.csv",
     "y.csv",
     "assignments.csv",
-    "phases.csv",
     "report.csv",
 )
 
@@ -346,14 +345,13 @@ def test_run_doubling_mode(tmp_path):
     logdir = tmp_path / "dlogs"
     assert main(["run", "--in", str(path), "--alpha", "double", "--seed", "1",
                  "--logdir", str(logdir)]) == 0
-    lines = (logdir / "phases.csv").read_text().splitlines()
-    assert lines[0] == "phase,guess,jobs_processed,frac_cost,int_cost_delta"
     # The default guess is machine 2's cost, and pre-processing keeps that
     # machine, so one phase covers every job.
-    assert len(lines) - 1 == 1
-    assert lines[1].startswith("0,2.7038834608578517,4,")
     meta = json.loads((logdir / "meta.json").read_text())
-    assert meta["phases"][0]["discarded"] == [True, True, False]
+    assert len(meta["phases"]) == 1
+    phase = meta["phases"][0]
+    assert (phase["phase"], phase["guess"], phase["jobs_processed"]) == (0, 2.7038834608578517, 4)
+    assert phase["discarded"] == [True, True, False]
     assert main(["verify", "--logdir", str(logdir)]) == 0
 
 
@@ -652,6 +650,27 @@ def test_meta_json_copies_no_other_log_file(tmp_path):
     assert not set(REMOVED_ROUNDING_META_KEYS) & set(meta["rounding"])
 
 
+def test_run_writes_only_what_verify_reads(tmp_path):
+    # The log files verify reads, and a meta.json without the values it
+    # re-derives: alpha is the last phase's guess, the thresholds follow from
+    # the seed, and the integer loads from assignments.csv.
+    logdir = _clean_run(tmp_path)
+    assert sorted(path.name for path in logdir.iterdir()) == sorted(LOG_FILES)
+    meta = json.loads((logdir / "meta.json").read_text())
+    assert "alpha" not in meta
+    assert not {"thresholds", "int_load"} & set(meta["rounding"])
+
+
+def test_rounding_audit_recomputes_the_integer_loads():
+    # Job 0 on machine 0, job 1 on machine 1; p rows in units of L.
+    kept = [(0, (0.5, 0.75), (True, True)), (1, (0.25, 0.5), (True, True))]
+    assignment, active = {0: 0, 1: 1}, [True, True]
+    assert audit_rounding(assignment, active, [0.5, 0.5], kept) == []
+    assert audit_rounding(assignment, active, [0.5, 1.0], kept) == [
+        "machine 1: integer load 1.0 vs recomputed 0.5"
+    ]
+
+
 def _edit_rows(name, edit):
     """A tamper of the CSV log ``name``: ``edit`` changes its data rows,
     lists of strings, in place."""
@@ -725,8 +744,6 @@ def _set_meta(*keys, value):
     (_edit_rows("assignments.csv", list.pop), "job 7: never assigned"),
     (_set_meta("rounding", "active", 1, value=False), "job 3: assigned to inactive machine 1"),
     (_set_meta("phases", 0, "discarded", 1, value=True), "job 3: assigned to ineligible machine 1"),
-    (_set_meta("rounding", "int_load", 3, value=1.0),
-     "machine 3: integer load 1.0 vs recomputed 0.0"),
     (_edit_rows("assignments.csv", _set_cell(0, 2, "0.5")),
      "job 0: p_ij column 0.5 does not match the instance"),
     (_edit_rows("assignments.csv", _set_cell(1, 3, "1.0")),
@@ -734,9 +751,8 @@ def _set_meta(*keys, value):
     (_edit_rows("assignments.csv", _set_cell(0, 5, "9.0")), "job 0: int_makespan column mismatch"),
     (_set_meta("report", "int_cost", value=1.0), "final cum_cost does not match reported int_cost"),
     (_edit_rows("report.csv", _set_cell(0, 10, "3")), "report column fallback_count: '3' != '0'"),
-    (_set_meta("rounding", "thresholds", 0, value=0.0),
-     "rounding thresholds are not draw_thresholds(m, seed)"),
-    (_set_meta("alpha", value=1.0), "alpha 1.0 is not the final guess 11.851609781410122"),
+    (_set_meta("phases", 0, "guess", value=99.0), "phase 0: guess 99.0 is not 11.851609781410122"),
+    (_set_meta("report", "B", value=99.0), "phase 0: guess 11.851609781410122 is not 99.0"),
     (_set_meta("violations", "counts", "potential", value=5),
      "violation counts sum to 5, not the reported invariant_violations"),
     (_edit_rows("steps.csv", lambda rows: rows[1].pop()),
@@ -763,20 +779,43 @@ def _set_meta(*keys, value):
      "cannot load logs: steps.csv step_idx 2 follows 0"),
     (_long_steps_csv, f"job 7, step {LONG_STEPS - 1}: delta_phi 1.0 > 2/n"),
     (lambda logdir: (logdir / "steps.csv").write_text(""), "cannot load logs: 'job' is not in list"),
+    (lambda logdir: (logdir / "y.csv").write_text(""),
+     "cannot load logs: y.csv does not start with the header phase,job,machine,y"),
 ], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "steps-job-99",
         "y-unknown-phase",
-        "never-assigned", "inactive-machine", "ineligible-machine", "integer-load", "p_ij-column",
+        "never-assigned", "inactive-machine", "ineligible-machine", "p_ij-column",
         "running-sum", "int_makespan-column", "final-cum-cost", "report-column",
-        "meta-thresholds", "meta-alpha", "meta-violation-counts",
+        "first-guess", "report-B", "meta-violation-counts",
         "steps-short-row", "steps-extra-field", "steps-nine-fields", "steps-field-moved-up",
         "assignments-extra-field", "assignments-short-row", "report-extra-field", "report-short-row",
         "steps-delta-phi-not-a-number",
-        "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-empty"])
+        "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-empty", "y-empty"])
 def test_verify_reports_tampered_ids_and_rounding_logs(tmp_path, tamper, message):
     logdir = _clean_run(tmp_path)
     assert verify_logdir(logdir) == []
     tamper(logdir)
     assert message in verify_logdir(logdir)
+    assert main(["verify", "--logdir", str(logdir)]) == 3
+
+
+@pytest.mark.parametrize("alpha, model, keys, value, message", [
+    ("12.5", "uniform", ("config", "alpha_value"), 3.0, "phase 0: guess 12.5 is not 3.0"),
+    # The default guess is 2.2974365144767037; four phases double it three times.
+    ("double", "restricted_assignment", ("phases", 0, "guess"), 1.0,
+     "phase 0: guess 1.0 is not 2.2974365144767037"),
+    ("double", "restricted_assignment", ("phases", 2, "guess"), 9.0,
+     "phase 2: guess 9.0 is not 9.189746057906815"),
+], ids=["fixed-alpha-value", "double-first-guess", "double-later-guess"])
+def test_verify_rederives_each_phase_guess(tmp_path, alpha, model, keys, value, message):
+    path = gen_file(tmp_path, m=4, n=8, seed=1, model=model)
+    logdir = tmp_path / "logs"
+    assert main(["run", "--in", str(path), "--alpha", alpha, "--seed", "1",
+                 "--logdir", str(logdir)]) == 0
+    phases = json.loads((logdir / "meta.json").read_text())["phases"]
+    assert len(phases) == (4 if alpha == "double" else 1)
+    assert verify_logdir(logdir) == []
+    _set_meta(*keys, value=value)(logdir)
+    assert verify_logdir(logdir) == [message]
     assert main(["verify", "--logdir", str(logdir)]) == 3
 
 

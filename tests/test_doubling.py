@@ -1,11 +1,10 @@
-import csv
 import math
 
 import pytest
 
 from actsched import doubling, fractional
 from actsched.doubling import cost_bound, default_initial_guess, run_with_doubling
-from actsched.experiment import RunConfig, oracle_solve, run_pipeline, write_run_logs
+from actsched.experiment import RunConfig, oracle_solve, run_pipeline
 from actsched.fractional import FractionalState, GuessTooSmallError
 from actsched.instances import PTIME_MODELS, GeneratorConfig, Instance, Job, Machine, generate
 from actsched.rounding import RoundingState, score_job
@@ -86,19 +85,6 @@ def test_cost_trigger_doubles_and_reprocesses_job(monkeypatch):
     covered = [frac.job for frac in result.records]
     assert sorted(covered) == [0, 1, 2, 3]  # each job kept exactly once
     assert sum(p.jobs_processed for p in result.phases) == 4
-
-
-def test_phase_int_cost_deltas_sum_to_total(tmp_path, monkeypatch):
-    monkeypatch.setattr(doubling, "BOUND_CONSTANT", 0.8)  # two phases, as above
-    inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
-    config = RunConfig(alpha_mode="double", seed=3)
-    artifacts = run_pipeline(inst, config)
-    assert len(artifacts.phases) == 2
-    write_run_logs(artifacts, tmp_path)
-    with open(tmp_path / "phases.csv", newline="") as fh:
-        deltas = [float(row["int_cost_delta"]) for row in csv.DictReader(fh)]
-    assert len(deltas) == 2
-    assert sum(deltas) == pytest.approx(artifacts.rounding.int_cost, abs=1e-12)
 
 
 def test_doubling_from_eighth_of_optimum_uniform():

@@ -84,10 +84,23 @@ def test_parameter_validation():
 # -- virtual cost ---------------------------------------------------------------
 
 
+def virtual_cost(fs, i: int, j: int) -> float:
+    """Machine i's virtual cost for job j: c * p_ij, times a^(load - 1) once
+    the machine is fully active. The engine's ranking keys are this
+    expression, written out."""
+    if fs.discarded[i]:
+        raise ValueError(f"machine {i} was discarded by pre-processing")
+    c = fs.scaled_costs[i]
+    p_ij = fs.p[j][i]
+    if fs.x[i] == 1.0:
+        return c * GROWTH_BASE ** (fs.load[i] - 1.0) * p_ij
+    return c * p_ij
+
+
 def test_virtual_cost_partially_active():
     inst = make_instance([0.5, 1.0, 3.0, 10.0], [[0.9, 0.9, 0.5, 0.9]])
     fs = FractionalState(inst, alpha=4.0)
-    assert fs.virtual_cost(2, 0) == pytest.approx(1.5, rel=1e-12)
+    assert virtual_cost(fs, 2, 0) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_virtual_cost_fully_active_unit_load():
@@ -95,21 +108,21 @@ def test_virtual_cost_fully_active_unit_load():
     fs = FractionalState(inst, alpha=2.0)
     fs.x[0] = 1.0
     fs.load[0] = 1.0
-    assert fs.virtual_cost(0, 0) == pytest.approx(1.0, rel=1e-12)
+    assert virtual_cost(fs, 0, 0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_virtual_cost_fully_active_load_two():
     inst = make_instance([1.0], [[1.0]])
     fs = FractionalState(inst, alpha=1.0)
     fs.load[0] = 2.0
-    assert fs.virtual_cost(0, 0) == pytest.approx(1.05, rel=1e-12)
+    assert virtual_cost(fs, 0, 0) == pytest.approx(1.05, rel=1e-12)
 
 
 def test_virtual_cost_rejects_discarded():
     inst = make_instance([0.5, 10.0], [[0.5, 0.5]])
     fs = FractionalState(inst, alpha=2.0)
     with pytest.raises(ValueError):
-        fs.virtual_cost(1, 0)
+        virtual_cost(fs, 1, 0)
 
 
 # -- ordering and split -----------------------------------------------------------
@@ -153,7 +166,7 @@ def test_order_breaks_ties_by_id():
 def reference_split(fs, j):
     """The prefix/pivot split of a from-scratch sort of job j's usable machines."""
     prefix, total = [], 0.0
-    for i in sorted(fs.usable_machines(j), key=lambda i: fs.virtual_cost(i, j)):
+    for i in sorted(fs.usable_machines(j), key=lambda i: virtual_cost(fs, i, j)):
         if total + fs.x[i] >= 1.0:
             return prefix, i
         prefix.append(i)
@@ -360,17 +373,8 @@ class PerMachineState(FractionalState):
             return c * GROWTH_BASE ** (self.load[i] - 1.0)
         return c * self.x[i]
 
-    def virtual_cost(self, i: int, j: int) -> float:
-        if self.discarded[i]:
-            raise ValueError(f"machine {i} was discarded by pre-processing")
-        c = self.scaled_costs[i]
-        p_ij = self.p[j][i]
-        if self.x[i] == 1.0:
-            return c * GROWTH_BASE ** (self.load[i] - 1.0) * p_ij
-        return c * p_ij
-
     def _rank(self, j: int) -> list[tuple[float, int]]:
-        self._ranked = sorted((self.virtual_cost(i, j), i) for i in self.usable_machines(j))
+        self._ranked = sorted((virtual_cost(self, i, j), i) for i in self.usable_machines(j))
         self._ranked_job = j
         return self._ranked
 
@@ -415,7 +419,7 @@ class PerMachineState(FractionalState):
             d_cov += dc
         if pivot is not None:
             if type_b:
-                eta = self.virtual_cost(pivot, j)
+                eta = virtual_cost(self, pivot, j)
                 dp, dc = self._grant(pivot, j, 6.0 / (eta * self.n))
             else:
                 dp, dc = self._raise_activation(pivot, j)
@@ -424,7 +428,7 @@ class PerMachineState(FractionalState):
         ranked = self._ranked
         touched = len(prefix) + (pivot is not None)
         head = [
-            (self.virtual_cost(i, j), i) if self.x[i] == 1.0 else (key, i)
+            (virtual_cost(self, i, j), i) if self.x[i] == 1.0 else (key, i)
             for key, i in ranked[:touched]
         ]
         if head != ranked[:touched]:

