@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fractional import FractionalState, GuessTooSmallError, JobFraction, StepOutcome
+from .fractional import FractionalState, GuessTooSmallError, JobFraction, StepOutcome, fractional_cost
 from .instances import Instance
 
 BOUND_CONSTANT = 50.0  # read at call time, so tests can patch it
@@ -37,8 +37,6 @@ class PhaseTrace:
     phase: int
     guess: float
     jobs_processed: int  # jobs whose coverage this phase kept
-    frac_cost: float
-    frac_makespan: float
     phi: float
     x_final: tuple[float, ...]
     load_final: tuple[float, ...]
@@ -49,14 +47,21 @@ class PhaseTrace:
     covered_y: list[tuple[int, tuple[float, ...]]] = field(default_factory=list)
     step_entries: list[tuple[int, int, StepOutcome]] = field(default_factory=list)
 
+    @property
+    def frac_cost(self) -> float:
+        return fractional_cost(self.x_final, self.scaled_costs, self.discarded)
+
+    @property
+    def frac_makespan(self) -> float:
+        """The largest load of a kept machine, in units of L."""
+        return max((load for load, d in zip(self.load_final, self.discarded) if not d), default=0.0)
+
 
 def snapshot_phase(fstate: FractionalState, phase: int, guess: float, kept: int) -> PhaseTrace:
     return PhaseTrace(
         phase=phase,
         guess=guess,
         jobs_processed=kept,
-        frac_cost=fstate.fractional_cost(),
-        frac_makespan=fstate.fractional_makespan(),
         phi=fstate.phi,
         x_final=tuple(fstate.x),
         load_final=tuple(fstate.load),

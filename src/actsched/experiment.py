@@ -32,7 +32,7 @@ from .doubling import DoublingResult, PhaseTrace, default_initial_guess, run_wit
 
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
 from .doubling import snapshot_phase  # noqa: F401
-from .fractional import GROWTH_BASE, JobFraction
+from .fractional import GROWTH_BASE, JobFraction, potential, preprocess
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -67,9 +67,9 @@ STEP_WRITE_ROWS = 4096  # steps.csv rows formatted into one string per write
 STEP_READ_BYTES = 1 << 16  # the readlines hint by which verify streams steps.csv
 ASSIGNMENT_COLUMNS = ("job", "machine", "p_ij", "newly_activated_cost", "cum_cost", "int_makespan")
 Y_COLUMNS = ("phase", "job", "machine", "y")
-# PhaseTrace fields that meta.json leaves out: the y rows go to y.csv and
-# the steps to steps.csv.
-PHASE_FIELDS_NOT_IN_META = ("covered_y", "step_entries")
+# The PhaseTrace fields a phase entry of meta.json holds; verify derives the
+# rest from the instance, the guess and y.csv, and the steps go to steps.csv.
+PHASE_META_KEYS = ("phase", "guess", "jobs_processed", "x_final", "fraction_clamps", "coverage_clamps")
 
 
 @dataclass
@@ -155,26 +155,30 @@ def audit_phase(trace: PhaseTrace) -> list[str]:
     return out
 
 
-def audit_consistency(trace: PhaseTrace, p: list[tuple[float, ...]]) -> list[str]:
-    """Bookkeeping of one finished phase: loads recomputed from the y rows
-    (``p`` in units of L) against ``load_final``, and the potential
-    recomputed against ``phi``."""
-    where = f"phase {trace.phase}"
-    out = []
-    m = len(trace.x_final)
+def phase_loads(covered_y: list[tuple[int, tuple[float, ...]]], p, m: int) -> list[float]:
+    """Each machine's load summed from a phase's covered y rows (``p`` and
+    the loads in units of L)."""
     loads = [0.0] * m
-    for j, yrow in trace.covered_y:
+    for j, yrow in covered_y:
         prow = p[j]
         for i in range(m):
             loads[i] += prow[i] * yrow[i]
-    phi = 0.0
-    for i in range(m):
-        load, x = trace.load_final[i], trace.x_final[i]
-        if abs(loads[i] - load) > TOL:
-            out.append(f"{where}, machine {i}: load {load!r} vs recomputed {loads[i]!r}")
-        if not trace.discarded[i]:
-            c = trace.scaled_costs[i]
-            phi += c * GROWTH_BASE ** (load - 1.0) if x == 1.0 else c * x
+    return loads
+
+
+def audit_consistency(trace: PhaseTrace, p: list[tuple[float, ...]]) -> list[str]:
+    """Bookkeeping of one finished phase: the engine's incremental loads
+    against ``phase_loads`` and its incremental potential against
+    ``potential``. A live check: the logs hold neither, and ``verify``
+    derives both by these same rules."""
+    where = f"phase {trace.phase}"
+    loads = phase_loads(trace.covered_y, p, len(trace.x_final))
+    out = [
+        f"{where}, machine {i}: load {load!r} vs recomputed {loads[i]!r}"
+        for i, load in enumerate(trace.load_final)
+        if abs(loads[i] - load) > TOL
+    ]
+    phi = potential(trace.x_final, trace.load_final, trace.scaled_costs, trace.discarded)
     if abs(phi - trace.phi) > TOL:
         out.append(f"{where}: phi {trace.phi!r} vs recomputed {phi!r}")
     return out
@@ -185,23 +189,6 @@ def audit_steps(steps: Iterable[tuple[object, object, float]], n: int) -> list[s
     exceeds 2/n. Consumes all of ``steps``, also when n = 0."""
     cap = 2.0 / n + TOL if n else math.inf
     return [f"job {job}, step {idx}: delta_phi {d!r} > 2/n" for job, idx, d in steps if d > cap]
-
-
-def audit_fractional(
-    phases: list[PhaseTrace],
-    steps: Iterable[tuple[object, object, float]],
-    p: list[tuple[float, ...]],
-    n: int,
-) -> list[tuple[str, list[str]]]:
-    """The fractional audits as (family, messages) pairs in report order:
-    per phase, feasibility then consistency, then the potential bound over
-    all steps."""
-    problems = []
-    for trace in phases:
-        problems.append(("feasibility", audit_phase(trace)))
-        problems.append(("consistency", audit_consistency(trace, p)))
-    problems.append(("potential", audit_steps(steps, n)))
-    return problems
 
 
 def audit_rounding(
@@ -267,33 +254,24 @@ def replay_rounding(instance: Instance, jobs: list[ScoredJob], seed: int) -> Rou
 
 
 def build_report_row(
-    config: RunConfig,
-    instance: Instance,
-    B: float | None,
-    phases: list[PhaseTrace],
-    rounding: RoundingState,
-    violations: Violations,
+    seed: int, B: float | None, budget: float, phases: list[PhaseTrace],
+    int_cost: float, int_makespan: float, fallback_count: int, invariant_violations: int,
 ) -> dict:
-    budget = instance.makespan_budget
+    """The report row; ``verify`` rebuilds it from the logs by the same rules."""
     last = phases[-1] if phases else None
-    frac_cost = last.frac_cost if last else 0.0
-    frac_makespan = (last.frac_makespan if last else 0.0) * budget
-    int_cost = rounding.int_cost
-    int_makespan = rounding.int_makespan()
-    clamp_count = sum(p.fraction_clamps + p.coverage_clamps for p in phases)
     return {
-        "seed": config.seed,
+        "seed": seed,
         "B": B,
         "L": budget,
-        "frac_cost": frac_cost,
-        "frac_makespan": frac_makespan,
+        "frac_cost": last.frac_cost if last else 0.0,
+        "frac_makespan": (last.frac_makespan if last else 0.0) * budget,
         "int_cost": int_cost,
         "int_makespan": int_makespan,
         "cost_ratio": (int_cost / B) if B else None,
         "makespan_ratio": int_makespan / budget,
-        "clamp_count": clamp_count,
-        "fallback_count": rounding.fallback_count,
-        "invariant_violations": violations.total(),
+        "clamp_count": sum(p.fraction_clamps + p.coverage_clamps for p in phases),
+        "fallback_count": fallback_count,
+        "invariant_violations": invariant_violations,
     }
 
 
@@ -301,7 +279,9 @@ def run_fractional(
     instance: Instance, config: RunConfig
 ) -> tuple[float | None, DoublingResult, list[tuple[str, list[str]]]]:
     """The fractional stage of a run: the guess-and-double controller, then,
-    with audits on, the phase and step audits on its finished records.
+    with audits on, the phase and step audits on its finished records: per
+    phase, feasibility then consistency, then the potential bound over all
+    steps.
 
     A known guess (oracle or fixed mode) is the controller's one-phase case:
     no cost bound, so nothing trips, and a guess found too small raises
@@ -315,8 +295,11 @@ def run_fractional(
 
     if not config.checks:
         return B, result, []
+    p, problems = instance.scaled_ptimes(), []
+    for trace in result.phases:
+        problems += [("feasibility", audit_phase(trace)), ("consistency", audit_consistency(trace, p))]
     steps = ((job, idx, d) for t in result.phases for job, idx, (_, d) in t.step_entries)
-    return B, result, audit_fractional(result.phases, steps, instance.scaled_ptimes(), instance.n)
+    return B, result, problems + [("potential", audit_steps(steps, instance.n))]
 
 
 def round_run(
@@ -349,7 +332,10 @@ def round_run(
             records=result.records,
             rounding=rounding,
             violations=violations,
-            row=build_report_row(config, instance, B, result.phases, rounding, violations),
+            row=build_report_row(
+                config.seed, B, instance.makespan_budget, result.phases, rounding.int_cost,
+                rounding.int_makespan(), rounding.fallback_count, violations.total(),
+            ),
         )
 
 
@@ -405,10 +391,7 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
 
     meta = {
         "config": asdict(artifacts.config),
-        "phases": [
-            {k: v for k, v in vars(p).items() if k not in PHASE_FIELDS_NOT_IN_META}
-            for p in artifacts.phases
-        ],
+        "phases": [{k: getattr(p, k) for k in PHASE_META_KEYS} for p in artifacts.phases],
         "rounding": {
             "active": artifacts.rounding.active,
             "deficit_jobs": artifacts.rounding.deficit_jobs,
@@ -434,9 +417,12 @@ def _id(value: str, size: int, what: str) -> int:
     return k
 
 
-def _load_phases(meta: dict, y_path: Path, m: int, n: int) -> list[PhaseTrace]:
-    """The phases of ``meta.json`` with their covered y rows from ``y.csv``;
-    the steps, which no phase check reads, stay out."""
+def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> list[PhaseTrace]:
+    """The phases of ``meta.json`` with their covered y rows from ``y.csv``
+    and the values they derive by the engine's rules: pre-processing at the
+    guess, the loads summed from the y rows once, and the potential. The
+    steps, which no phase check reads, stay out."""
+    m, n = instance.m, instance.n
     ys: dict[int, dict[int, list[float]]] = {}
     with open(y_path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
@@ -448,13 +434,17 @@ def _load_phases(meta: dict, y_path: Path, m: int, n: int) -> list[PhaseTrace]:
     unknown = sorted(set(ys) - {pmeta["phase"] for pmeta in meta["phases"]})
     if unknown:
         raise ValueError(f"y.csv has rows of phase(s) {unknown} that meta.json lacks")
-    return [
-        PhaseTrace(
-            **pmeta,
-            covered_y=[(j, tuple(row)) for j, row in sorted(ys.get(pmeta["phase"], {}).items())],
-        )
-        for pmeta in meta["phases"]
-    ]
+    phases = []
+    for pmeta in meta["phases"]:
+        if len(x := pmeta["x_final"]) != m:
+            raise ValueError(f"meta.json phase {pmeta['phase']}: {len(x)} x_final values, not {m}")
+        covered_y = [(j, tuple(row)) for j, row in sorted(ys.get(pmeta["phase"], {}).items())]
+        discarded, costs = preprocess(instance.costs(), m, pmeta["guess"])
+        load = phase_loads(covered_y, p, m)
+        phi = potential(x, load, costs, discarded)
+        phases.append(PhaseTrace(**pmeta, phi=phi, load_final=tuple(load), scaled_costs=tuple(costs),
+                                 discarded=tuple(discarded), covered_y=covered_y))
+    return phases
 
 
 def _csv_records(fh, name: str):
@@ -493,14 +483,15 @@ def _step_rows(fh, jobs: set[str]):
 def verify_logdir(logdir: str | Path) -> list[str]:
     """Re-run the live checks on the records loaded back from a run's logs.
 
-    The phase, step and rounding checks are the functions the run itself
-    calls, with the integer loads summed from ``assignments.csv``; only the
-    values that exist in the logs alone (the ``cum_cost`` running sum, the
-    ``int_makespan`` and ``p_ij`` columns, each phase's guess, and the report
-    row against ``meta.json``) are checked here. Raises InstanceFormatError
-    when the directory or a log file is missing (invalid input); content
-    problems, a job or machine id outside the instance among them, come back
-    as violation messages.
+    The feasibility, step and rounding checks are the functions the run
+    itself calls, on phases rebuilt by the engine's rules (``_load_phases``)
+    and integer loads summed from ``assignments.csv``; the consistency audit
+    is live-only. Checked here only: ``config`` by ``RunConfig``'s rules, the
+    ``cum_cost`` running sum, the ``int_makespan`` and ``p_ij`` columns, each
+    phase's guess, and the report row (``build_report_row``). Raises
+    InstanceFormatError when the directory or a log file is missing (invalid
+    input); content problems, a job or machine id outside the instance among
+    them, come back as violation messages.
     """
     logdir = Path(logdir)
     expected = ("instance.json", "meta.json", "y.csv", "steps.csv", "assignments.csv", "report.csv")
@@ -509,28 +500,30 @@ def verify_logdir(logdir: str | Path) -> list[str]:
             raise InstanceFormatError(f"{logdir}: missing log file '{name}'")
     try:
         return _verify_logs(logdir)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, IndexError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError, ArithmeticError) as exc:
         return [f"cannot load logs: {exc}"]
 
 
 def _verify_logs(logdir: Path) -> list[str]:
     instance = load_instance(logdir / "instance.json")
     meta = json.loads((logdir / "meta.json").read_text(encoding="utf-8"))
+    report, fields = meta["report"], dict(meta["config"])
+    a = fields.pop("a")  # not an init field: a constant, checked below
+    config = RunConfig(**{**fields, "checks": tuple(fields["checks"])})
     budget = instance.makespan_budget
     p = instance.scaled_ptimes()
-    phases = _load_phases(meta, logdir / "y.csv", instance.m, instance.n)
+    phases = _load_phases(meta, logdir / "y.csv", instance, p)
 
+    problems = [msg for trace in phases for msg in audit_phase(trace)]
     step_jobs: set[str] = set()
     with open(logdir / "steps.csv", encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
-        steps = chain.from_iterable(_step_rows(fh, step_jobs))
-        audits = audit_fractional(phases, steps, p, instance.n)
+        problems += audit_steps(chain.from_iterable(_step_rows(fh, step_jobs)), instance.n)
     for label in sorted(step_jobs):  # sorted: the first bad id reported is fixed
         _id(label, instance.n, "steps.csv job")
-    problems = [msg for _, messages in audits for msg in messages]
 
     assignment: dict[int, int] = {}
     int_load = [0.0] * instance.m
-    cum = 0.0
+    cum = int_makespan = 0.0
     with open(logdir / "assignments.csv", newline="", encoding="utf-8") as fh:
         for row in _csv_records(fh, "assignments.csv"):
             j = _id(row["job"], instance.n, "assignments.csv job")
@@ -542,9 +535,10 @@ def _verify_logs(logdir: Path) -> list[str]:
             prev, cum = cum, float(row["cum_cost"])
             if abs(cum - (prev + float(row["newly_activated_cost"]))) > TOL:
                 problems.append(f"job {j}: cum_cost {cum!r} breaks the running sum")
-            if abs(float(row["int_makespan"]) - max(int_load) * budget) > TOL:
+            int_makespan = float(row["int_makespan"])
+            if abs(int_makespan - max(int_load) * budget) > TOL:
                 problems.append(f"job {j}: int_makespan column mismatch")
-    if assignment and abs(cum - meta["report"]["int_cost"]) > TOL:
+    if assignment and abs(cum - report["int_cost"]) > TOL:
         problems.append("final cum_cost does not match reported int_cost")
     # Phases keep jobs in stream order, jobs_processed each.
     kept = []
@@ -552,33 +546,41 @@ def _verify_logs(logdir: Path) -> list[str]:
         eligible = tuple(not d for d in trace.discarded)
         kept += [(j, p[j], eligible) for j in range(len(kept), len(kept) + trace.jobs_processed)]
     problems += audit_rounding(assignment, meta["rounding"]["active"], int_load, kept)
-    # meta.json fields that follow from the other files: the guesses are the
-    # mode's first guess, doubled per phase, and the violation counts sum to
-    # the report's total.
-    config = meta["config"]
-    if config["alpha_mode"] == "double":
+    # meta.json fields that follow from the other files: a is the growth
+    # base, the guesses are the mode's first guess, doubled per phase, and
+    # the violation counts sum to the report's total.
+    if a != GROWTH_BASE:
+        problems.append(f"config a {a!r} is not the growth base {GROWTH_BASE!r}")
+    if config.alpha_mode == "double":
         guess = default_initial_guess(instance)
     else:
-        guess = meta["report"]["B"] if config["alpha_mode"] == "oracle" else config["alpha_value"]
+        guess = report["B"] if config.alpha_mode == "oracle" else config.alpha_value
     for trace in phases:
         if trace.guess != guess:
             problems.append(f"phase {trace.phase}: guess {trace.guess!r} is not {guess!r}")
         guess *= 2.0
     counted = sum(meta["violations"]["counts"].values())
-    if counted != meta["report"]["invariant_violations"]:
+    if counted != report["invariant_violations"]:
         problems.append(f"violation counts sum to {counted}, not the reported invariant_violations")
 
     with open(logdir / "report.csv", newline="", encoding="utf-8") as fh:
         report_rows = list(_csv_records(fh, "report.csv"))
     if len(report_rows) != 1:
-        problems.append(f"report.csv has {len(report_rows)} rows (expected 1)")
-    else:
-        for col in REPORT_COLUMNS:
-            value = meta["report"][col]
-            want = "" if value is None else str(value)  # as csv writes it
-            got = report_rows[0][col]
-            if want != got:
-                problems.append(f"report column {col}: {got!r} != {want!r}")
+        raise ValueError(f"report.csv has {len(report_rows)} rows (expected 1)")
+    # The report row against meta.json's copy, and rebuilt by build_report_row
+    # from the config, the derived phases and the last assignments.csv row (B in
+    # oracle mode, int_cost, fallback_count and invariant_violations have no other source).
+    derived = build_report_row(
+        config.seed, report["B"] if config.alpha_mode == "oracle" else None, budget, phases,
+        report["int_cost"], int_makespan, report["fallback_count"], report["invariant_violations"],
+    )
+    for col in REPORT_COLUMNS:
+        value, want = report[col], derived[col]
+        written = "" if value is None else str(value)  # as csv writes it
+        if report_rows[0][col] != written:
+            problems.append(f"report column {col}: {report_rows[0][col]!r} != {written!r}")
+        if value != want and not (col == "frac_makespan" and abs(value - want) <= TOL):
+            problems.append(f"report column {col}: {value!r}, derived {want!r}")
     return problems
 
 

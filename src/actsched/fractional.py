@@ -75,6 +75,37 @@ class JobFraction:
     eligible: tuple[bool, ...]
 
 
+def preprocess(costs: list[float], m: int, guess: float) -> tuple[list[bool], list[float]]:
+    """A phase's pre-processing at an optimum guess: (discarded, scaled costs).
+
+    With the guess equal to the offline optimum, the optimum of the rescaled
+    costs c*m/guess sits in [m, 2m]. Machines dearer than m after rescaling
+    (c > guess, compared unscaled so that the machine whose cost is the guess
+    is never lost to rounding) cannot be part of such an optimum and are
+    discarded; scaled costs below 1 are raised to 1, and such machines open
+    outright. So every kept machine starts with a potential of at most 1."""
+    scale = m / guess
+    return [c > guess for c in costs], [max(c * scale, 1.0) for c in costs]
+
+
+def potential(x, load, scaled_costs, discarded) -> float:
+    """The potential over kept machines: c*x while a machine is partially
+    active, c*a^(load - 1) once it is fully active (x == 1)."""
+    return sum(
+        (
+            c * GROWTH_BASE ** (li - 1.0) if xi == 1.0 else c * xi
+            for xi, li, c, d in zip(x, load, scaled_costs, discarded)
+            if not d
+        ),
+        0.0,
+    )
+
+
+def fractional_cost(x, scaled_costs, discarded) -> float:
+    """Activation cost of a fractional solution, in rescaled cost units."""
+    return sum((c * xi for xi, c, d in zip(x, scaled_costs, discarded) if not d), 0.0)
+
+
 class FractionalState:
     """Mutable state of one covering phase; confined to a single run."""
 
@@ -86,33 +117,18 @@ class FractionalState:
         self.alpha = alpha
         self.p = instance.scaled_ptimes()
 
-        # Cost normalization: with alpha equal to the offline optimum, the
-        # optimum of the rescaled instance sits in [m, 2m]. Machines dearer
-        # than m after rescaling (c > alpha, compared unscaled so that the
-        # machine whose cost is the guess is never lost to rounding) cannot
-        # be part of such an optimum and are dropped for the phase; machines
-        # at or below cost 1 are cheap enough to open outright. Every kept
-        # machine thus starts with a potential of at most 1: its scaled cost
-        # is 1 at x = 1, or c/m <= 1 at x = 1/m.
-        costs = instance.costs()
-        scale = self.m / alpha
-        raw = [c * scale for c in costs]
-        self.discarded = [c > alpha for c in costs]
+        self.discarded, self.scaled_costs = preprocess(instance.costs(), self.m, alpha)
         self._eligible = tuple(not d for d in self.discarded)  # shared by every JobFraction
-        self.scaled_costs = [max(c, 1.0) for c in raw]
-        self.x = [0.0] * self.m
-        for i in range(self.m):
-            if self.discarded[i]:
-                continue
-            if raw[i] <= 1.0:
-                self.x[i] = 1.0
-            else:
-                self.x[i] = 1.0 / self.m
+        # A kept machine at scaled cost 1 opens outright; any other starts at 1/m.
+        self.x = [
+            0.0 if d else 1.0 if c == 1.0 else 1.0 / self.m
+            for d, c in zip(self.discarded, self.scaled_costs)
+        ]
 
         self.load = [0.0] * self.m
         self.y: dict[int, list[float]] = {}
         self.coverage: dict[int, float] = {}
-        self.phi = self.potential()
+        self.phi = potential(self.x, self.load, self.scaled_costs, self.discarded)
 
         # Audit counters: how often the y <= min(2x, 1) cap or the
         # sum(y) <= 1 cap truncated a raw increment.
@@ -127,18 +143,6 @@ class FractionalState:
         # Ranking of the job last ranked: (virtual cost, id) pairs ascending.
         self._ranked_job: int | None = None
         self._ranked: list[tuple[float, int]] = []
-
-    # -- potential -----------------------------------------------------------
-
-    def _phi_i(self, i: int) -> float:
-        c = self.scaled_costs[i]
-        if self.x[i] == 1.0:
-            return c * GROWTH_BASE ** (self.load[i] - 1.0)
-        return c * self.x[i]
-
-    def potential(self) -> float:
-        """Recompute the cumulative potential over non-discarded machines."""
-        return sum((self._phi_i(i) for i in range(self.m) if not self.discarded[i]), 0.0)
 
     # -- ranking -------------------------------------------------------------
 
@@ -331,18 +335,7 @@ class FractionalState:
     # -- observables ----------------------------------------------------------
 
     def fractional_cost(self) -> float:
-        """Activation cost of the fractional solution, in rescaled cost units."""
-        return sum(
-            (self.scaled_costs[i] * self.x[i] for i in range(self.m) if not self.discarded[i]),
-            0.0,
-        )
-
-    def fractional_makespan(self) -> float:
-        """Maximum fractional load, in units of L."""
-        return max(
-            (self.load[i] for i in range(self.m) if not self.discarded[i]),
-            default=0.0,
-        )
+        return fractional_cost(self.x, self.scaled_costs, self.discarded)
 
     def job_fraction(self, j: int) -> JobFraction:
         if j not in self.y:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from actsched import experiment
 from actsched.cli import main
 from actsched.experiment import audit_rounding, verify_logdir
-from actsched.fractional import TYPE_A, TYPE_B, StepOutcome
+from actsched.fractional import TYPE_A, TYPE_B, StepOutcome, preprocess
 from actsched.instances import GeneratorConfig, generate, load_instance, save_instance
 from actsched.oracle import optimal_exhaustive
 
@@ -351,7 +351,8 @@ def test_run_doubling_mode(tmp_path):
     assert len(meta["phases"]) == 1
     phase = meta["phases"][0]
     assert (phase["phase"], phase["guess"], phase["jobs_processed"]) == (0, 2.7038834608578517, 4)
-    assert phase["discarded"] == [True, True, False]
+    discarded, _ = preprocess(load_instance(path).costs(), 3, phase["guess"])
+    assert discarded == [True, True, False]
     assert main(["verify", "--logdir", str(logdir)]) == 0
 
 
@@ -387,22 +388,13 @@ def test_run_and_verify_report_the_same_problems(tmp_path):
 
 
 def test_run_and_verify_report_the_same_consistency_problems(tmp_path, monkeypatch):
-    # Tamper with one finished phase's phi and one load_final entry, once in
-    # the PhaseTrace the run audits and once in a clean run's meta.json: both
-    # audits must report the same consistency messages.
+    # Tamper with one finished phase's phi and one load_final entry in the
+    # PhaseTrace the run audits: the live consistency audit reports both.
+    # The logs hold neither value (verify derives both from y.csv by the
+    # audit's own rules), so the tampered run's logs verify clean of them.
     phi_bump, load_bump, machine = 0.5, 0.25, 1
     inst = load_instance(gen_file(tmp_path, m=4, n=8, seed=5))
     config = experiment.RunConfig(alpha_mode="fixed", alpha_value=sum(inst.costs()) / 4)
-
-    clean = tmp_path / "clean"
-    experiment.write_run_logs(experiment.run_pipeline(inst, config), clean)
-    assert verify_logdir(clean) == []
-    meta = json.loads((clean / "meta.json").read_text())
-    meta["phases"][0]["phi"] += phi_bump
-    meta["phases"][0]["load_final"][machine] += load_bump
-    (clean / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    from_log = verify_logdir(clean)
-
     run_with_doubling = experiment.run_with_doubling
 
     def tampered(*args, **kwargs):
@@ -420,9 +412,8 @@ def test_run_and_verify_report_the_same_consistency_problems(tmp_path, monkeypat
     live = [msg.removeprefix("[consistency] ") for msg in artifacts.violations.messages]
     assert re.fullmatch(rf"phase 0, machine {machine}: load \S+ vs recomputed \S+", live[0])
     assert re.fullmatch(r"phase 0: phi \S+ vs recomputed \S+", live[1])
-    assert from_log == live
     experiment.write_run_logs(artifacts, tmp_path / "tampered")
-    assert verify_logdir(tmp_path / "tampered") == live
+    assert verify_logdir(tmp_path / "tampered") == []
 
 
 def _quarter_cost_run(tmp_path, m, n, seed, model):
@@ -650,6 +641,15 @@ def test_meta_json_copies_no_other_log_file(tmp_path):
     assert not set(REMOVED_ROUNDING_META_KEYS) & set(meta["rounding"])
 
 
+def test_meta_phase_entries_hold_the_kept_keys_only(tmp_path):
+    # The guess, x and the counters; verify derives the rest of a phase.
+    assert experiment.PHASE_META_KEYS == (
+        "phase", "guess", "jobs_processed", "x_final", "fraction_clamps", "coverage_clamps"
+    )
+    meta = json.loads((_clean_run(tmp_path) / "meta.json").read_text())
+    assert [tuple(phase) for phase in meta["phases"]] == [experiment.PHASE_META_KEYS]
+
+
 def test_run_writes_only_what_verify_reads(tmp_path):
     # The log files verify reads, and a meta.json without the values it
     # re-derives: alpha is the last phase's guess, the thresholds follow from
@@ -716,6 +716,17 @@ def _long_steps_csv(logdir):
     assert path.stat().st_size > experiment.STEP_READ_BYTES
 
 
+def _onto_a_discarded_machine(logdir):
+    """Rerun the instance at a fixed guess of 9.54, below machine 1's cost
+    9.554..., so that its one phase discards machine 1; then move job 3 onto
+    machine 1 in assignments.csv."""
+    config = experiment.RunConfig(alpha_mode="fixed", alpha_value=9.54, seed=1)
+    artifacts = experiment.run_pipeline(load_instance(logdir / "instance.json"), config)
+    experiment.write_run_logs(artifacts, logdir)
+    assert verify_logdir(logdir) == []
+    _edit_rows("assignments.csv", _set_cell(3, 1, "1"))(logdir)
+
+
 def _set_meta(*keys, value):
     """A tamper of meta.json: the entry at ``keys`` set to ``value``."""
 
@@ -727,6 +738,18 @@ def _set_meta(*keys, value):
             doc = doc[key]
         doc[keys[-1]] = value
         path.write_text(json.dumps(meta, indent=2) + "\n")
+
+    return tamper
+
+
+def _set_report(col, value):
+    """A tamper of the report row: column ``col`` set to ``value`` both in
+    report.csv and in meta.json's copy, so that the two still agree."""
+
+    def tamper(logdir):
+        _set_meta("report", col, value=value)(logdir)
+        cell = _set_cell(0, experiment.REPORT_COLUMNS.index(col), str(value))
+        _edit_rows("report.csv", cell)(logdir)
 
     return tamper
 
@@ -743,7 +766,7 @@ def _set_meta(*keys, value):
      "cannot load logs: y.csv has rows of phase(s) [7] that meta.json lacks"),
     (_edit_rows("assignments.csv", list.pop), "job 7: never assigned"),
     (_set_meta("rounding", "active", 1, value=False), "job 3: assigned to inactive machine 1"),
-    (_set_meta("phases", 0, "discarded", 1, value=True), "job 3: assigned to ineligible machine 1"),
+    (_onto_a_discarded_machine, "job 3: assigned to ineligible machine 1"),
     (_edit_rows("assignments.csv", _set_cell(0, 2, "0.5")),
      "job 0: p_ij column 0.5 does not match the instance"),
     (_edit_rows("assignments.csv", _set_cell(1, 3, "1.0")),
@@ -781,6 +804,24 @@ def _set_meta(*keys, value):
     (lambda logdir: (logdir / "steps.csv").write_text(""), "cannot load logs: 'job' is not in list"),
     (lambda logdir: (logdir / "y.csv").write_text(""),
      "cannot load logs: y.csv does not start with the header phase,job,machine,y"),
+    (_set_meta("config", "alpha_mode", value="bogus"), "cannot load logs: unknown alpha_mode 'bogus'"),
+    (_set_meta("config", "seed", value=5), "report column seed: 1, derived 5"),
+    (_set_meta("config", "a", value=1.1), "config a 1.1 is not the growth base 1.05"),
+    (_set_report("L", 2.0), "report column L: 2.0, derived 1.0"),
+    (_set_report("frac_cost", 3.0), "report column frac_cost: 3.0, derived 3.2459666848343693"),
+    (_set_report("frac_makespan", 1.9), "report column frac_makespan: 1.9, derived 1.9482782622732013"),
+    (_set_report("int_makespan", 1.5), "report column int_makespan: 1.5, derived 1.8321966676215378"),
+    (_set_report("cost_ratio", 2.0), "report column cost_ratio: 2.0, derived 2.277821319285423"),
+    (_set_report("makespan_ratio", 1.5),
+     "report column makespan_ratio: 1.5, derived 1.8321966676215378"),
+    (_set_report("clamp_count", 15), "report column clamp_count: 15, derived 16"),
+    (_set_meta("phases", 0, "coverage_clamps", value=9), "report column clamp_count: 16, derived 17"),
+    (_set_meta("phases", 0, "x_final", 0, value=0.3),
+     "report column frac_cost: 3.2459666848343693, derived 3.2760121270658233"),
+    (_set_meta("phases", 0, "x_final", value=[1.0] * 5),
+     "cannot load logs: meta.json phase 0: 5 x_final values, not 4"),
+    (_set_meta("phases", 0, "guess", value=0), "cannot load logs: division by zero"),
+    (_edit_rows("y.csv", _set_cell(1, 3, "1e9")), "cannot load logs: (34, 'Numerical result out of range')"),
 ], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "steps-job-99",
         "y-unknown-phase",
         "never-assigned", "inactive-machine", "ineligible-machine", "p_ij-column",
@@ -789,7 +830,11 @@ def _set_meta(*keys, value):
         "steps-short-row", "steps-extra-field", "steps-nine-fields", "steps-field-moved-up",
         "assignments-extra-field", "assignments-short-row", "report-extra-field", "report-short-row",
         "steps-delta-phi-not-a-number",
-        "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-empty", "y-empty"])
+        "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-empty", "y-empty",
+        "config-mode", "config-seed", "config-a", "report-L", "report-frac_cost",
+        "report-frac_makespan", "report-int_makespan", "report-cost_ratio", "report-makespan_ratio",
+        "report-clamp_count", "phase-clamps", "phase-x_final", "phase-x_final-too-long",
+        "phase-guess-zero", "y-overflows-the-potential"])
 def test_verify_reports_tampered_ids_and_rounding_logs(tmp_path, tamper, message):
     logdir = _clean_run(tmp_path)
     assert verify_logdir(logdir) == []
@@ -817,6 +862,17 @@ def test_verify_rederives_each_phase_guess(tmp_path, alpha, model, keys, value, 
     _set_meta(*keys, value=value)(logdir)
     assert verify_logdir(logdir) == [message]
     assert main(["verify", "--logdir", str(logdir)]) == 3
+
+
+def test_verify_rejects_a_B_outside_oracle_mode(tmp_path):
+    # Only the oracle computes B; a fixed run reports none, and so no cost_ratio.
+    path = gen_file(tmp_path, m=4, n=8, seed=1)
+    logdir = tmp_path / "logs"
+    assert main(["run", "--in", str(path), "--alpha", "9.6", "--seed", "1",
+                 "--logdir", str(logdir)]) == 0
+    assert verify_logdir(logdir) == []
+    _set_report("B", 5.0)(logdir)
+    assert verify_logdir(logdir) == ["report column B: 5.0, derived None"]
 
 
 def test_verify_reads_a_crlf_steps_csv(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actsched import fractional
+from actsched.doubling import snapshot_phase
 from actsched.experiment import oracle_solve
 from actsched.fractional import (
     COVERAGE_TOL,
@@ -18,6 +19,7 @@ from actsched.fractional import (
     FractionalState,
     StalledStepError,
     StepOutcome,
+    potential,
 )
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
 
@@ -448,6 +450,10 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def fs_potential(fs):
+    return potential(fs.x, fs.load, fs.scaled_costs, fs.discarded)
+
+
 def log_bits(entries):
     """Step-log entries with Delta phi as an exact hex string."""
     return [(j, idx, o.step_type, o.delta_potential.hex()) for j, idx, o in entries]
@@ -456,7 +462,7 @@ def log_bits(entries):
 def start_at(state, x):
     """Replace the starting activation levels of the kept machines by x."""
     state.x = [0.0 if d else v for d, v in zip(state.discarded, x)]
-    state.phi = state.potential()
+    state.phi = fs_potential(state)
 
 
 def draw_case(data):
@@ -688,7 +694,7 @@ def test_incremental_bookkeeping_matches_recompute():
                 recomputed[i] += fs.p[j][i] * yrow[i]
         for i in range(fs.m):
             assert abs(recomputed[i] - fs.load[i]) <= 1e-9
-        assert abs(fs.phi - fs.potential()) <= 1e-9
+        assert abs(fs.phi - fs_potential(fs)) <= 1e-9
 
 
 def test_engine_is_deterministic():
@@ -728,7 +734,7 @@ def test_full_activation_under_load_can_jump_potential():
     inst = generate(GeneratorConfig(m=3, n=39, seed=64, ptime_model="restricted_assignment"))
     fs = run_all(inst, sum(inst.costs()))
     assert all(fs.y[j][i] == 0.0 for j in fs.y for i in range(fs.m) if fs.p[j][i] > 1.0)
-    assert fs.fractional_makespan() <= 1.0
+    assert max(load for load, d in zip(fs.load, fs.discarded) if not d) <= 1.0
     cap = 2.0 / fs.n + 1e-9
     assert all(o.delta_potential <= cap for (_, _, o) in fs.step_log)
 
@@ -780,7 +786,7 @@ def test_fractional_cost_fresh_state():
 def test_makespan_of_empty_instance_is_zero():
     inst = make_instance([1.0, 2.0], [])
     fs = FractionalState(inst, alpha=1.0)
-    assert fs.fractional_makespan() == 0.0
+    assert snapshot_phase(fs, 0, 1.0, 0).frac_makespan == 0.0
 
 
 def test_potential_examples():
@@ -788,12 +794,12 @@ def test_potential_examples():
     inst = make_instance([5.0, big, big, big, big], [[0.5] * 5])
     fs = FractionalState(inst, alpha=5.0)
     assert fs.discarded == [False, True, True, True, True]
-    assert fs.potential() == pytest.approx(1.0, rel=1e-12)  # 5 * (1/5)
+    assert fs_potential(fs) == pytest.approx(1.0, rel=1e-12)  # 5 * (1/5)
 
     inst2 = make_instance([1.0], [[0.5]])
     fs2 = FractionalState(inst2, alpha=1.0)
     fs2.load[0] = 1.0
-    assert fs2.potential() == pytest.approx(1.0, rel=1e-12)  # 1 * a^0
+    assert fs_potential(fs2) == pytest.approx(1.0, rel=1e-12)  # 1 * a^0
 
 
 def test_job_fraction_snapshot():
