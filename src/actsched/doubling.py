@@ -37,13 +37,13 @@ class PhaseTrace:
     phase: int
     guess: float
     jobs_processed: int  # jobs whose coverage this phase kept
-    phi: float
     x_final: tuple[float, ...]
     load_final: tuple[float, ...]
     scaled_costs: tuple[float, ...]
     discarded: tuple[bool, ...]
     fraction_clamps: int
     coverage_clamps: int
+    phi: float | None = None  # the engine's potential; None in a phase verify rebuilds
     covered_y: list[tuple[int, tuple[float, ...]]] = field(default_factory=list)
     step_entries: list[tuple[int, int, StepOutcome]] = field(default_factory=list)
 

@@ -25,7 +25,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 
 from .doubling import DoublingResult, PhaseTrace, default_initial_guess, run_with_doubling
@@ -132,9 +132,8 @@ def audit_job(j: int, yrow: tuple[float, ...], x, discarded) -> list[str]:
     cov = sum(yrow)
     if not (1.0 - TOL <= cov <= 1.0 + TOL):
         out.append(f"job {j}: coverage {cov!r} outside [1-1e-9, 1+1e-9]")
-    for i, y in enumerate(yrow):
-        if y == 0.0:
-            continue
+    for i in compress(range(len(yrow)), yrow):  # y is mostly zero: skip its zeros in C
+        y = yrow[i]
         if discarded[i]:
             out.append(f"job {j}: discarded machine {i} holds y={y!r}")
         elif y > 2.0 * x[i] + TOL:
@@ -161,7 +160,7 @@ def phase_loads(covered_y: list[tuple[int, tuple[float, ...]]], p, m: int) -> li
     loads = [0.0] * m
     for j, yrow in covered_y:
         prow = p[j]
-        for i in range(m):
+        for i in compress(range(m), yrow):
             loads[i] += prow[i] * yrow[i]
     return loads
 
@@ -378,11 +377,10 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
         logdir / "y.csv",
         Y_COLUMNS,
         (
-            (trace.phase, job, i, val)
+            (trace.phase, job, i, yrow[i])
             for trace in artifacts.phases
             for job, yrow in trace.covered_y
-            for i, val in enumerate(yrow)
-            if val != 0.0
+            for i in compress(range(len(yrow)), yrow)
         ),
     )
 
@@ -420,7 +418,7 @@ def _id(value: str, size: int, what: str) -> int:
 def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> list[PhaseTrace]:
     """The phases of ``meta.json`` with their covered y rows from ``y.csv``
     and the values they derive by the engine's rules: pre-processing at the
-    guess, the loads summed from the y rows once, and the potential. The
+    guess and the loads summed from the y rows once. The potential and the
     steps, which no phase check reads, stay out."""
     m, n = instance.m, instance.n
     ys: dict[int, dict[int, list[float]]] = {}
@@ -441,8 +439,7 @@ def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> list[PhaseT
         covered_y = [(j, tuple(row)) for j, row in sorted(ys.get(pmeta["phase"], {}).items())]
         discarded, costs = preprocess(instance.costs(), m, pmeta["guess"])
         load = phase_loads(covered_y, p, m)
-        phi = potential(x, load, costs, discarded)
-        phases.append(PhaseTrace(**pmeta, phi=phi, load_final=tuple(load), scaled_costs=tuple(costs),
+        phases.append(PhaseTrace(**pmeta, load_final=tuple(load), scaled_costs=tuple(costs),
                                  discarded=tuple(discarded), covered_y=covered_y))
     return phases
 
@@ -523,20 +520,21 @@ def _verify_logs(logdir: Path) -> list[str]:
 
     assignment: dict[int, int] = {}
     int_load = [0.0] * instance.m
-    cum = int_makespan = 0.0
+    cum = int_makespan = top = 0.0  # top: max(int_load), a running max as loads only grow
     with open(logdir / "assignments.csv", newline="", encoding="utf-8") as fh:
         for row in _csv_records(fh, "assignments.csv"):
             j = _id(row["job"], instance.n, "assignments.csv job")
             i = _id(row["machine"], instance.m, "assignments.csv machine")
             assignment[j] = i
             int_load[i] += p[j][i]
+            top = max(top, int_load[i])
             if abs(float(row["p_ij"]) - p[j][i] * budget) > TOL:
                 problems.append(f"job {j}: p_ij column {row['p_ij']} does not match the instance")
             prev, cum = cum, float(row["cum_cost"])
             if abs(cum - (prev + float(row["newly_activated_cost"]))) > TOL:
                 problems.append(f"job {j}: cum_cost {cum!r} breaks the running sum")
             int_makespan = float(row["int_makespan"])
-            if abs(int_makespan - max(int_load) * budget) > TOL:
+            if abs(int_makespan - top * budget) > TOL:
                 problems.append(f"job {j}: int_makespan column mismatch")
     if assignment and abs(cum - report["int_cost"]) > TOL:
         problems.append("final cum_cost does not match reported int_cost")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from bisect import insort
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .instances import Instance
@@ -146,21 +147,17 @@ class FractionalState:
 
     # -- ranking -------------------------------------------------------------
 
-    def usable_machines(self, j: int) -> list[int]:
-        """Kept machines on which job j fits within the budget (p_ij <= L)."""
-        prow = self.p[j]
-        return [i for i in range(self.m) if not self.discarded[i] and prow[i] <= 1.0]
-
     def _rank(self, j: int) -> list[tuple[float, int]]:
-        """Rank job j's usable machines from scratch: (virtual cost, id) pairs
-        ascending, the order of a stable sort by virtual cost over ascending
-        ids. A machine's virtual cost is c * p_ij, times a^(load - 1) once it
-        is fully active."""
+        """Rank job j's usable machines (kept, with p_ij <= L) from scratch:
+        (virtual cost, id) pairs ascending, the order of a stable sort by
+        virtual cost over ascending ids. A machine's virtual cost is c * p_ij,
+        times a^(load - 1) once it is fully active."""
         x, load, costs, a, prow = self.x, self.load, self.scaled_costs, GROWTH_BASE, self.p[j]
-        self._ranked = sorted(
+        self._ranked = sorted([
             (costs[i] * a ** (load[i] - 1.0) * prow[i] if x[i] == 1.0 else costs[i] * prow[i], i)
-            for i in self.usable_machines(j)
-        )
+            for i in compress(range(self.m), self._eligible)
+            if prow[i] <= 1.0
+        ])
         self._ranked_job = j
         return self._ranked
 

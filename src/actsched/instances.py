@@ -60,8 +60,10 @@ class Job:
         ps = self.processing_times
         # A row of positive finite floats passes in builtins alone. The sum
         # is NaN or inf if any entry is (min and max can skip a NaN); every
-        # other row takes the per-element check and its exception.
-        if {*map(type, ps)} == {float} and min(ps) > 0 and sum(ps) <= sys.float_info.max:
+        # other row takes the per-element check and its exception. _floats is
+        # not a field, like load_instance's _source; scaled_ptimes reads it.
+        object.__setattr__(self, "_floats", {*map(type, ps)} == {float})
+        if self._floats and min(ps) > 0 and sum(ps) <= sys.float_info.max:
             return
         if not all(map(_finite_positive, ps)):
             raise ValueError(f"job {self.id}: processing times must be finite numbers > 0")
@@ -104,9 +106,11 @@ class Instance:
         return [job.processing_times for job in self.jobs]
 
     def scaled_ptimes(self) -> list[tuple[float, ...]]:
-        """Processing times in units of L, job-major."""
+        """Processing times in units of L, job-major; at L == 1 a row of
+        floats is returned as stored, since x / 1.0 == x for every double."""
         budget = self.makespan_budget
-        return [tuple(p / budget for p in job.processing_times) for job in self.jobs]
+        return [job.processing_times if budget == 1.0 and job._floats
+                else tuple(p / budget for p in job.processing_times) for job in self.jobs]
 
 
 @dataclass(frozen=True)

@@ -390,8 +390,9 @@ def test_run_and_verify_report_the_same_problems(tmp_path):
 def test_run_and_verify_report_the_same_consistency_problems(tmp_path, monkeypatch):
     # Tamper with one finished phase's phi and one load_final entry in the
     # PhaseTrace the run audits: the live consistency audit reports both.
-    # The logs hold neither value (verify derives both from y.csv by the
-    # audit's own rules), so the tampered run's logs verify clean of them.
+    # The logs hold neither value (verify derives the loads from y.csv by the
+    # audit's own rule and reads no potential), so the tampered run's logs
+    # verify clean of them.
     phi_bump, load_bump, machine = 0.5, 0.25, 1
     inst = load_instance(gen_file(tmp_path, m=4, n=8, seed=5))
     config = experiment.RunConfig(alpha_mode="fixed", alpha_value=sum(inst.costs()) / 4)
@@ -671,6 +672,63 @@ def test_rounding_audit_recomputes_the_integer_loads():
     ]
 
 
+def dense_phase_loads(covered_y, p, m):
+    """``experiment.phase_loads`` as a pass over every machine of every row,
+    zero y included."""
+    loads = [0.0] * m
+    for j, yrow in covered_y:
+        prow = p[j]
+        for i in range(m):
+            loads[i] += prow[i] * yrow[i]
+    return loads
+
+
+def dense_audit_job(j, yrow, x, discarded):
+    """``experiment.audit_job`` as a pass over every machine of the row that
+    skips a zero y by comparison."""
+    out = []
+    cov = sum(yrow)
+    if not (1.0 - experiment.TOL <= cov <= 1.0 + experiment.TOL):
+        out.append(f"job {j}: coverage {cov!r} outside [1-1e-9, 1+1e-9]")
+    for i, y in enumerate(yrow):
+        if y == 0.0:
+            continue
+        if discarded[i]:
+            out.append(f"job {j}: discarded machine {i} holds y={y!r}")
+        elif y > 2.0 * x[i] + experiment.TOL:
+            out.append(f"job {j}, machine {i}: y={y!r} > 2x={2*x[i]!r}")
+    return out
+
+
+def test_sparse_y_passes_match_the_dense_references():
+    # Sparse y rows as a tampered y.csv may hold them: mostly zeros of either
+    # sign, and any float else (negative, NaN, inf among them). A y on a
+    # discarded machine and a y > 2x must each be drawn at least once.
+    drawn = {"on_discarded": 0, "above_2x": 0}
+    y_value = st.sampled_from([0.0, 0.0, 0.0, -0.0]) | st.floats(0.0, 2.0) | st.floats()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        m = data.draw(st.integers(1, 8), label="m")
+        n = data.draw(st.integers(1, 4), label="n")
+        p = [tuple(data.draw(st.lists(st.floats(1e-3, 1e6), min_size=m, max_size=m)))
+             for _ in range(n)]
+        x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m), label="x")
+        discarded = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="discarded")
+        jobs = data.draw(st.lists(st.integers(0, n - 1), max_size=5), label="jobs")
+        covered_y = [(j, tuple(data.draw(st.lists(y_value, min_size=m, max_size=m)))) for j in jobs]
+        got, want = experiment.phase_loads(covered_y, p, m), dense_phase_loads(covered_y, p, m)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        for j, yrow in covered_y:
+            assert experiment.audit_job(j, yrow, x, discarded) == dense_audit_job(j, yrow, x, discarded)
+            drawn["on_discarded"] += any(y != 0.0 and d for y, d in zip(yrow, discarded))
+            drawn["above_2x"] += any(y > 2.0 * xi + 1e-9 for y, xi in zip(yrow, x))
+
+    check()
+    assert all(drawn.values()), drawn
+
+
 def _edit_rows(name, edit):
     """A tamper of the CSV log ``name``: ``edit`` changes its data rows,
     lists of strings, in place."""
@@ -772,6 +830,10 @@ def _set_report(col, value):
     (_edit_rows("assignments.csv", _set_cell(1, 3, "1.0")),
      "job 1: cum_cost 26.995849427947626 breaks the running sum"),
     (_edit_rows("assignments.csv", _set_cell(0, 5, "9.0")), "job 0: int_makespan column mismatch"),
+    # Job 3 is machine 1's first job; machine 2 already holds 1.005...: the
+    # column must be the largest load, not the load of the row's machine.
+    (_edit_rows("assignments.csv", _set_cell(3, 5, "0.09381266820583901")),
+     "job 3: int_makespan column mismatch"),
     (_set_meta("report", "int_cost", value=1.0), "final cum_cost does not match reported int_cost"),
     (_edit_rows("report.csv", _set_cell(0, 10, "3")), "report column fallback_count: '3' != '0'"),
     (_set_meta("phases", 0, "guess", value=99.0), "phase 0: guess 99.0 is not 11.851609781410122"),
@@ -821,11 +883,12 @@ def _set_report(col, value):
     (_set_meta("phases", 0, "x_final", value=[1.0] * 5),
      "cannot load logs: meta.json phase 0: 5 x_final values, not 4"),
     (_set_meta("phases", 0, "guess", value=0), "cannot load logs: division by zero"),
-    (_edit_rows("y.csv", _set_cell(1, 3, "1e9")), "cannot load logs: (34, 'Numerical result out of range')"),
+    (_edit_rows("y.csv", _set_cell(1, 3, "1e9")),
+     "phase 0, job 0: coverage 1000000000.4189864 outside [1-1e-9, 1+1e-9]"),
 ], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "steps-job-99",
         "y-unknown-phase",
         "never-assigned", "inactive-machine", "ineligible-machine", "p_ij-column",
-        "running-sum", "int_makespan-column", "final-cum-cost", "report-column",
+        "running-sum", "int_makespan-column", "int_makespan-not-the-max", "final-cum-cost", "report-column",
         "first-guess", "report-B", "meta-violation-counts",
         "steps-short-row", "steps-extra-field", "steps-nine-fields", "steps-field-moved-up",
         "assignments-extra-field", "assignments-short-row", "report-extra-field", "report-short-row",

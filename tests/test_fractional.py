@@ -165,10 +165,17 @@ def test_order_breaks_ties_by_id():
     assert pivot == 1
 
 
+def usable_machines(fs, j: int) -> list[int]:
+    """Kept machines on which job j fits within the budget (p_ij <= L): the
+    machines the engine ranks job j over, as a list built first."""
+    prow = fs.p[j]
+    return [i for i in range(fs.m) if not fs.discarded[i] and prow[i] <= 1.0]
+
+
 def reference_split(fs, j):
     """The prefix/pivot split of a from-scratch sort of job j's usable machines."""
     prefix, total = [], 0.0
-    for i in sorted(fs.usable_machines(j), key=lambda i: virtual_cost(fs, i, j)):
+    for i in sorted(usable_machines(fs, j), key=lambda i: virtual_cost(fs, i, j)):
         if total + fs.x[i] >= 1.0:
             return prefix, i
         prefix.append(i)
@@ -181,7 +188,7 @@ def process_by_steps(fs, j):
     so that a wrapper on ``fs.execute_step`` sees every step; process_job
     itself covers the job in runs of steps. A job with no usable machine
     goes to process_job, which raises GuessTooSmallError."""
-    if not fs.usable_machines(j):
+    if not usable_machines(fs, j):
         return fs.process_job(j)
     start = len(fs.step_log)
     fs.y[j] = [0.0] * fs.m
@@ -216,7 +223,11 @@ def test_incremental_ranking_matches_a_fresh_sort(data):
 
     fs.execute_step = checked
     for j in range(n):
-        if fs.usable_machines(j):
+        # The one-pass ranking over the kept machines, against a fresh sort
+        # of the list usable_machines builds, keys to the bit.
+        want = sorted((virtual_cost(fs, i, j), i) for i in usable_machines(fs, j))
+        assert rank_bits(fs._rank(j)) == rank_bits(want)
+        if want:
             process_by_steps(fs, j)
         else:
             with pytest.raises(GuessTooSmallError):
@@ -295,7 +306,7 @@ def test_process_job_rejects_repeat_and_out_of_range():
 def test_order_and_split_skips_pairs_over_budget():
     inst = make_instance([2.0, 2.0, 2.0], [[1.5, 0.2, 1.0]])
     fs = FractionalState(inst, alpha=3.0)
-    assert fs.usable_machines(0) == [1, 2]  # p = L still fits
+    assert usable_machines(fs, 0) == [1, 2]  # p = L still fits
     prefix, pivot = fs.order_and_split(0)
     assert prefix == [1, 2] and pivot is None
 
@@ -376,7 +387,7 @@ class PerMachineState(FractionalState):
         return c * self.x[i]
 
     def _rank(self, j: int) -> list[tuple[float, int]]:
-        self._ranked = sorted((virtual_cost(self, i, j), i) for i in self.usable_machines(j))
+        self._ranked = sorted((virtual_cost(self, i, j), i) for i in usable_machines(self, j))
         self._ranked_job = j
         return self._ranked
 
@@ -454,6 +465,11 @@ def fs_potential(fs):
     return potential(fs.x, fs.load, fs.scaled_costs, fs.discarded)
 
 
+def rank_bits(ranked):
+    """(virtual cost, id) pairs with the cost as an exact hex string."""
+    return [(key.hex(), i) for key, i in ranked]
+
+
 def log_bits(entries):
     """Step-log entries with Delta phi as an exact hex string."""
     return [(j, idx, o.step_type, o.delta_potential.hex()) for j, idx, o in entries]
@@ -514,7 +530,9 @@ def run_in_lockstep(inst, alpha, drawn, x=None):
 
     fs.execute_step = lockstep
     for j in range(inst.n):
-        if fs.usable_machines(j):
+        # Each job's first ranking: the one pass against the reference's sort.
+        assert rank_bits(fs._rank(j)) == rank_bits(ref._rank(j))
+        if usable_machines(fs, j):
             process_by_steps(fs, j)
         else:
             with pytest.raises(GuessTooSmallError):
@@ -578,7 +596,7 @@ def test_runs_match_the_one_step_path():
         fs.order_and_split = counted_split
         twin.order_and_split, twin.execute_step = recorded_split, recorded_step
         for j in range(inst.n):
-            if not fs.usable_machines(j):
+            if not usable_machines(fs, j):
                 for state in (fs, twin):
                     with pytest.raises(GuessTooSmallError):
                         process_by_steps(state, j)

@@ -158,6 +158,29 @@ def test_job_row_check_matches_the_per_element_reference(row):
     assert _outcome(lambda: Job(3, tuple(row))) == _outcome(lambda: _per_element_row_check(3, row))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.floats(5e-324, sys.float_info.max) | st.integers(1, 2**60), min_size=3, max_size=3),
+        max_size=5,
+    ),
+    budget=st.sampled_from([1.0, 1]) | st.floats(5e-324, sys.float_info.max),
+)
+@example(rows=[[5e-324, 2**53 + 1, sys.float_info.max]], budget=1.0)
+@example(rows=[[1, 2, 3]], budget=1)  # p * L is then an int: it would write p_ij as "1"
+def test_scaled_ptimes_match_the_division_pass(rows, budget):
+    # At L = 1 a row of floats comes back as stored; a row with an int entry
+    # is divided, so every entry is the float p / L, as the logs need it.
+    inst = Instance(
+        tuple(Machine(i, 1.0) for i in range(3)),
+        tuple(Job(j, tuple(row)) for j, row in enumerate(rows)),
+        budget,
+    )
+    want = [tuple(p / budget for p in job.processing_times) for job in inst.jobs]
+    got = inst.scaled_ptimes()
+    assert [[p.hex() for p in row] for row in got] == [[p.hex() for p in row] for row in want]
+
+
 # sha256 of the file save_instance writes for a generated instance, the
 # encoder that `gen` and every instance built in memory go through.
 def test_saved_generated_instance_matches_pinned_digest(tmp_path):
