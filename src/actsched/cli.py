@@ -62,10 +62,8 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_alpha(raw: str) -> tuple[str, float | None]:
-    if raw == "oracle":
-        return "oracle", None
-    if raw == "double":
-        return "double", None
+    if raw in ("oracle", "double"):
+        return raw, None
     try:
         return "fixed", float(raw)
     except ValueError:
@@ -117,9 +115,7 @@ def cmd_sweep(args) -> int:
     violations = aggregate.get("invariant_violations", {}).get("max", 0.0)
     for metric, stats in aggregate.items():
         print(f"{metric}: mean={stats['mean']} max={stats['max']} p95={stats['p95']}")
-    if violations > 0:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_VIOLATION if violations > 0 else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fractional import FractionalState, GuessTooSmallError, JobFraction, StepOutcome, fractional_cost
+from .fractional import FractionalState, GuessTooSmallError, JobFraction, StepLog, fractional_cost
 from .instances import Instance
 
 BOUND_CONSTANT = 50.0  # read at call time, so tests can patch it
@@ -45,7 +45,7 @@ class PhaseTrace:
     coverage_clamps: int
     phi: float | None = None  # the engine's potential; None in a phase verify rebuilds
     covered_y: list[tuple[int, tuple[float, ...]]] = field(default_factory=list)
-    step_entries: list[tuple[int, int, StepOutcome]] = field(default_factory=list)
+    step_entries: StepLog = field(default_factory=StepLog)
 
     @property
     def frac_cost(self) -> float:

@@ -23,16 +23,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain, compress, islice
+from itertools import compress, count, islice
 from pathlib import Path
 
 from .doubling import DoublingResult, PhaseTrace, default_initial_guess, run_with_doubling
 
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
 from .doubling import snapshot_phase  # noqa: F401
-from .fractional import GROWTH_BASE, JobFraction, potential, preprocess
+from .fractional import GROWTH_BASE, TYPE_A, TYPE_B, JobFraction, potential, preprocess
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -183,11 +183,12 @@ def audit_consistency(trace: PhaseTrace, p: list[tuple[float, ...]]) -> list[str
     return out
 
 
-def audit_steps(steps: Iterable[tuple[object, object, float]], n: int) -> list[str]:
-    """Steps, given as (job, step_idx, delta_phi), whose potential increase
-    exceeds 2/n. Consumes all of ``steps``, also when n = 0."""
-    cap = 2.0 / n + TOL if n else math.inf
-    return [f"job {job}, step {idx}: delta_phi {d!r} > 2/n" for job, idx, d in steps if d > cap]
+def audit_steps(jobs: Sequence, idxs: Sequence, deltas: Sequence[float], n: int) -> list[str]:
+    """Steps whose potential increase exceeds 2/n, given as three columns:
+    job labels, step_idx labels and delta_phi. ``cap < d`` (which is ``d > cap``)
+    runs over delta_phi at C level; only a step over the cap gets a message."""
+    over = compress(count(), map((2.0 / n + TOL if n else math.inf).__lt__, deltas))
+    return [f"job {jobs[k]}, step {idxs[k]}: delta_phi {deltas[k]!r} > 2/n" for k in over]
 
 
 def audit_rounding(
@@ -297,8 +298,9 @@ def run_fractional(
     p, problems = instance.scaled_ptimes(), []
     for trace in result.phases:
         problems += [("feasibility", audit_phase(trace)), ("consistency", audit_consistency(trace, p))]
-    steps = ((job, idx, d) for t in result.phases for job, idx, (_, d) in t.step_entries)
-    return B, result, problems + [("potential", audit_steps(steps, instance.n))]
+    logs = [t.step_entries for t in result.phases]
+    over = [msg for log in logs for msg in audit_steps(log.job, range(len(log)), log.delta, instance.n)]
+    return B, result, problems + [("potential", over)]
 
 
 def round_run(
@@ -362,7 +364,8 @@ def write_steps_csv(path: Path, phases: list[PhaseTrace]) -> None:
     """The phases' steps as ``csv.writer`` writes them: ints by ``str``, floats by ``repr``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(STEP_COLUMNS) + "\n")
-        rows = (f"{job},{idx},{t},{d!r}\n" for p in phases for job, idx, (t, d) in p.step_entries)
+        rows = (f"{job},{idx},{t},{d!r}\n" for log in (p.step_entries for p in phases)
+                for job, idx, t, d in zip(log.job, range(len(log)), log.kind.decode(), log.delta))
         while block := "".join(islice(rows, STEP_WRITE_ROWS)):
             fh.write(block)
 
@@ -456,12 +459,12 @@ def _csv_records(fh, name: str):
 
 
 def _step_rows(fh, jobs: set[str]):
-    """An iterator of (job, step_idx, delta_phi) per ``readlines(STEP_READ_BYTES)``
-    chunk of steps.csv. Each row must have the header's field count (no CSV
-    quoting) and a step_idx of 0 or the previous row's + 1. The job and step_idx
-    stay labels; each distinct job label goes to ``jobs`` for one id check."""
+    """The (job, step_idx, delta_phi) columns of each ``readlines(STEP_READ_BYTES)``
+    chunk of steps.csv. Each row must have the header's field count (no CSV quoting),
+    a type of A or B, and a step_idx of 0 or the previous row's + 1. The job and
+    step_idx stay labels; each distinct job label goes to ``jobs`` for one id check."""
     header = fh.readline().rstrip("\n").split(",")
-    job, idx, dphi = (header.index(col) for col in ("job", "step_idx", "delta_phi"))
+    job, idx, typ, dphi = (header.index(col) for col in ("job", "step_idx", "type", "delta_phi"))
     width, prev = len(header) + 1, -1  # width: a row's cells and its "\n"
     while lines := fh.readlines(STEP_READ_BYTES):
         text = "".join(lines)
@@ -473,8 +476,10 @@ def _step_rows(fh, jobs: set[str]):
             if i != prev + 1 and i != 0:
                 raise ValueError(f"steps.csv step_idx {i} follows {prev}")
             prev = i
+        if bad := set(cells[typ::width]) - {TYPE_A, TYPE_B}:
+            raise ValueError(f"steps.csv type {min(bad)!r} is not {TYPE_A} or {TYPE_B}")
         jobs.update(cells[job::width])
-        yield zip(cells[job::width], labels, map(float, cells[dphi::width]))
+        yield cells[job::width], labels, list(map(float, cells[dphi::width]))
 
 
 def verify_logdir(logdir: str | Path) -> list[str]:
@@ -514,7 +519,7 @@ def _verify_logs(logdir: Path) -> list[str]:
     problems = [msg for trace in phases for msg in audit_phase(trace)]
     step_jobs: set[str] = set()
     with open(logdir / "steps.csv", encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
-        problems += audit_steps(chain.from_iterable(_step_rows(fh, step_jobs)), instance.n)
+        problems += [msg for cols in _step_rows(fh, step_jobs) for msg in audit_steps(*cols, instance.n)]
     for label in sorted(step_jobs):  # sorted: the first bad id reported is fixed
         _id(label, instance.n, "steps.csv job")
 

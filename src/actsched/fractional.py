@@ -23,6 +23,7 @@ deterministic.
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import insort
 from dataclasses import dataclass
 from itertools import compress
@@ -58,6 +59,40 @@ class StepCapError(Exception):
 class StepOutcome(NamedTuple):
     step_type: str
     delta_potential: float
+
+
+class StepLog:
+    """A phase's steps in typed columns (C-int job ids, TYPE_A or TYPE_B as ASCII
+    bytes, delta phi): no Python object per step for the cyclic collector to rescan
+    as the log grows. Entry k reads as (job, k, StepOutcome), built on reading."""
+
+    def __init__(self) -> None:
+        self.job, self.kind, self.delta = array("i"), bytearray(), array("d")
+
+    def __len__(self) -> int:
+        return len(self.delta)
+
+    def __iter__(self):
+        return zip(self.job, range(len(self.delta)), map(StepOutcome, self.kind.decode(), self.delta))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return StepSpan(self, range(len(self.delta))[k])
+        return self.job[k], range(len(self.delta))[k], StepOutcome(chr(self.kind[k]), self.delta[k])
+
+
+class StepSpan:
+    """Steps ``idx`` (a range) of a StepLog, read from its columns on reading,
+    so a job's steps as ``process_job`` returns them copy nothing."""
+
+    def __init__(self, log: StepLog, idx: range) -> None:
+        self.log, self.idx = log, idx
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def __getitem__(self, k):  # also iterates, until self.idx raises IndexError
+        return StepSpan(self.log, self.idx[k]) if isinstance(k, slice) else self.log[self.idx[k]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +170,7 @@ class FractionalState:
         # sum(y) <= 1 cap truncated a raw increment.
         self.fraction_clamps = 0
         self.coverage_clamps = 0
-        # (job, step_idx, outcome), append-only; step_idx counts the phase's steps.
-        self.step_log: list[tuple[int, int, StepOutcome]] = []
+        self.step_log = StepLog()  # append-only
 
         self._inv_cn = [
             1.0 / (c * self.n) if self.n > 0 else 0.0 for c in self.scaled_costs
@@ -204,7 +238,7 @@ class FractionalState:
         move is re-placed with ``insort`` and starts a new run."""
         x, load, costs, inv_cn, a = self.x, self.load, self.scaled_costs, self._inv_cn, GROWTH_BASE
         n, yrow, prow, log, tiny = self.n, self.y[j], self.p[j], self.step_log, sys.float_info.min
-        outcome = tuple.__new__  # builds a StepOutcome as its _make does, with no Python frame
+        log_job, log_kind, log_delta = log.job.append, log.kind.append, log.delta.append
         cov, phi_total = self.coverage[j], self.phi
         steps = 0
         try:
@@ -213,7 +247,7 @@ class FractionalState:
                 ranked = self._ranked
                 touched = prefix if pivot is None else prefix + [pivot]
                 k = len(touched)
-                step_type = TYPE_B if pivot is not None and x[pivot] == 1.0 else TYPE_A
+                kind = ord(TYPE_B if pivot is not None and x[pivot] == 1.0 else TYPE_A)
                 holds = True
                 while holds:
                     d_phi = d_cov = 0.0
@@ -265,14 +299,16 @@ class FractionalState:
                         if x_new == 1.0:
                             moved.append((phi * p_ij, i))
                         d_phi += dp
-                    log.append((j, len(log), outcome(StepOutcome, (step_type, d_phi))))
+                    log_job(j)
+                    log_kind(kind)
+                    log_delta(d_phi)
                     phi_total += d_phi
                     steps += 1
                     if moved:
                         # The touched machines head the ranking, and only the fully
                         # active ones move: a partially active key c*p_ij is fixed.
                         entry = moved[0]
-                        lone_b = step_type is TYPE_B and len(moved) == 1
+                        lone_b = kind == ord(TYPE_B) and len(moved) == 1
                         if lone_b and (k == len(ranked) or entry < ranked[k]) and (
                             k == 1 or ranked[k - 2] < entry
                         ):
@@ -298,8 +334,8 @@ class FractionalState:
             self.coverage[j] = cov
             self.phi = phi_total
 
-    def process_job(self, j: int) -> list[tuple[int, int, StepOutcome]]:
-        """Run steps until job j is covered; returns its slice of ``step_log``.
+    def process_job(self, j: int) -> StepSpan:
+        """Run steps until job j is covered; returns its span of ``step_log``.
 
         Jobs may start at any index (a phase can pick up mid-stream), but a
         job is covered at most once per state and its y row freezes after.
@@ -327,7 +363,7 @@ class FractionalState:
                 f"job {j}: exceeded step cap {STEP_CAP} "
                 f"(coverage={self.coverage[j]!r}, x={self.x!r}, load={self.load!r})"
             )
-        return self.step_log[start:]
+        return StepSpan(self.step_log, range(start, len(self.step_log)))
 
     # -- observables ----------------------------------------------------------
 

@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from actsched import experiment
 from actsched.cli import main
 from actsched.experiment import audit_rounding, verify_logdir
-from actsched.fractional import TYPE_A, TYPE_B, StepOutcome, preprocess
+from actsched.fractional import TYPE_A, TYPE_B, StepLog, preprocess
 from actsched.instances import GeneratorConfig, generate, load_instance, save_instance
 from actsched.oracle import optimal_exhaustive
 
@@ -266,12 +267,12 @@ def test_steps_csv_writer_matches_csv_writer(counts, values, types, jobs_per_ste
     # write block and one more row cover the block boundaries.
     phases = []
     for count in counts:
-        entries = []
+        log = StepLog()  # filled column by column, as the engine's steps fill it
         for idx in range(count):
-            job = int(idx * jobs_per_step) + len(phases) * 1000
-            outcome = StepOutcome(types[idx % len(types)], values[idx % len(values)])
-            entries.append((job, idx, outcome))
-        phases.append(SimpleNamespace(step_entries=entries))
+            log.job.append(int(idx * jobs_per_step) + len(phases) * 1000)
+            log.kind.append(ord(types[idx % len(types)]))
+            log.delta.append(values[idx % len(values)])
+        phases.append(SimpleNamespace(step_entries=log))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "steps.csv"
         experiment.write_steps_csv(path, phases)
@@ -729,6 +730,48 @@ def test_sparse_y_passes_match_the_dense_references():
     assert all(drawn.values()), drawn
 
 
+def per_row_audit_steps(jobs, idxs, deltas, n):
+    """``audit_steps`` as a per-row list comprehension: the reference."""
+    cap = 2.0 / n + 1e-9 if n else math.inf
+    rows = zip(jobs, idxs, deltas)
+    return [f"job {job}, step {idx}: delta_phi {d!r} > 2/n" for job, idx, d in rows if d > cap]
+
+
+def test_column_audit_steps_matches_the_per_row_reference():
+    # Columns as the live run passes them (a StepLog's job and delta arrays
+    # and its step_idx range) and as verify passes them (the label lists and
+    # float list of a chunk, whose step_idx may start past 0), with delta phi
+    # exactly at the cap 2/n + 1e-9, just above it, NaN, +-inf and -0.0 among
+    # any float, and n = 0 (no cap). A step at the cap, a step over it and
+    # n = 0 must each be drawn at least once.
+    drawn = {"at_cap": 0, "over_cap": 0, "n_zero": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(0, 40), label="n")
+        cap = 2.0 / n + 1e-9 if n else math.inf
+        above = math.nextafter(cap, math.inf)
+        edge = st.sampled_from([cap, above, math.nan, math.inf, -math.inf, -0.0])
+        deltas = data.draw(st.lists(edge | st.floats(), max_size=30), label="deltas")
+        jobs = data.draw(st.lists(st.integers(0, 99), min_size=len(deltas), max_size=len(deltas)))
+        log = StepLog()
+        log.job.extend(jobs)
+        log.delta.extend(deltas)
+        want = per_row_audit_steps(jobs, range(len(deltas)), deltas, n)
+        assert experiment.audit_steps(log.job, range(len(log)), log.delta, n) == want
+        first = data.draw(st.integers(0, 5), label="first step_idx")
+        labels = [str(j) for j in jobs], [str(first + k) for k in range(len(deltas))]
+        want = per_row_audit_steps(*labels, deltas, n)
+        assert experiment.audit_steps(*labels, [float(d) for d in deltas], n) == want
+        drawn["at_cap"] += cap in deltas
+        drawn["over_cap"] += bool(want)
+        drawn["n_zero"] += n == 0
+
+    check()
+    assert all(drawn.values()), drawn
+
+
 def _edit_rows(name, edit):
     """A tamper of the CSV log ``name``: ``edit`` changes its data rows,
     lists of strings, in place."""
@@ -858,6 +901,10 @@ def _set_report(col, value):
      "cannot load logs: report.csv has a row without the header's 12 fields"),
     (_edit_rows("steps.csv", _set_cell(2, 3, "x")),
      "cannot load logs: could not convert string to float: 'x'"),
+    (_edit_rows("steps.csv", _set_cell(0, 2, "Z")),
+     "cannot load logs: steps.csv type 'Z' is not A or B"),
+    (lambda logdir: [_long_steps_csv(logdir), _edit_rows("steps.csv", _set_cell(-1, 2, "b"))(logdir)],
+     "cannot load logs: steps.csv type 'b' is not A or B"),
     (_edit_rows("steps.csv", lambda rows: rows.insert(3, [""])),
      "cannot load logs: steps.csv has a row without the header's 4 fields"),
     (_edit_rows("steps.csv", lambda rows: rows.insert(2, rows.pop(1))),
@@ -892,7 +939,7 @@ def _set_report(col, value):
         "first-guess", "report-B", "meta-violation-counts",
         "steps-short-row", "steps-extra-field", "steps-nine-fields", "steps-field-moved-up",
         "assignments-extra-field", "assignments-short-row", "report-extra-field", "report-short-row",
-        "steps-delta-phi-not-a-number",
+        "steps-delta-phi-not-a-number", "steps-type-Z", "steps-type-in-a-later-chunk",
         "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-empty", "y-empty",
         "config-mode", "config-seed", "config-a", "report-L", "report-frac_cost",
         "report-frac_makespan", "report-int_makespan", "report-cost_ratio", "report-makespan_ratio",

@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import tracemalloc
 from bisect import insort
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actsched import fractional
-from actsched.doubling import snapshot_phase
+from actsched.doubling import default_initial_guess, snapshot_phase
 from actsched.experiment import oracle_solve
 from actsched.fractional import (
     COVERAGE_TOL,
@@ -318,7 +320,7 @@ def test_job_without_usable_machine_signals_small_guess():
     assert fs.discarded == [False, True]
     with pytest.raises(GuessTooSmallError, match="job 0"):
         fs.process_job(0)
-    assert 0 not in fs.y and fs.step_log == []
+    assert 0 not in fs.y and len(fs.step_log) == 0
     fs.process_job(1)
     assert fs.y[1] == [1.0, 0.0]
 
@@ -377,8 +379,13 @@ def test_effective_capacity_properties(x, dx, p):
 class PerMachineState(FractionalState):
     """The engine's step as it was before it became one pass: per-machine
     helpers for the x-bump and the grant, each recomputing phi_i before and
-    after, and a ranking keyed through ``virtual_cost``. The reference for
+    after, a ranking keyed through ``virtual_cost``, and a list step log of
+    its own. The reference for
     ``test_one_pass_step_matches_the_per_machine_reference``."""
+
+    def __init__(self, instance, alpha):
+        super().__init__(instance, alpha)
+        self.step_log = []  # (job, step_idx, StepOutcome) tuples, as the engine's log reads
 
     def _phi_i(self, i: int) -> float:
         c = self.scaled_costs[i]
@@ -721,6 +728,38 @@ def test_engine_is_deterministic():
     b = run_all(inst, sum(inst.costs()))
     assert a.x == b.x and a.load == b.load and a.y == b.y
     assert [entry[2] for entry in a.step_log] == [entry[2] for entry in b.step_log]
+
+
+def test_step_log_keeps_no_python_object_per_step():
+    # One phase of 11,257 steps: uniform m=20, n=100, seed 0 at its default
+    # guess. The step log keeps typed columns, so the cyclic collector gets
+    # no object per step to rescan, and a step retains a few bytes of them.
+    inst = generate(GeneratorConfig(m=20, n=100, seed=0))
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        fs = run_all(inst, default_initial_guess(inst))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    steps = len(fs.step_log)
+    assert steps >= 5000
+    assert len(gc.get_objects()) - tracked < 0.1 * steps
+    assert retained < 64 * steps
+
+
+def test_step_log_reads_alike_by_iteration_index_and_slice():
+    inst = generate(GeneratorConfig(m=5, n=12, seed=8))
+    log = run_all(inst, sum(inst.costs())).step_log
+    entries = list(log)
+    k = len(entries)
+    assert k > 10 and [e[1] for e in entries] == list(range(k))
+    assert [log[i] for i in range(-k, k)] == entries + entries
+    span = log[3:-2]
+    assert len(span) == k - 5 and list(span) == entries[3:-2] and span[-1] == entries[-3]
+    assert list(span[1::2]) == entries[4:-2:2] and list(log[::3]) == entries[::3]
 
 
 def test_every_step_makes_progress():
