@@ -110,27 +110,21 @@ def run_with_doubling(
     guess = initial_guess if initial_guess is not None else default_initial_guess(instance)
     if n == 0:
         return DoublingResult([], [], guess)
-    if guess <= 0:
-        raise ValueError("initial guess must be > 0")
 
     bound = cost_bound(m) if double else None
     phases: list[PhaseTrace] = []
     records: list[JobFraction] = []
-    phase_idx = 0
     j = 0
 
     while True:
         fstate = FractionalState(instance, guess)
-        kept = 0
-        trip = False
+        first = j
         try:
             while j < n:
                 fstate.process_job(j)
-                if bound is not None and fstate.fractional_cost() > bound:
-                    trip = True
+                if double and fractional_cost(fstate.x, fstate.scaled_costs, fstate.discarded) > bound:
                     break
                 records.append(fstate.job_fraction(j))
-                kept += 1
                 j += 1
         except GuessTooSmallError:
             # Every machine kept and the job still fits on none: it fits no
@@ -141,11 +135,9 @@ def run_with_doubling(
             if not double or not any(fstate.discarded):
                 raise
             # The job fits on no kept machine: re-cover it at a larger guess.
-            trip = True
-        phases.append(snapshot_phase(fstate, phase_idx, guess, kept))
-        if not trip:
+        phases.append(snapshot_phase(fstate, len(phases), guess, j - first))
+        if j == n:
             break
         guess *= 2.0
-        phase_idx += 1
 
     return DoublingResult(phases, records, guess)

@@ -25,7 +25,7 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, replace
-from itertools import compress, count, islice
+from itertools import compress, count, groupby, islice
 from pathlib import Path
 
 from .doubling import DoublingResult, PhaseTrace, default_initial_guess, run_with_doubling
@@ -458,11 +458,11 @@ def _csv_records(fh, name: str):
         yield dict(zip(header, row))
 
 
-def _step_rows(fh, jobs: set[str]):
+def _step_rows(fh, blocks: list[list[str]]):
     """The (job, step_idx, delta_phi) columns of each ``readlines(STEP_READ_BYTES)``
     chunk of steps.csv. Each row must have the header's field count (no CSV quoting),
-    a type of A or B, and a step_idx of 0 or the previous row's + 1. The job and
-    step_idx stay labels; each distinct job label goes to ``jobs`` for one id check."""
+    a type of A or B, and a step_idx of 0 or the previous row's + 1. Each block of rows
+    from a step_idx of 0 on goes to ``blocks`` as its job labels, one per run in a chunk."""
     header = fh.readline().rstrip("\n").split(",")
     job, idx, typ, dphi = (header.index(col) for col in ("job", "step_idx", "type", "delta_phi"))
     width, prev = len(header) + 1, -1  # width: a row's cells and its "\n"
@@ -471,15 +471,23 @@ def _step_rows(fh, jobs: set[str]):
         cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")[:-1]
         if cells[width - 1 :: width] != ["\n"] * len(lines):  # each row's "\n" after header-many cells
             raise ValueError(f"steps.csv has a row without the header's {width - 1} fields")
-        labels = cells[idx::width]
-        for i in map(int, labels):
-            if i != prev + 1 and i != 0:
-                raise ValueError(f"steps.csv step_idx {i} follows {prev}")
-            prev = i
+        jobs, labels = cells[job::width], cells[idx::width]
+        steps, k, want = list(map(int, labels)), -1, []
+        # The chunk's rows cut where a block starts; list.index finds each step_idx of 0.
+        cuts = sorted({0, len(steps), *[k := steps.index(0, k + 1) for _ in range(steps.count(0))]})
+        for start, stop in zip(cuts, cuts[1:]):  # the chunk's rows of one block
+            first = 0 if steps[start] == 0 else prev + 1
+            want += range(first, first + stop - start)
+            if first == 0:
+                blocks.append([])
+            blocks[-1] += [label for label, _ in groupby(jobs[start:stop])]
+        if steps != want:
+            k = next(k for k, (i, w) in enumerate(zip(steps, want)) if i != w)
+            raise ValueError(f"steps.csv step_idx {steps[k]} follows {steps[k - 1] if k else prev}")
         if bad := set(cells[typ::width]) - {TYPE_A, TYPE_B}:
             raise ValueError(f"steps.csv type {min(bad)!r} is not {TYPE_A} or {TYPE_B}")
-        jobs.update(cells[job::width])
-        yield cells[job::width], labels, list(map(float, cells[dphi::width]))
+        prev = steps[-1]
+        yield jobs, labels, list(map(float, cells[dphi::width]))
 
 
 def verify_logdir(logdir: str | Path) -> list[str]:
@@ -517,11 +525,17 @@ def _verify_logs(logdir: Path) -> list[str]:
     phases = _load_phases(meta, logdir / "y.csv", instance, p)
 
     problems = [msg for trace in phases for msg in audit_phase(trace)]
-    step_jobs: set[str] = set()
+    blocks: list[list[str]] = []
     with open(logdir / "steps.csv", encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
-        problems += [msg for cols in _step_rows(fh, step_jobs) for msg in audit_steps(*cols, instance.n)]
-    for label in sorted(step_jobs):  # sorted: the first bad id reported is fixed
+        problems += [msg for cols in _step_rows(fh, blocks) for msg in audit_steps(*cols, instance.n)]
+    for label in sorted({j for block in blocks for j in block}):  # sorted: the first bad id is fixed
         _id(label, instance.n, "steps.csv job")
+    covering = [t for t in phases if t.covered_y]  # one block of steps each, through its jobs in order
+    if len(blocks) != len(covering):
+        raise ValueError(f"steps.csv has {len(blocks)} blocks from step_idx 0, not {len(covering)}")
+    for block, t in zip(blocks, covering):
+        if [label for label, _ in groupby(block)] != [str(j) for j, _ in t.covered_y]:
+            raise ValueError(f"steps.csv steps of phase {t.phase} do not run through its covered jobs")
 
     assignment: dict[int, int] = {}
     int_load = [0.0] * instance.m

@@ -64,7 +64,7 @@ class StepOutcome(NamedTuple):
 class StepLog:
     """A phase's steps in typed columns (C-int job ids, TYPE_A or TYPE_B as ASCII
     bytes, delta phi): no Python object per step for the cyclic collector to rescan
-    as the log grows. Entry k reads as (job, k, StepOutcome), built on reading."""
+    as the log grows. Step k iterates as (job, k, StepOutcome), built on reading."""
 
     def __init__(self) -> None:
         self.job, self.kind, self.delta = array("i"), bytearray(), array("d")
@@ -74,25 +74,6 @@ class StepLog:
 
     def __iter__(self):
         return zip(self.job, range(len(self.delta)), map(StepOutcome, self.kind.decode(), self.delta))
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return StepSpan(self, range(len(self.delta))[k])
-        return self.job[k], range(len(self.delta))[k], StepOutcome(chr(self.kind[k]), self.delta[k])
-
-
-class StepSpan:
-    """Steps ``idx`` (a range) of a StepLog, read from its columns on reading,
-    so a job's steps as ``process_job`` returns them copy nothing."""
-
-    def __init__(self, log: StepLog, idx: range) -> None:
-        self.log, self.idx = log, idx
-
-    def __len__(self) -> int:
-        return len(self.idx)
-
-    def __getitem__(self, k):  # also iterates, until self.idx raises IndexError
-        return StepSpan(self.log, self.idx[k]) if isinstance(k, slice) else self.log[self.idx[k]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +202,7 @@ class FractionalState:
     def execute_step(self, j: int) -> StepOutcome:
         """One step of job j, as ``process_job`` takes them (see ``_advance``)."""
         self._advance(j, 1)
-        return self.step_log[-1][2]
+        return StepOutcome(chr(self.step_log.kind[-1]), self.step_log.delta[-1])
 
     def _advance(self, j: int, limit: int) -> None:
         """Take steps of job j, at least one and at most ``limit``, until its
@@ -334,8 +315,8 @@ class FractionalState:
             self.coverage[j] = cov
             self.phi = phi_total
 
-    def process_job(self, j: int) -> StepSpan:
-        """Run steps until job j is covered; returns its span of ``step_log``.
+    def process_job(self, j: int) -> range:
+        """Run steps until job j is covered; returns the indices of its steps in ``step_log``.
 
         Jobs may start at any index (a phase can pick up mid-stream), but a
         job is covered at most once per state and its y row freezes after.
@@ -363,12 +344,9 @@ class FractionalState:
                 f"job {j}: exceeded step cap {STEP_CAP} "
                 f"(coverage={self.coverage[j]!r}, x={self.x!r}, load={self.load!r})"
             )
-        return StepSpan(self.step_log, range(start, len(self.step_log)))
+        return range(start, len(self.step_log))
 
     # -- observables ----------------------------------------------------------
-
-    def fractional_cost(self) -> float:
-        return fractional_cost(self.x, self.scaled_costs, self.discarded)
 
     def job_fraction(self, j: int) -> JobFraction:
         if j not in self.y:

@@ -20,7 +20,7 @@ from actsched.experiment import (
     replay_rounding,
     run_pipeline,
 )
-from actsched.fractional import FractionalState
+from actsched.fractional import FractionalState, fractional_cost
 from actsched.instances import PTIME_MODELS, GeneratorConfig, generate, save_instance
 from actsched.oracle import optimal_bnb, optimal_exhaustive
 from actsched.rounding import score_job
@@ -71,7 +71,8 @@ def rounding_sweep():
         for j in range(n):
             fs.process_job(j)
             jobs.append(score_job(inst, fs.job_fraction(j)))
-        frac_cost_original = fs.fractional_cost() * B / m  # rescaled -> original units
+        # rescaled -> original units
+        frac_cost_original = fractional_cost(fs.x, fs.scaled_costs, fs.discarded) * B / m
         int_costs = []
         makespan_ratios = []
         fallbacks = 0
@@ -158,7 +159,7 @@ def test_criterion_3_fractional_bounds():
         for j in range(n):
             fs.process_job(j)
         denom = m * (1.0 + math.log(m))
-        worst_cost = max(worst_cost, fs.fractional_cost() / denom)
+        worst_cost = max(worst_cost, fractional_cost(fs.x, fs.scaled_costs, fs.discarded) / denom)
         makespan = max(load for load, d in zip(fs.load, fs.discarded) if not d)
         worst_load = max(worst_load, makespan / (1.0 + math.log(m)))
     ok = worst_cost <= 50.0 and worst_load <= 20.0

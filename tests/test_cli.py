@@ -910,6 +910,14 @@ def _set_report(col, value):
     (_edit_rows("steps.csv", lambda rows: rows.insert(2, rows.pop(1))),
      "cannot load logs: steps.csv step_idx 2 follows 0"),
     (_long_steps_csv, f"job 7, step {LONG_STEPS - 1}: delta_phi 1.0 > 2/n"),
+    # Each of the eight jobs takes one step: a row moved to another job or
+    # dropped leaves a job of the phase without steps.
+    (_edit_rows("steps.csv", _set_cell(0, 0, "5")),
+     "cannot load logs: steps.csv steps of phase 0 do not run through its covered jobs"),
+    (_edit_rows("steps.csv", list.pop),
+     "cannot load logs: steps.csv steps of phase 0 do not run through its covered jobs"),
+    (_edit_rows("steps.csv", list.clear),
+     "cannot load logs: steps.csv has 0 blocks from step_idx 0, not 1"),
     (lambda logdir: (logdir / "steps.csv").write_text(""), "cannot load logs: 'job' is not in list"),
     (lambda logdir: (logdir / "y.csv").write_text(""),
      "cannot load logs: y.csv does not start with the header phase,job,machine,y"),
@@ -940,7 +948,8 @@ def _set_report(col, value):
         "steps-short-row", "steps-extra-field", "steps-nine-fields", "steps-field-moved-up",
         "assignments-extra-field", "assignments-short-row", "report-extra-field", "report-short-row",
         "steps-delta-phi-not-a-number", "steps-type-Z", "steps-type-in-a-later-chunk",
-        "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-empty", "y-empty",
+        "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-job-moved",
+        "steps-last-row-dropped", "steps-header-only", "steps-empty", "y-empty",
         "config-mode", "config-seed", "config-a", "report-L", "report-frac_cost",
         "report-frac_makespan", "report-int_makespan", "report-cost_ratio", "report-makespan_ratio",
         "report-clamp_count", "phase-clamps", "phase-x_final", "phase-x_final-too-long",
@@ -983,6 +992,29 @@ def test_verify_rejects_a_B_outside_oracle_mode(tmp_path):
     assert verify_logdir(logdir) == []
     _set_report("B", 5.0)(logdir)
     assert verify_logdir(logdir) == ["report column B: 5.0, derived None"]
+
+
+@pytest.mark.parametrize("read_bytes", [1, 64, experiment.STEP_READ_BYTES])
+def test_verify_rejects_a_phase_steps_relabelled_as_the_phase_before(tmp_path, monkeypatch, read_bytes):
+    # Restricted m=3, n=6, seed 2 doubles twice; its three phases cover 3, 2
+    # and 1 jobs. Phase 1's steps numbered on from phase 0's read as one block.
+    # A read size of 1 byte makes each row a chunk of its own.
+    monkeypatch.setattr(experiment, "STEP_READ_BYTES", read_bytes)
+    path = gen_file(tmp_path, m=3, n=6, seed=2, model="restricted_assignment")
+    logdir = tmp_path / "logs"
+    assert main(["run", "--in", str(path), "--alpha", "double", "--seed", "0",
+                 "--logdir", str(logdir)]) == 0
+    assert verify_logdir(logdir) == []
+
+    def relabel(rows):
+        starts = [k for k, row in enumerate(rows) if row[1] == "0"]
+        assert len(starts) == 3
+        for k in range(starts[1], starts[2]):
+            rows[k][1] = str(k)
+
+    _edit_rows("steps.csv", relabel)(logdir)
+    assert verify_logdir(logdir) == ["cannot load logs: steps.csv has 2 blocks from step_idx 0, not 3"]
+    assert main(["verify", "--logdir", str(logdir)]) == 3
 
 
 def test_verify_reads_a_crlf_steps_csv(tmp_path):

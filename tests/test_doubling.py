@@ -5,7 +5,7 @@ import pytest
 from actsched import doubling, fractional
 from actsched.doubling import cost_bound, default_initial_guess, run_with_doubling
 from actsched.experiment import RunConfig, oracle_solve, run_pipeline
-from actsched.fractional import FractionalState, GuessTooSmallError
+from actsched.fractional import FractionalState, GuessTooSmallError, fractional_cost
 from actsched.instances import PTIME_MODELS, GeneratorConfig, Instance, Job, Machine, generate
 from actsched.rounding import RoundingState, score_job
 
@@ -133,7 +133,15 @@ def test_cost_trip_cannot_fire_at_a_guess_of_total_cost(model):
         fs = FractionalState(inst, sum(inst.costs()))
         for j in range(inst.n):
             fs.process_job(j)
-        assert fs.fractional_cost() <= 2 * m < cost_bound(m)
+        assert fractional_cost(fs.x, fs.scaled_costs, fs.discarded) <= 2 * m < cost_bound(m)
+
+
+@pytest.mark.parametrize("double", [True, False])
+def test_a_guess_of_at_most_zero_is_rejected_by_the_engine(double):
+    inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 2)
+    for guess in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            run_with_doubling(inst, initial_guess=guess, double=double)
 
 
 def test_known_guess_runs_one_phase_and_never_doubles():
@@ -161,7 +169,7 @@ def _round_online(inst, guess, double, seed):
         try:
             while j < inst.n:
                 fs.process_job(j)
-                if fs.fractional_cost() > bound:
+                if fractional_cost(fs.x, fs.scaled_costs, fs.discarded) > bound:
                     break
                 rounding.process_job(score_job(inst, fs.job_fraction(j)))
                 j += 1

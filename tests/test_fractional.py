@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from bisect import insort
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from actsched.fractional import (
     FractionalState,
     StalledStepError,
     StepOutcome,
+    fractional_cost,
     potential,
 )
 from actsched.instances import GeneratorConfig, Instance, Job, Machine, generate
@@ -188,8 +190,9 @@ def reference_split(fs, j):
 def process_by_steps(fs, j):
     """``fs.process_job(j)`` taken one ``fs.execute_step(j)`` call at a time,
     so that a wrapper on ``fs.execute_step`` sees every step; process_job
-    itself covers the job in runs of steps. A job with no usable machine
-    goes to process_job, which raises GuessTooSmallError."""
+    itself covers the job in runs of steps. Returns the indices of the job's
+    steps in ``fs.step_log``, as process_job does. A job with no usable
+    machine goes to process_job, which raises GuessTooSmallError."""
     if not usable_machines(fs, j):
         return fs.process_job(j)
     start = len(fs.step_log)
@@ -197,7 +200,7 @@ def process_by_steps(fs, j):
     fs.coverage[j] = 0.0
     while fs.coverage[j] < 1.0 - COVERAGE_TOL:
         fs.execute_step(j)
-    return fs.step_log[start:]
+    return range(start, len(fs.step_log))
 
 
 @settings(max_examples=100, deadline=None)
@@ -482,6 +485,11 @@ def log_bits(entries):
     return [(j, idx, o.step_type, o.delta_potential.hex()) for j, idx, o in entries]
 
 
+def entries_at(log, idx):
+    """The entries of ``log`` at the indices ``idx`` (a range), read by iteration."""
+    return list(islice(log, idx.start, idx.stop))
+
+
 def start_at(state, x):
     """Replace the starting activation levels of the kept machines by x."""
     state.x = [0.0 if d else v for d, v in zip(state.discarded, x)]
@@ -610,7 +618,10 @@ def test_runs_match_the_one_step_path():
                 continue
             splits["runs"] = 0
             steps = fs.process_job(j)
-            assert log_bits(steps) == log_bits(process_by_steps(twin, j))
+            twin_steps = process_by_steps(twin, j)
+            assert log_bits(entries_at(fs.step_log, steps)) == log_bits(
+                entries_at(twin.step_log, twin_steps)
+            )
             assert log_bits(fs.step_log) == log_bits(twin.step_log)
             drawn["long_run"] += splits["runs"] < len(steps)
             assert bits(fs.x) == bits(twin.x) and bits(fs.load) == bits(twin.load)
@@ -750,16 +761,31 @@ def test_step_log_keeps_no_python_object_per_step():
     assert retained < 64 * steps
 
 
-def test_step_log_reads_alike_by_iteration_index_and_slice():
+def test_step_log_iterates_as_its_columns():
     inst = generate(GeneratorConfig(m=5, n=12, seed=8))
     log = run_all(inst, sum(inst.costs())).step_log
     entries = list(log)
     k = len(entries)
     assert k > 10 and [e[1] for e in entries] == list(range(k))
-    assert [log[i] for i in range(-k, k)] == entries + entries
-    span = log[3:-2]
-    assert len(span) == k - 5 and list(span) == entries[3:-2] and span[-1] == entries[-3]
-    assert list(span[1::2]) == entries[4:-2:2] and list(log[::3]) == entries[::3]
+    assert [(j, idx, o.step_type, o.delta_potential) for j, idx, o in entries] == [
+        (log.job[i], i, chr(log.kind[i]), log.delta[i]) for i in range(k)
+    ]
+
+
+def test_process_job_ranges_tile_the_step_log_in_job_order():
+    # A phase that picks up mid-stream, as a doubling phase does: jobs 3..n-1.
+    for inst, alpha in sweep_instances(12):
+        fs = FractionalState(inst, alpha)
+        stop = 0
+        for j in range(3, inst.n):
+            try:
+                steps = fs.process_job(j)
+            except GuessTooSmallError:
+                continue
+            assert steps.start == stop and steps.stop > steps.start and steps.step == 1
+            assert {job for job, _, _ in entries_at(fs.step_log, steps)} == {j}
+            stop = steps.stop
+        assert stop == len(fs.step_log)
 
 
 def test_every_step_makes_progress():
@@ -837,7 +863,7 @@ def test_fractional_cost_fresh_state():
     inst = make_instance([0.5, 1.0, 3.0, 3.0], [[0.5] * 4])
     fs = FractionalState(inst, alpha=4.0)
     # two cost-1 machines fully active + two climbers at x = 1/4, cost 3
-    assert fs.fractional_cost() == pytest.approx(2.0 + 2 * 3.0 / 4.0, rel=1e-12)
+    assert fractional_cost(fs.x, fs.scaled_costs, fs.discarded) == pytest.approx(2.0 + 2 * 3.0 / 4.0, rel=1e-12)
 
 
 def test_makespan_of_empty_instance_is_zero():
