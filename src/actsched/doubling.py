@@ -1,7 +1,7 @@
 """Guess-and-double controller for the fractional engine.
 
-The fractional engine needs a guess for the offline optimum cost. The
-controller starts from a cheap lower bound and runs covering phases: whenever
+The fractional engine needs a guess for the offline optimum cost. From the
+first guess it is given, the controller runs covering phases: whenever
 a phase's fractional cost outgrows its budget, or a job fits within the budget
 on no machine that pre-processing kept (possibly none), the guess doubles and
 a fresh fractional state takes over. The job that triggered a doubling is
@@ -57,10 +57,10 @@ class PhaseTrace:
         return max((load for load, d in zip(self.load_final, self.discarded) if not d), default=0.0)
 
 
-def snapshot_phase(fstate: FractionalState, phase: int, guess: float, kept: int) -> PhaseTrace:
+def snapshot_phase(fstate: FractionalState, phase: int, kept: int) -> PhaseTrace:
     return PhaseTrace(
         phase=phase,
-        guess=guess,
+        guess=fstate.alpha,
         jobs_processed=kept,
         phi=fstate.phi,
         x_final=tuple(fstate.x),
@@ -98,16 +98,13 @@ class DoublingResult:
     final_guess: float
 
 
-def run_with_doubling(
-    instance: Instance, initial_guess: float | None = None, double: bool = True
-) -> DoublingResult:
+def run_with_doubling(instance: Instance, initial_guess: float, double: bool = True) -> DoublingResult:
     """Cover all jobs fractionally under guess-and-double control.
 
     ``double=False`` runs the guess as known: one phase with no cost bound,
     in which a guess found too small raises ``GuessTooSmallError``.
     """
-    m, n = instance.m, instance.n
-    guess = initial_guess if initial_guess is not None else default_initial_guess(instance)
+    m, n, guess = instance.m, instance.n, initial_guess
     if n == 0:
         return DoublingResult([], [], guess)
 
@@ -135,7 +132,7 @@ def run_with_doubling(
             if not double or not any(fstate.discarded):
                 raise
             # The job fits on no kept machine: re-cover it at a larger guess.
-        phases.append(snapshot_phase(fstate, len(phases), guess, j - first))
+        phases.append(snapshot_phase(fstate, len(phases), j - first))
         if j == n:
             break
         guess *= 2.0

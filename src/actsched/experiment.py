@@ -42,7 +42,7 @@ from .instances import (
     save_instance,
 )
 from .oracle import DEFAULT_NODE_BUDGET, OracleResult, optimal_bnb
-from .rounding import RoundingState, ScoredJob, pairwise_sum, score_job
+from .rounding import RoundingState, ScoredJob, active_cost, pairwise_sum, score_job
 
 CHECK_FAMILIES = ("feasibility", "potential", "consistency", "rounding")
 TOL = 1e-9
@@ -67,9 +67,9 @@ STEP_WRITE_ROWS = 4096  # steps.csv rows formatted into one string per write
 STEP_READ_BYTES = 1 << 16  # the readlines hint by which verify streams steps.csv
 ASSIGNMENT_COLUMNS = ("job", "machine", "p_ij", "newly_activated_cost", "cum_cost", "int_makespan")
 Y_COLUMNS = ("phase", "job", "machine", "y")
-# The PhaseTrace fields a phase entry of meta.json holds; verify derives the
-# rest from the instance, the guess and y.csv, and the steps go to steps.csv.
-PHASE_META_KEYS = ("phase", "guess", "jobs_processed", "x_final", "fraction_clamps", "coverage_clamps")
+# The PhaseTrace fields a phase entry of meta.json holds. Its phase is its index;
+# verify derives the rest from the instance, the guess and y.csv.
+PHASE_META_KEYS = ("guess", "jobs_processed", "x_final", "fraction_clamps", "coverage_clamps")
 
 
 @dataclass
@@ -275,6 +275,12 @@ def build_report_row(
     }
 
 
+def first_guess(instance: Instance, config: RunConfig, B: float | None) -> float:
+    if config.alpha_mode == "double":
+        return default_initial_guess(instance)
+    return B if config.alpha_mode == "oracle" else float(config.alpha_value)
+
+
 def run_fractional(
     instance: Instance, config: RunConfig
 ) -> tuple[float | None, DoublingResult, list[tuple[str, list[str]]]]:
@@ -290,8 +296,8 @@ def run_fractional(
     pairs in report order.
     """
     B = oracle_solve(instance).optimal_cost if config.alpha_mode == "oracle" else None
-    guess = float(config.alpha_value) if config.alpha_mode == "fixed" else B
-    result = run_with_doubling(instance, initial_guess=guess, double=config.alpha_mode == "double")
+    guess = first_guess(instance, config, B)
+    result = run_with_doubling(instance, guess, double=config.alpha_mode == "double")
 
     if not config.checks:
         return B, result, []
@@ -411,40 +417,44 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
 
 
 def _id(value: str, size: int, what: str) -> int:
-    """A job or machine id column, which must lie in 0..size-1."""
+    """A phase, job or machine id column, which must lie in 0..size-1."""
     k = int(value)
     if not 0 <= k < size:
         raise ValueError(f"{what} id {k} outside 0..{size - 1}")
     return k
 
 
-def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> list[PhaseTrace]:
-    """The phases of ``meta.json`` with their covered y rows from ``y.csv``
-    and the values they derive by the engine's rules: pre-processing at the
-    guess and the loads summed from the y rows once. The potential and the
-    steps, which no phase check reads, stay out."""
+def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> tuple[list[PhaseTrace], list]:
+    """The phases of ``meta.json``, numbered by position, with their y rows from
+    ``y.csv`` and what they derive by the engine's rules (pre-processing at the
+    guess, the loads summed from the y rows once; no potential, no steps), and the
+    kept jobs as ``audit_rounding`` takes them: a phase keeps ``jobs_processed`` jobs
+    on from the previous phase's, n in all, and its y rows are those and at most the next."""
     m, n = instance.m, instance.n
-    ys: dict[int, dict[int, list[float]]] = {}
+    ys: list[dict[int, list[float]]] = [{} for _ in meta["phases"]]
     with open(y_path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         if next(rows, None) != list(Y_COLUMNS):
             raise ValueError(f"y.csv does not start with the header {','.join(Y_COLUMNS)}")
         for ph, job, mach, y in rows:
-            row = ys.setdefault(int(ph), {}).setdefault(_id(job, n, "y.csv job"), [0.0] * m)
+            row = ys[_id(ph, len(ys), "y.csv phase")].setdefault(_id(job, n, "y.csv job"), [0.0] * m)
             row[_id(mach, m, "y.csv machine")] = float(y)
-    unknown = sorted(set(ys) - {pmeta["phase"] for pmeta in meta["phases"]})
-    if unknown:
-        raise ValueError(f"y.csv has rows of phase(s) {unknown} that meta.json lacks")
-    phases = []
-    for pmeta in meta["phases"]:
+    phases, kept = [], []
+    for k, pmeta in enumerate(meta["phases"]):
         if len(x := pmeta["x_final"]) != m:
-            raise ValueError(f"meta.json phase {pmeta['phase']}: {len(x)} x_final values, not {m}")
-        covered_y = [(j, tuple(row)) for j, row in sorted(ys.get(pmeta["phase"], {}).items())]
-        discarded, costs = preprocess(instance.costs(), m, pmeta["guess"])
-        load = phase_loads(covered_y, p, m)
-        phases.append(PhaseTrace(**pmeta, load_final=tuple(load), scaled_costs=tuple(costs),
-                                 discarded=tuple(discarded), covered_y=covered_y))
-    return phases
+            raise ValueError(f"meta.json phase {k}: {len(x)} x_final values, not {m}")
+        covered_y = [(j, tuple(row)) for j, row in sorted(ys[k].items())]
+        jobs = range(len(kept), len(kept) + pmeta["jobs_processed"])
+        if [j for j, _ in covered_y] not in (list(jobs), [*jobs, jobs.stop]):
+            raise ValueError(f"y.csv jobs of phase {k} are not the jobs it kept")
+        discarded, costs = map(tuple, preprocess(instance.costs(), m, pmeta["guess"]))
+        eligible = tuple(not d for d in discarded)
+        kept += [(j, p[j], eligible) for j in jobs]
+        phases.append(PhaseTrace(phase=k, **pmeta, load_final=tuple(phase_loads(covered_y, p, m)),
+                                 scaled_costs=costs, discarded=discarded, covered_y=covered_y))
+    if len(kept) != n:
+        raise ValueError(f"meta.json phases keep {len(kept)} jobs, not {n}")
+    return phases, kept
 
 
 def _csv_records(fh, name: str):
@@ -498,10 +508,10 @@ def verify_logdir(logdir: str | Path) -> list[str]:
     and integer loads summed from ``assignments.csv``; the consistency audit
     is live-only. Checked here only: ``config`` by ``RunConfig``'s rules, the
     ``cum_cost`` running sum, the ``int_makespan`` and ``p_ij`` columns, each
-    phase's guess, and the report row (``build_report_row``). Raises
-    InstanceFormatError when the directory or a log file is missing (invalid
-    input); content problems, a job or machine id outside the instance among
-    them, come back as violation messages.
+    phase's guess, the active set's cost (``active_cost``) and the report row
+    (``build_report_row``). Raises InstanceFormatError when the directory or a
+    log file is missing (invalid input); content problems, a phase, job or
+    machine id outside the run among them, come back as violation messages.
     """
     logdir = Path(logdir)
     expected = ("instance.json", "meta.json", "y.csv", "steps.csv", "assignments.csv", "report.csv")
@@ -522,7 +532,7 @@ def _verify_logs(logdir: Path) -> list[str]:
     config = RunConfig(**{**fields, "checks": tuple(fields["checks"])})
     budget = instance.makespan_budget
     p = instance.scaled_ptimes()
-    phases = _load_phases(meta, logdir / "y.csv", instance, p)
+    phases, kept = _load_phases(meta, logdir / "y.csv", instance, p)
 
     problems = [msg for trace in phases for msg in audit_phase(trace)]
     blocks: list[list[str]] = []
@@ -557,21 +567,16 @@ def _verify_logs(logdir: Path) -> list[str]:
                 problems.append(f"job {j}: int_makespan column mismatch")
     if assignment and abs(cum - report["int_cost"]) > TOL:
         problems.append("final cum_cost does not match reported int_cost")
-    # Phases keep jobs in stream order, jobs_processed each.
-    kept = []
-    for trace in phases:
-        eligible = tuple(not d for d in trace.discarded)
-        kept += [(j, p[j], eligible) for j in range(len(kept), len(kept) + trace.jobs_processed)]
-    problems += audit_rounding(assignment, meta["rounding"]["active"], int_load, kept)
-    # meta.json fields that follow from the other files: a is the growth
-    # base, the guesses are the mode's first guess, doubled per phase, and
-    # the violation counts sum to the report's total.
+    if len(active := meta["rounding"]["active"]) != instance.m:
+        raise ValueError(f"meta.json rounding.active holds {len(active)} values, not {instance.m}")
+    if (cost := active_cost(instance.costs(), active)) != (int_cost := report["int_cost"]):
+        problems.append(f"active machines cost {cost!r}, not the reported int_cost {int_cost!r}")
+    problems += audit_rounding(assignment, active, int_load, kept)
+    # meta.json fields that follow from the other files: a, the guesses (the mode's
+    # first guess, doubled per phase) and the violation counts (the report's total).
     if a != GROWTH_BASE:
         problems.append(f"config a {a!r} is not the growth base {GROWTH_BASE!r}")
-    if config.alpha_mode == "double":
-        guess = default_initial_guess(instance)
-    else:
-        guess = report["B"] if config.alpha_mode == "oracle" else config.alpha_value
+    guess = first_guess(instance, config, report["B"])
     for trace in phases:
         if trace.guess != guess:
             problems.append(f"phase {trace.phase}: guess {trace.guess!r} is not {guess!r}")
@@ -586,7 +591,7 @@ def _verify_logs(logdir: Path) -> list[str]:
         raise ValueError(f"report.csv has {len(report_rows)} rows (expected 1)")
     # The report row against meta.json's copy, and rebuilt by build_report_row
     # from the config, the derived phases and the last assignments.csv row (B in
-    # oracle mode, int_cost, fallback_count and invariant_violations have no other source).
+    # oracle mode, fallback_count and invariant_violations have no other source).
     derived = build_report_row(
         config.seed, report["B"] if config.alpha_mode == "oracle" else None, budget, phases,
         report["int_cost"], int_makespan, report["fallback_count"], report["invariant_violations"],

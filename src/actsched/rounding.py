@@ -84,6 +84,11 @@ def cdf_of(weights: Sequence[float]) -> list[float]:
     return [c / last for c in cdf]
 
 
+def active_cost(costs: Sequence[float], active: Sequence[bool]) -> float:
+    """The original startup cost of the active machines, summed in id order from 0.0."""
+    return sum(compress(costs, active), 0.0)
+
+
 class AssignmentRecord(NamedTuple):
     job: int
     machine: int
@@ -141,7 +146,7 @@ class RoundingState:
         self._ln_mn, _ = _log_mn(self.m, self.n)
         self.active = [False] * self.m
         self._closed = set(range(self.m))  # the inactive machines
-        self.int_cost = 0.0  # original startup cost of the active set, in id order
+        self.int_cost = 0.0  # active_cost of the active set
         self.assignment: dict[int, int] = {}
         self.int_load = [0.0] * self.m  # units of L
         self._max_int_load = 0.0  # max(int_load): loads only grow
@@ -200,7 +205,7 @@ class RoundingState:
             i = key[bisect_right(cdf, next(self._picks))]
         self.deficit_jobs += deficit
         if opened:
-            self.int_cost = sum((self.costs[k] for k in range(self.m) if active[k]), 0.0)
+            self.int_cost = active_cost(self.costs, active)
         self.assignment[frac.job] = i
         self.int_load[i] += p[i]
         self._max_int_load = max(self._max_int_load, self.int_load[i])

@@ -351,7 +351,7 @@ def test_run_doubling_mode(tmp_path):
     meta = json.loads((logdir / "meta.json").read_text())
     assert len(meta["phases"]) == 1
     phase = meta["phases"][0]
-    assert (phase["phase"], phase["guess"], phase["jobs_processed"]) == (0, 2.7038834608578517, 4)
+    assert (phase["guess"], phase["jobs_processed"]) == (2.7038834608578517, 4)
     discarded, _ = preprocess(load_instance(path).costs(), 3, phase["guess"])
     assert discarded == [True, True, False]
     assert main(["verify", "--logdir", str(logdir)]) == 0
@@ -644,9 +644,10 @@ def test_meta_json_copies_no_other_log_file(tmp_path):
 
 
 def test_meta_phase_entries_hold_the_kept_keys_only(tmp_path):
-    # The guess, x and the counters; verify derives the rest of a phase.
+    # The guess, x and the counters; a phase's index is its position, and
+    # verify derives the rest of a phase.
     assert experiment.PHASE_META_KEYS == (
-        "phase", "guess", "jobs_processed", "x_final", "fraction_clamps", "coverage_clamps"
+        "guess", "jobs_processed", "x_final", "fraction_clamps", "coverage_clamps"
     )
     meta = json.loads((_clean_run(tmp_path) / "meta.json").read_text())
     assert [tuple(phase) for phase in meta["phases"]] == [experiment.PHASE_META_KEYS]
@@ -817,6 +818,17 @@ def _long_steps_csv(logdir):
     assert path.stat().st_size > experiment.STEP_READ_BYTES
 
 
+def _relabel_phase(logdir):
+    """Phase 0 written as phase 7 in every y.csv row and in its meta.json entry."""
+
+    def edit(rows):
+        for row in rows:
+            row[0] = "7"
+
+    _edit_rows("y.csv", edit)(logdir)
+    _set_meta("phases", 0, "phase", value=7)(logdir)
+
+
 def _onto_a_discarded_machine(logdir):
     """Rerun the instance at a fixed guess of 9.54, below machine 1's cost
     9.554..., so that its one phase discards machine 1; then move job 3 onto
@@ -864,7 +876,11 @@ def _set_report(col, value):
     (_edit_rows("steps.csv", _set_cell(0, 0, "99")),
      "cannot load logs: steps.csv job id 99 outside 0..7"),
     (_edit_rows("y.csv", lambda rows: rows.append(["7", "0", "0", "0.5"])),
-     "cannot load logs: y.csv has rows of phase(s) [7] that meta.json lacks"),
+     "cannot load logs: y.csv phase id 7 outside 0..0"),
+    (_relabel_phase, "cannot load logs: y.csv phase id 7 outside 0..0"),
+    # All four machines are open: a fifth entry is one more than m.
+    (_set_meta("rounding", "active", value=[True] * 4 + [False]),
+     "cannot load logs: meta.json rounding.active holds 5 values, not 4"),
     (_edit_rows("assignments.csv", list.pop), "job 7: never assigned"),
     (_set_meta("rounding", "active", 1, value=False), "job 3: assigned to inactive machine 1"),
     (_onto_a_discarded_machine, "job 3: assigned to ineligible machine 1"),
@@ -941,7 +957,7 @@ def _set_report(col, value):
     (_edit_rows("y.csv", _set_cell(1, 3, "1e9")),
      "phase 0, job 0: coverage 1000000000.4189864 outside [1-1e-9, 1+1e-9]"),
 ], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "steps-job-99",
-        "y-unknown-phase",
+        "y-unknown-phase", "y-and-meta-phase-7", "active-fifth-entry",
         "never-assigned", "inactive-machine", "ineligible-machine", "p_ij-column",
         "running-sum", "int_makespan-column", "int_makespan-not-the-max", "final-cum-cost", "report-column",
         "first-guess", "report-B", "meta-violation-counts",
@@ -979,6 +995,56 @@ def test_verify_rederives_each_phase_guess(tmp_path, alpha, model, keys, value, 
     assert len(phases) == (4 if alpha == "double" else 1)
     assert verify_logdir(logdir) == []
     _set_meta(*keys, value=value)(logdir)
+    assert verify_logdir(logdir) == [message]
+    assert main(["verify", "--logdir", str(logdir)]) == 3
+
+
+def test_verify_ties_the_active_set_to_int_cost(tmp_path):
+    # Restricted m=4, n=8, seed 2 opens machines 0 and 3; opening machine 1
+    # in meta.json leaves the reported int_cost short of the active set's cost.
+    path = gen_file(tmp_path, m=4, n=8, seed=2, model="restricted_assignment")
+    logdir = tmp_path / "logs"
+    assert main(["run", "--in", str(path), "--alpha", "double", "--seed", "1",
+                 "--logdir", str(logdir)]) == 0
+    meta = json.loads((logdir / "meta.json").read_text())
+    assert meta["rounding"]["active"] == [True, False, False, True]
+    assert verify_logdir(logdir) == []
+    _set_meta("rounding", "active", 1, value=True)(logdir)
+    assert verify_logdir(logdir) == [
+        "active machines cost 8.868172978186829, not the reported int_cost 5.18175268745972"
+    ]
+    assert main(["verify", "--logdir", str(logdir)]) == 3
+
+
+def _drop_rows(col, value):
+    """An edit that drops every row whose column ``col`` holds ``value``."""
+
+    def edit(rows):
+        rows[:] = [row for row in rows if row[col] != value]
+
+    return edit
+
+
+def _keep_one_job_less(logdir):
+    """Phase 0 keeps seven jobs, and job 7, the last, has no assignments.csv row."""
+    _set_meta("phases", 0, "jobs_processed", value=7)(logdir)
+    _edit_rows("assignments.csv", list.pop)(logdir)
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda logdir: [_edit_rows("y.csv", _drop_rows(1, "7"))(logdir),
+                     _edit_rows("steps.csv", _drop_rows(0, "7"))(logdir)],
+     "cannot load logs: y.csv jobs of phase 0 are not the jobs it kept"),
+    (_keep_one_job_less, "cannot load logs: meta.json phases keep 7 jobs, not 8"),
+], ids=["job-7-dropped", "one-job-less-kept"])
+def test_verify_requires_the_phases_to_cover_the_jobs_they_kept(tmp_path, tamper, message):
+    # Uniform m=4, n=8, seed 5 in oracle mode: one phase keeps all eight jobs.
+    path = gen_file(tmp_path, m=4, n=8, seed=5)
+    logdir = tmp_path / "logs"
+    assert main(["run", "--in", str(path), "--alpha", "oracle", "--seed", "0",
+                 "--logdir", str(logdir)]) == 0
+    assert verify_logdir(logdir) == []
+    tamper(logdir)
     assert verify_logdir(logdir) == [message]
     assert main(["verify", "--logdir", str(logdir)]) == 3
 

@@ -4,7 +4,7 @@ import pytest
 
 from actsched import doubling, fractional
 from actsched.doubling import cost_bound, default_initial_guess, run_with_doubling
-from actsched.experiment import RunConfig, oracle_solve, run_pipeline
+from actsched.experiment import RunConfig, oracle_solve, run_pipeline, verify_logdir, write_run_logs
 from actsched.fractional import FractionalState, GuessTooSmallError, fractional_cost
 from actsched.instances import PTIME_MODELS, GeneratorConfig, Instance, Job, Machine, generate
 from actsched.rounding import RoundingState, score_job
@@ -31,7 +31,7 @@ def test_default_guess_keeps_the_machine_it_names():
     assert guess == inst.costs()[2] == 2.7038834608578517
     assert guess * (inst.m / guess) > inst.m
     assert FractionalState(inst, guess).discarded == [True, True, False]
-    result = run_with_doubling(inst)
+    result = run_with_doubling(inst, default_initial_guess(inst))
     assert [p.guess for p in result.phases] == [guess]
     assert result.phases[0].jobs_processed == 4
 
@@ -50,7 +50,7 @@ def test_oracle_guess_runs_single_phase():
 
 def test_zero_jobs_zero_phases_zero_cost():
     inst = make_instance([1.0, 2.0], [])
-    result = run_with_doubling(inst)
+    result = run_with_doubling(inst, default_initial_guess(inst))
     assert result.phases == [] and result.records == []
     for mode in ("double", "oracle"):
         artifacts = run_pipeline(inst, RunConfig(alpha_mode=mode))
@@ -85,6 +85,18 @@ def test_cost_trigger_doubles_and_reprocesses_job(monkeypatch):
     covered = [frac.job for frac in result.records]
     assert sorted(covered) == [0, 1, 2, 3]  # each job kept exactly once
     assert sum(p.jobs_processed for p in result.phases) == 4
+
+
+def test_cost_tripped_run_verifies_with_the_job_it_did_not_keep(monkeypatch, tmp_path):
+    # The cost trip above: phase 0 covers jobs 0..2 and keeps 0 and 1, and
+    # phase 1 covers and keeps 2 and 3. A phase's y rows may hold the one
+    # job after the jobs it kept.
+    monkeypatch.setattr(doubling, "BOUND_CONSTANT", 0.8)
+    inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
+    artifacts = run_pipeline(inst, RunConfig(alpha_mode="double"))
+    assert [[j for j, _ in p.covered_y] for p in artifacts.phases] == [[0, 1, 2], [2, 3]]
+    assert [p.jobs_processed for p in artifacts.phases] == [2, 2]
+    assert verify_logdir(write_run_logs(artifacts, tmp_path / "logs")) == []
 
 
 def test_doubling_from_eighth_of_optimum_uniform():

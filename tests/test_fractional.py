@@ -869,7 +869,7 @@ def test_fractional_cost_fresh_state():
 def test_makespan_of_empty_instance_is_zero():
     inst = make_instance([1.0, 2.0], [])
     fs = FractionalState(inst, alpha=1.0)
-    assert snapshot_phase(fs, 0, 1.0, 0).frac_makespan == 0.0
+    assert snapshot_phase(fs, 0, 0).frac_makespan == 0.0
 
 
 def test_potential_examples():
