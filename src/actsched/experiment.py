@@ -24,7 +24,7 @@ import csv
 import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import compress, count, groupby, islice
 from pathlib import Path
 
@@ -65,7 +65,7 @@ REPORT_COLUMNS = (
 STEP_COLUMNS = ("job", "step_idx", "type", "delta_phi")
 STEP_WRITE_ROWS = 4096  # steps.csv rows formatted into one string per write
 STEP_READ_BYTES = 1 << 16  # the readlines hint by which verify streams steps.csv
-ASSIGNMENT_COLUMNS = ("job", "machine", "p_ij", "newly_activated_cost", "cum_cost", "int_makespan")
+ASSIGNMENT_COLUMNS = ("job", "machine", "cum_cost")
 Y_COLUMNS = ("phase", "job", "machine", "y")
 # The PhaseTrace fields a phase entry of meta.json holds. Its phase is its index;
 # verify derives the rest from the instance, the guess and y.csv.
@@ -77,7 +77,7 @@ class RunConfig:
     alpha_mode: str = "oracle"  # oracle | fixed | double
     alpha_value: float | None = None
     seed: int = 0
-    a: float = field(default=GROWTH_BASE, init=False)  # recorded in meta.json, not settable
+    a = GROWTH_BASE  # a constant: no field, so neither settable nor in meta.json
     checks: tuple[str, ...] = CHECK_FAMILIES  # CHECK_FAMILIES or ()
 
     def __post_init__(self) -> None:
@@ -407,7 +407,6 @@ def write_run_logs(artifacts: RunArtifacts, logdir: str | Path) -> Path:
             "counts": artifacts.violations.counts,
             "messages": artifacts.violations.messages,
         },
-        "report": {k: artifacts.row[k] for k in REPORT_COLUMNS},
     }
     (logdir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return logdir
@@ -438,7 +437,11 @@ def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> tuple[list[
             raise ValueError(f"y.csv does not start with the header {','.join(Y_COLUMNS)}")
         for ph, job, mach, y in rows:
             row = ys[_id(ph, len(ys), "y.csv phase")].setdefault(_id(job, n, "y.csv job"), [0.0] * m)
-            row[_id(mach, m, "y.csv machine")] = float(y)
+            if row[i := _id(mach, m, "y.csv machine")]:  # each y is > 0: a set one is a repeat
+                raise ValueError(f"y.csv repeats phase {ph}, job {job}, machine {mach}")
+            if not (value := float(y)) > 0.0:
+                raise ValueError(f"y.csv phase {ph}, job {job}, machine {mach}: y {y} is not > 0")
+            row[i] = value
     phases, kept = [], []
     for k, pmeta in enumerate(meta["phases"]):
         if len(x := pmeta["x_final"]) != m:
@@ -506,12 +509,14 @@ def verify_logdir(logdir: str | Path) -> list[str]:
     The feasibility, step and rounding checks are the functions the run
     itself calls, on phases rebuilt by the engine's rules (``_load_phases``)
     and integer loads summed from ``assignments.csv``; the consistency audit
-    is live-only. Checked here only: ``config`` by ``RunConfig``'s rules, the
-    ``cum_cost`` running sum, the ``int_makespan`` and ``p_ij`` columns, each
-    phase's guess, the active set's cost (``active_cost``) and the report row
-    (``build_report_row``). Raises InstanceFormatError when the directory or a
-    log file is missing (invalid input); content problems, a phase, job or
-    machine id outside the run among them, come back as violation messages.
+    is live-only. Checked here only: ``config`` by ``RunConfig``'s rules, row k of
+    ``assignments.csv`` placing job k, its last ``cum_cost`` and the active set's
+    cost (``active_cost``) against the report's ``int_cost``, each phase's guess,
+    and the report row, rebuilt by ``build_report_row`` with the running max of
+    the integer loads as ``int_makespan``. Raises InstanceFormatError when the
+    directory or a log file is missing (invalid input); content problems, a
+    phase, job or machine id outside the run among them, come back as violation
+    messages.
     """
     logdir = Path(logdir)
     expected = ("instance.json", "meta.json", "y.csv", "steps.csv", "assignments.csv", "report.csv")
@@ -527,12 +532,19 @@ def verify_logdir(logdir: str | Path) -> list[str]:
 def _verify_logs(logdir: Path) -> list[str]:
     instance = load_instance(logdir / "instance.json")
     meta = json.loads((logdir / "meta.json").read_text(encoding="utf-8"))
-    report, fields = meta["report"], dict(meta["config"])
-    a = fields.pop("a")  # not an init field: a constant, checked below
-    config = RunConfig(**{**fields, "checks": tuple(fields["checks"])})
+    config = RunConfig(**{**meta["config"], "checks": tuple(meta["config"]["checks"])})
     budget = instance.makespan_budget
     p = instance.scaled_ptimes()
     phases, kept = _load_phases(meta, logdir / "y.csv", instance, p)
+    with open(logdir / "report.csv", newline="", encoding="utf-8") as fh:
+        report_rows = list(_csv_records(fh, "report.csv"))
+    if len(report_rows) != 1:
+        raise ValueError(f"report.csv has {len(report_rows)} rows (expected 1)")
+    # The report cells with no other source: B in oracle mode, int_cost, fallback_count
+    # and invariant_violations; the other columns are rebuilt from the other logs below.
+    (report,) = report_rows
+    B = float(report["B"]) if config.alpha_mode == "oracle" else None
+    int_cost = float(report["int_cost"])
 
     problems = [msg for trace in phases for msg in audit_phase(trace)]
     blocks: list[list[str]] = []
@@ -549,60 +561,42 @@ def _verify_logs(logdir: Path) -> list[str]:
 
     assignment: dict[int, int] = {}
     int_load = [0.0] * instance.m
-    cum = int_makespan = top = 0.0  # top: max(int_load), a running max as loads only grow
+    cum = top = 0.0  # top: max(int_load), a running max as loads only grow
     with open(logdir / "assignments.csv", newline="", encoding="utf-8") as fh:
-        for row in _csv_records(fh, "assignments.csv"):
-            j = _id(row["job"], instance.n, "assignments.csv job")
-            i = _id(row["machine"], instance.m, "assignments.csv machine")
-            assignment[j] = i
+        for k, row in enumerate(_csv_records(fh, "assignments.csv")):  # row k places job k
+            if (j := _id(row["job"], instance.n, "assignments.csv job")) != k:
+                raise ValueError(f"assignments.csv row {k} holds job {j}, not job {k}")
+            i = assignment[j] = _id(row["machine"], instance.m, "assignments.csv machine")
             int_load[i] += p[j][i]
             top = max(top, int_load[i])
-            if abs(float(row["p_ij"]) - p[j][i] * budget) > TOL:
-                problems.append(f"job {j}: p_ij column {row['p_ij']} does not match the instance")
-            prev, cum = cum, float(row["cum_cost"])
-            if abs(cum - (prev + float(row["newly_activated_cost"]))) > TOL:
-                problems.append(f"job {j}: cum_cost {cum!r} breaks the running sum")
-            int_makespan = float(row["int_makespan"])
-            if abs(int_makespan - top * budget) > TOL:
-                problems.append(f"job {j}: int_makespan column mismatch")
-    if assignment and abs(cum - report["int_cost"]) > TOL:
+            cum = float(row["cum_cost"])
+    if assignment and abs(cum - int_cost) > TOL:
         problems.append("final cum_cost does not match reported int_cost")
     if len(active := meta["rounding"]["active"]) != instance.m:
         raise ValueError(f"meta.json rounding.active holds {len(active)} values, not {instance.m}")
-    if (cost := active_cost(instance.costs(), active)) != (int_cost := report["int_cost"]):
+    if (cost := active_cost(instance.costs(), active)) != int_cost:
         problems.append(f"active machines cost {cost!r}, not the reported int_cost {int_cost!r}")
     problems += audit_rounding(assignment, active, int_load, kept)
-    # meta.json fields that follow from the other files: a, the guesses (the mode's
-    # first guess, doubled per phase) and the violation counts (the report's total).
-    if a != GROWTH_BASE:
-        problems.append(f"config a {a!r} is not the growth base {GROWTH_BASE!r}")
-    guess = first_guess(instance, config, report["B"])
+    # meta.json fields that follow from the other files: the guesses (the mode's first
+    # guess, doubled per phase) and the violation counts (the report's total).
+    guess = first_guess(instance, config, B)
     for trace in phases:
         if trace.guess != guess:
             problems.append(f"phase {trace.phase}: guess {trace.guess!r} is not {guess!r}")
         guess *= 2.0
-    counted = sum(meta["violations"]["counts"].values())
-    if counted != report["invariant_violations"]:
+    violations = int(report["invariant_violations"])
+    if (counted := sum(meta["violations"]["counts"].values())) != violations:
         problems.append(f"violation counts sum to {counted}, not the reported invariant_violations")
 
-    with open(logdir / "report.csv", newline="", encoding="utf-8") as fh:
-        report_rows = list(_csv_records(fh, "report.csv"))
-    if len(report_rows) != 1:
-        raise ValueError(f"report.csv has {len(report_rows)} rows (expected 1)")
-    # The report row against meta.json's copy, and rebuilt by build_report_row
-    # from the config, the derived phases and the last assignments.csv row (B in
-    # oracle mode, fallback_count and invariant_violations have no other source).
-    derived = build_report_row(
-        config.seed, report["B"] if config.alpha_mode == "oracle" else None, budget, phases,
-        report["int_cost"], int_makespan, report["fallback_count"], report["invariant_violations"],
-    )
-    for col in REPORT_COLUMNS:
-        value, want = report[col], derived[col]
-        written = "" if value is None else str(value)  # as csv writes it
-        if report_rows[0][col] != written:
-            problems.append(f"report column {col}: {report_rows[0][col]!r} != {written!r}")
-        if value != want and not (col == "frac_makespan" and abs(value - want) <= TOL):
-            problems.append(f"report column {col}: {value!r}, derived {want!r}")
+    # The report row rebuilt by build_report_row, each cell as csv writes it.
+    derived = build_report_row(config.seed, B, budget, phases, int_cost, top * budget,
+                               int(report["fallback_count"]), violations)
+    for col, want in derived.items():
+        cell = report[col]
+        if cell != ("" if want is None else str(want)) and not (
+            col == "frac_makespan" and abs(float(cell) - want) <= TOL
+        ):
+            problems.append(f"report column {col}: {cell}, derived {want!r}")
     return problems
 
 

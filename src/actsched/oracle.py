@@ -54,8 +54,9 @@ def machine_loads(instance: Instance, assignment: tuple[int, ...] | list[int]) -
 
 def _activation_cost(costs: list[float], assignment) -> float:
     # Canonical ascending-id summation so both oracle routes report
-    # bitwise-identical costs for the same activated set.
-    return sum(costs[i] for i in sorted(set(assignment)))
+    # bitwise-identical costs for the same activated set; from 0.0, so that
+    # B is a float, as report.csv writes it, also for integer costs.
+    return sum((costs[i] for i in sorted(set(assignment))), 0.0)
 
 
 def optimal_exhaustive(instance: Instance, guard: int = EXHAUSTIVE_GUARD) -> OracleResult:

@@ -92,10 +92,7 @@ def active_cost(costs: Sequence[float], active: Sequence[bool]) -> float:
 class AssignmentRecord(NamedTuple):
     job: int
     machine: int
-    p_original: float
-    newly_activated_cost: float
-    cum_cost: float
-    int_makespan: float
+    cum_cost: float  # int_cost once the job is placed
 
 
 class ScoredJob(NamedTuple):
@@ -172,7 +169,6 @@ class RoundingState:
         frac = job.frac
         x, p, eligible = frac.x, frac.p_scaled, frac.eligible
         active, closed, r, ln_mn = self.active, self._closed, self.r, self._ln_mn
-        cost_before = self.int_cost
         opened = [i for i in closed if eligible[i] and r[i] <= ACTIVATION_FACTOR * x[i] * ln_mn]
         for i in opened:
             active[i] = True
@@ -210,8 +206,6 @@ class RoundingState:
         self.int_load[i] += p[i]
         self._max_int_load = max(self._max_int_load, self.int_load[i])
         # Built as AssignmentRecord._make builds it, with no Python frame.
-        cost, budget = self.int_cost, self.budget
-        fields = (frac.job, i, p[i] * budget, cost - cost_before, cost, self._max_int_load * budget)
-        record = tuple.__new__(AssignmentRecord, fields)
+        record = tuple.__new__(AssignmentRecord, (frac.job, i, self.int_cost))
         self.log.append(record)
         return record

@@ -128,6 +128,7 @@ def test_run_single_machine_cost_ratio_one(tmp_path, capsys):
     assert values["invariant_violations"] == "0"
     steps_header = (logdir / "steps.csv").read_text().splitlines()[0]
     assert steps_header == "job,step_idx,type,delta_phi"
+    assert (logdir / "assignments.csv").read_text().splitlines()[0] == "job,machine,cum_cost"
     for name in LOG_FILES:
         assert (logdir / name).exists()
 
@@ -163,6 +164,20 @@ def test_run_logs_the_input_file_byte_for_byte(tmp_path, capsys, source):
     assert capsys.readouterr().out.startswith("ok")
 
 
+def test_integer_costs_give_a_float_B_that_verifies(tmp_path, capsys):
+    # Machine 0 (cost 3) holds both jobs: the optimum is the int cost 3, which
+    # report.csv writes as the float 3.0, the value verify reads back.
+    doc = {**HAND_WRITTEN_INSTANCE, "n": 2, "jobs": HAND_WRITTEN_INSTANCE["jobs"][:2]}
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    logdir = tmp_path / "logs"
+    assert main(["run", "--in", str(path), "--alpha", "oracle", "--seed", "0",
+                 "--logdir", str(logdir)]) == 0
+    rows = [line.split(",") for line in (logdir / "report.csv").read_text().splitlines()]
+    assert dict(zip(*rows))["B"] == "3.0"
+    assert verify_logdir(logdir) == []
+
+
 def test_replaced_instance_is_saved_with_its_own_values(tmp_path):
     loaded = load_instance(gen_file(tmp_path))
     changed = replace(loaded, makespan_budget=2.0)
@@ -183,9 +198,11 @@ def test_run_twice_byte_identical(tmp_path):
 # sha256 of the fractional logs of three benchmark-sized runs (seed 0,
 # rounding seed 0). The uniform ones were taken before the engine's ranking
 # became incremental, the restricted one before a step became one pass over
-# its machines; the rounding log's (assignments.csv) before the scores of a
-# job were shared by its rounding seeds. A speed-up must leave them unchanged; a change that moves
-# results on purpose updates them and says so in CHANGES.md.
+# its machines. The rounding log's (assignments.csv) were re-taken when it
+# became job,machine,cum_cost: they are those three columns of the log pinned
+# before the scores of a job were shared by its rounding seeds. A speed-up
+# must leave them unchanged; a change that moves results on purpose updates
+# them and says so in CHANGES.md.
 PINNED_FRACTIONAL_LOGS = [
     (
         "fixed",
@@ -195,7 +212,7 @@ PINNED_FRACTIONAL_LOGS = [
         {
             "steps.csv": "0a4a519f98b709c6b71d9952568eb92ce875299b7a3d214355e2ca7ddc1544bf",
             "y.csv": "d3ecb488507fa5c3a9b9f15060cea4f9de52545f7ad66ebb2ca040ee22f0a0e2",
-            "assignments.csv": "25fb4d66ebbcb5adba6662d3ab30a60c29f7bc498d81e807d4845fbe612af288",
+            "assignments.csv": "a0472942d2ea0a1cc7fd818d3a4ca5290221c0aa8254d8c0d9b487752d31bb56",
         },
     ),
     (
@@ -206,7 +223,7 @@ PINNED_FRACTIONAL_LOGS = [
         {
             "steps.csv": "80c77db60bb2a29a27ef2ba8400ab755e4cff14c6def601b4f1a5bdee606538d",
             "y.csv": "65f308c3d0d225e4d7d28d81ec0b506f2ab37c5177aa97218ddde6e030601034",
-            "assignments.csv": "2cf1582bce7d990fa2a472fb8ea981b0cbaddc6ebe7ae21cf959665bd9e525bf",
+            "assignments.csv": "4a0e6ec2077c94bc24b78462fb1afae64e0084c071ab9bad3ee5acd7696cb78a",
         },
     ),
     # Three phases (the guess doubles twice) and 18,349 Type-A steps over
@@ -219,7 +236,7 @@ PINNED_FRACTIONAL_LOGS = [
         {
             "steps.csv": "32de39a13a10f319307fbee7d28effa41cee97df013affa4682505f1f9758e3d",
             "y.csv": "b5a80003397e9c667461ef4619779161913716b0624933058e89eeedd2f94eab",
-            "assignments.csv": "e49df2d08879f5d98cd21921252296a7d5f14b78493748f74846acedc00c7469",
+            "assignments.csv": "05f650e8ba82099cfd1c07c95c187c0f4257d9f4deae48d1809d8702f3e710ae",
         },
     ),
 ]
@@ -638,9 +655,12 @@ def _clean_run(tmp_path):
 
 
 def test_meta_json_copies_no_other_log_file(tmp_path):
+    # The report row is report.csv's alone, and the growth base a is a constant.
     meta = json.loads((_clean_run(tmp_path) / "meta.json").read_text())
     assert not set(REMOVED_META_KEYS) & set(meta)
     assert not set(REMOVED_ROUNDING_META_KEYS) & set(meta["rounding"])
+    assert "report" not in meta
+    assert "a" not in meta["config"]
 
 
 def test_meta_phase_entries_hold_the_kept_keys_only(tmp_path):
@@ -856,15 +876,27 @@ def _set_meta(*keys, value):
 
 
 def _set_report(col, value):
-    """A tamper of the report row: column ``col`` set to ``value`` both in
-    report.csv and in meta.json's copy, so that the two still agree."""
+    """A tamper of report.csv: column ``col`` of its row set to ``value``."""
+    return _edit_rows("report.csv", _set_cell(0, experiment.REPORT_COLUMNS.index(col), str(value)))
 
-    def tamper(logdir):
-        _set_meta("report", col, value=value)(logdir)
-        cell = _set_cell(0, experiment.REPORT_COLUMNS.index(col), str(value))
-        _edit_rows("report.csv", cell)(logdir)
 
-    return tamper
+def _swap_jobs(a, b):
+    """An edit of assignments.csv that swaps the job and machine of the rows
+    of jobs ``a`` and ``b``, leaving each cum_cost in its row."""
+
+    def edit(rows):
+        rows[a][:2], rows[b][:2] = rows[b][:2], rows[a][:2]
+
+    return edit
+
+
+def _raise_y(row, by):
+    """An edit of y.csv that raises the y of data row ``row`` by ``by``."""
+
+    def edit(rows):
+        rows[row][3] = repr(float(rows[row][3]) + by)
+
+    return edit
 
 
 @pytest.mark.parametrize("tamper,message", [
@@ -884,19 +916,12 @@ def _set_report(col, value):
     (_edit_rows("assignments.csv", list.pop), "job 7: never assigned"),
     (_set_meta("rounding", "active", 1, value=False), "job 3: assigned to inactive machine 1"),
     (_onto_a_discarded_machine, "job 3: assigned to ineligible machine 1"),
-    (_edit_rows("assignments.csv", _set_cell(0, 2, "0.5")),
-     "job 0: p_ij column 0.5 does not match the instance"),
-    (_edit_rows("assignments.csv", _set_cell(1, 3, "1.0")),
-     "job 1: cum_cost 26.995849427947626 breaks the running sum"),
-    (_edit_rows("assignments.csv", _set_cell(0, 5, "9.0")), "job 0: int_makespan column mismatch"),
-    # Job 3 is machine 1's first job; machine 2 already holds 1.005...: the
-    # column must be the largest load, not the load of the row's machine.
-    (_edit_rows("assignments.csv", _set_cell(3, 5, "0.09381266820583901")),
-     "job 3: int_makespan column mismatch"),
-    (_set_meta("report", "int_cost", value=1.0), "final cum_cost does not match reported int_cost"),
-    (_edit_rows("report.csv", _set_cell(0, 10, "3")), "report column fallback_count: '3' != '0'"),
+    # Jobs 5 and 7 both go to machine 0: swapped, they leave every load as it was.
+    (_edit_rows("assignments.csv", _swap_jobs(5, 7)),
+     "cannot load logs: assignments.csv row 5 holds job 7, not job 5"),
+    (_set_report("int_cost", 1.0), "final cum_cost does not match reported int_cost"),
     (_set_meta("phases", 0, "guess", value=99.0), "phase 0: guess 99.0 is not 11.851609781410122"),
-    (_set_meta("report", "B", value=99.0), "phase 0: guess 11.851609781410122 is not 99.0"),
+    (_set_report("B", 99.0), "phase 0: guess 11.851609781410122 is not 99.0"),
     (_set_meta("violations", "counts", "potential", value=5),
      "violation counts sum to 5, not the reported invariant_violations"),
     (_edit_rows("steps.csv", lambda rows: rows[1].pop()),
@@ -908,9 +933,9 @@ def _set_report(col, value):
     (_edit_rows("steps.csv", lambda rows: rows[0].append(rows[1].pop())),
      "cannot load logs: steps.csv has a row without the header's 4 fields"),
     (_edit_rows("assignments.csv", lambda rows: rows[0].append("x")),
-     "cannot load logs: assignments.csv has a row without the header's 6 fields"),
+     "cannot load logs: assignments.csv has a row without the header's 3 fields"),
     (_edit_rows("assignments.csv", lambda rows: rows[1].pop()),
-     "cannot load logs: assignments.csv has a row without the header's 6 fields"),
+     "cannot load logs: assignments.csv has a row without the header's 3 fields"),
     (_edit_rows("report.csv", lambda rows: rows[0].append("x")),
      "cannot load logs: report.csv has a row without the header's 12 fields"),
     (_edit_rows("report.csv", lambda rows: rows[0].pop()),
@@ -939,7 +964,9 @@ def _set_report(col, value):
      "cannot load logs: y.csv does not start with the header phase,job,machine,y"),
     (_set_meta("config", "alpha_mode", value="bogus"), "cannot load logs: unknown alpha_mode 'bogus'"),
     (_set_meta("config", "seed", value=5), "report column seed: 1, derived 5"),
-    (_set_meta("config", "a", value=1.1), "config a 1.1 is not the growth base 1.05"),
+    # A config with a, as meta.json held it before a became a constant, does not load.
+    (_set_meta("config", "a", value=1.05),
+     "cannot load logs: RunConfig.__init__() got an unexpected keyword argument 'a'"),
     (_set_report("L", 2.0), "report column L: 2.0, derived 1.0"),
     (_set_report("frac_cost", 3.0), "report column frac_cost: 3.0, derived 3.2459666848343693"),
     (_set_report("frac_makespan", 1.9), "report column frac_makespan: 1.9, derived 1.9482782622732013"),
@@ -956,11 +983,16 @@ def _set_report(col, value):
     (_set_meta("phases", 0, "guess", value=0), "cannot load logs: division by zero"),
     (_edit_rows("y.csv", _set_cell(1, 3, "1e9")),
      "phase 0, job 0: coverage 1000000000.4189864 outside [1-1e-9, 1+1e-9]"),
+    # Job 0's coverage still sums to 1: machine 1's y is raised by what machine 3's takes.
+    (_edit_rows("y.csv", lambda rows: [_raise_y(0, 0.1)(rows), rows.append(["0", "0", "3", "-0.1"])]),
+     "cannot load logs: y.csv phase 0, job 0, machine 3: y -0.1 is not > 0"),
+    # Job 0's real machine-1 row follows the inserted one: the last value would win.
+    (_edit_rows("y.csv", lambda rows: rows.insert(0, ["0", "0", "1", "0.9"])),
+     "cannot load logs: y.csv repeats phase 0, job 0, machine 1"),
 ], ids=["assignment-machine-minus-m", "y-machine-minus-m", "y-job-minus-one", "steps-job-99",
         "y-unknown-phase", "y-and-meta-phase-7", "active-fifth-entry",
-        "never-assigned", "inactive-machine", "ineligible-machine", "p_ij-column",
-        "running-sum", "int_makespan-column", "int_makespan-not-the-max", "final-cum-cost", "report-column",
-        "first-guess", "report-B", "meta-violation-counts",
+        "never-assigned", "inactive-machine", "ineligible-machine", "assignments-rows-swapped",
+        "final-cum-cost", "first-guess", "report-B", "meta-violation-counts",
         "steps-short-row", "steps-extra-field", "steps-nine-fields", "steps-field-moved-up",
         "assignments-extra-field", "assignments-short-row", "report-extra-field", "report-short-row",
         "steps-delta-phi-not-a-number", "steps-type-Z", "steps-type-in-a-later-chunk",
@@ -969,7 +1001,7 @@ def _set_report(col, value):
         "config-mode", "config-seed", "config-a", "report-L", "report-frac_cost",
         "report-frac_makespan", "report-int_makespan", "report-cost_ratio", "report-makespan_ratio",
         "report-clamp_count", "phase-clamps", "phase-x_final", "phase-x_final-too-long",
-        "phase-guess-zero", "y-overflows-the-potential"])
+        "phase-guess-zero", "y-overflows-the-potential", "y-not-positive", "y-repeated"])
 def test_verify_reports_tampered_ids_and_rounding_logs(tmp_path, tamper, message):
     logdir = _clean_run(tmp_path)
     assert verify_logdir(logdir) == []

@@ -93,7 +93,7 @@ def test_activation_threshold_formula():
     # 5 * 0.05 * ln(100) = 1.151 >= 0.2
     assert rs.active == [True] + [False] * 9
     assert record.machine == 0 and rs.fallback_count == 0
-    assert rs.int_cost == inst.costs()[0] == record.newly_activated_cost
+    assert rs.int_cost == inst.costs()[0] == record.cum_cost
 
 
 def test_activation_below_threshold_stays_inactive():
@@ -115,9 +115,9 @@ def test_activation_idempotent_no_double_charge():
     rs.r = [0.0, 1.0, 1.0]
     first = rs.process_job(score_job(inst, frac_of(3, job=0, x=[0.9, 0.0, 0.0], y=[0.5, 0.0, 0.0])))
     cost_after_first = rs.int_cost
-    assert first.newly_activated_cost == cost_after_first == inst.costs()[0]
+    assert first.cum_cost == cost_after_first == inst.costs()[0]
     second = rs.process_job(score_job(inst, frac_of(3, job=1, x=[0.9, 0.0, 0.0], y=[0.5, 0.0, 0.0])))
-    assert second.newly_activated_cost == 0.0
+    assert second.cum_cost - first.cum_cost == 0.0  # the newly activated cost
     assert rs.active == [True, False, False]
     assert rs.int_cost == cost_after_first == second.cum_cost
 
@@ -306,14 +306,16 @@ def test_activation_is_monotone_and_snapshots_recorded():
 
 
 def test_assignment_log_columns():
+    # A record holds the job, its machine and int_cost after it; the newly
+    # activated cost is the difference of consecutive cum_cost values.
     inst = uniform_instance(3, 5, 60)
     _, rs = run_rounded(inst, sum(inst.costs()), 1)
-    assert len(rs.log) == 5
-    cum = 0.0
-    for rec in rs.log:
-        cum += rec.newly_activated_cost
-        assert rec.cum_cost == pytest.approx(cum, abs=1e-12)
-    assert rs.log[-1].int_makespan == rs.int_makespan()
+    assert AssignmentRecord._fields == ("job", "machine", "cum_cost")
+    assert [rec.job for rec in rs.log] == list(range(5))
+    assert all(rs.assignment[rec.job] == rec.machine for rec in rs.log)
+    cums = [0.0] + [rec.cum_cost for rec in rs.log]
+    assert all(b - a >= 0.0 for a, b in zip(cums, cums[1:]))
+    assert rs.log[-1].cum_cost == rs.int_cost
     assert rs.int_makespan() == max(rs.int_load) * inst.makespan_budget
 
 
@@ -439,22 +441,9 @@ class PerStepRoundingState:
         return i
 
     def process_job(self, frac: JobFraction) -> AssignmentRecord:
-        cost_before = self.int_cost
-        opened = self.activation_step(frac)
-        fallbacks = self.fallback_count
+        self.activation_step(frac)
         i = self.assignment_step(frac)
-        if opened or self.fallback_count != fallbacks:
-            cost_after = self.int_cost
-        else:
-            cost_after = cost_before
-        record = AssignmentRecord(
-            job=frac.job,
-            machine=i,
-            p_original=frac.p_scaled[i] * self.budget,
-            newly_activated_cost=cost_after - cost_before,
-            cum_cost=cost_after,
-            int_makespan=self.int_makespan(),
-        )
+        record = AssignmentRecord(job=frac.job, machine=i, cum_cost=self.int_cost)
         self.log.append(record)
         return record
 
@@ -580,6 +569,7 @@ def run_both(inst: Instance, seed: int, jobs: list[ScoredJob], weights: dict, dr
         assert record_bits(record) == record_bits(expected)
         assert weights["one_pass"] == weights["reference"]
         assert [v.hex() for v in rs.int_load] == [v.hex() for v in ref.int_load]
+        assert rs.int_makespan().hex() == ref.int_makespan().hex()
         assert rs.int_cost.hex() == ref.int_cost.hex()
         assert rs.assignment == ref.assignment and rs.active == ref.active
         assert (rs.deficit_jobs, rs.fallback_count) == (ref.deficit_jobs, ref.fallback_count)
