@@ -5,7 +5,6 @@ harness."""
 from .doubling import (
     DoublingResult,
     PhaseTrace,
-    default_initial_guess,
     run_with_doubling,
 )
 from .fractional import (
@@ -51,7 +50,6 @@ __all__ = [
     "PhaseTrace",
     "RoundingState",
     "StepOutcome",
-    "default_initial_guess",
     "generate",
     "load_instance",
     "optimal_bnb",

@@ -9,6 +9,9 @@ covered again in the new phase. Every phase, a tripped one included, leaves
 one ``PhaseTrace`` behind, and each kept job one ``JobFraction`` record, taken
 right after its update; every check runs on those finished records.
 
+The controller is online: it reads job j only when it covers it (n is known in
+advance). Double mode's first guess, the cheapest startup cost, reads no job.
+
 The controller is purely fractional. Rounding job j reads only job j's record
 and never feeds back into the engine, so the rounding stage scores the kept
 records once and rounds them per seed afterwards (``experiment.round_run``),
@@ -72,19 +75,6 @@ def snapshot_phase(fstate: FractionalState, phase: int, kept: int) -> PhaseTrace
         covered_y=[(j, tuple(yrow)) for j, yrow in sorted(fstate.y.items())],
         step_entries=fstate.step_log,  # no copy: the controller drops fstate next
     )
-
-
-def default_initial_guess(instance: Instance) -> float:
-    """Cheapest startup cost any single job could force: a trivial lower
-    bound on the offline optimum."""
-    budget = instance.makespan_budget
-    costs = instance.costs()
-    per_job = []
-    for job in instance.jobs:
-        options = [costs[i] for i, p in enumerate(job.processing_times) if p <= budget]
-        if options:
-            per_job.append(min(options))
-    return min(per_job) if per_job else min(costs)
 
 
 def cost_bound(m: int) -> float:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 from itertools import compress, count, groupby, islice
 from pathlib import Path
 
-from .doubling import DoublingResult, PhaseTrace, default_initial_guess, run_with_doubling
+from .doubling import DoublingResult, PhaseTrace, run_with_doubling
 
 # snapshot_phase is imported for perfbench/tracing.py, which patches it here by name.
 from .doubling import snapshot_phase  # noqa: F401
@@ -64,7 +64,7 @@ REPORT_COLUMNS = (
 
 STEP_COLUMNS = ("job", "step_idx", "type", "delta_phi")
 STEP_WRITE_ROWS = 4096  # steps.csv rows formatted into one string per write
-STEP_READ_BYTES = 1 << 16  # the readlines hint by which verify streams steps.csv
+READ_BYTES = 1 << 16  # the readlines hint by which verify streams each CSV log
 ASSIGNMENT_COLUMNS = ("job", "machine", "cum_cost")
 Y_COLUMNS = ("phase", "job", "machine", "y")
 # The PhaseTrace fields a phase entry of meta.json holds. Its phase is its index;
@@ -277,7 +277,7 @@ def build_report_row(
 
 def first_guess(instance: Instance, config: RunConfig, B: float | None) -> float:
     if config.alpha_mode == "double":
-        return default_initial_guess(instance)
+        return min(instance.costs())  # <= B, as n >= 1 jobs open a machine; reads no job
     return B if config.alpha_mode == "oracle" else float(config.alpha_value)
 
 
@@ -431,17 +431,13 @@ def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> tuple[list[
     on from the previous phase's, n in all, and its y rows are those and at most the next."""
     m, n = instance.m, instance.n
     ys: list[dict[int, list[float]]] = [{} for _ in meta["phases"]]
-    with open(y_path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        if next(rows, None) != list(Y_COLUMNS):
-            raise ValueError(f"y.csv does not start with the header {','.join(Y_COLUMNS)}")
-        for ph, job, mach, y in rows:
-            row = ys[_id(ph, len(ys), "y.csv phase")].setdefault(_id(job, n, "y.csv job"), [0.0] * m)
-            if row[i := _id(mach, m, "y.csv machine")]:  # each y is > 0: a set one is a repeat
-                raise ValueError(f"y.csv repeats phase {ph}, job {job}, machine {mach}")
-            if not (value := float(y)) > 0.0:
-                raise ValueError(f"y.csv phase {ph}, job {job}, machine {mach}: y {y} is not > 0")
-            row[i] = value
+    for ph, job, mach, y in _rows(y_path, Y_COLUMNS):
+        row = ys[_id(ph, len(ys), "y.csv phase")].setdefault(_id(job, n, "y.csv job"), [0.0] * m)
+        if row[i := _id(mach, m, "y.csv machine")]:  # each y is > 0: a set one is a repeat
+            raise ValueError(f"y.csv repeats phase {ph}, job {job}, machine {mach}")
+        if not (value := float(y)) > 0.0:
+            raise ValueError(f"y.csv phase {ph}, job {job}, machine {mach}: y {y} is not > 0")
+        row[i] = value
     phases, kept = [], []
     for k, pmeta in enumerate(meta["phases"]):
         if len(x := pmeta["x_final"]) != m:
@@ -460,31 +456,33 @@ def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> tuple[list[
     return phases, kept
 
 
-def _csv_records(fh, name: str):
-    """The data rows of a CSV log as dicts by header column. Each row must
-    have the header's field count."""
-    rows = csv.reader(fh)
-    header = next(rows, [])
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"{name} has a row without the header's {len(header)} fields")
-        yield dict(zip(header, row))
+def _columns(path: Path, header: tuple[str, ...]) -> Iterator[list[list[str]]]:
+    """The cells of each ``readlines(READ_BYTES)`` chunk of a CSV log, one list per column.
+    The file must start with the exact ``header`` line and each row have its field count:
+    plain comma-separated text as ``run`` writes it, no CSV quoting; CRLF reads as LF."""
+    width = len(header) + 1  # a row's cells and its "\n"
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != ",".join(header):
+            raise ValueError(f"{path.name} does not start with the header {','.join(header)}")
+        while lines := fh.readlines(READ_BYTES):
+            text = "".join(lines)
+            cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")[:-1]
+            if cells[width - 1 :: width] != ["\n"] * len(lines):  # each "\n" after header-many cells
+                raise ValueError(f"{path.name} has a row without the header's {width - 1} fields")
+            yield [cells[k::width] for k in range(width - 1)]
 
 
-def _step_rows(fh, blocks: list[list[str]]):
-    """The (job, step_idx, delta_phi) columns of each ``readlines(STEP_READ_BYTES)``
-    chunk of steps.csv. Each row must have the header's field count (no CSV quoting),
-    a type of A or B, and a step_idx of 0 or the previous row's + 1. Each block of rows
-    from a step_idx of 0 on goes to ``blocks`` as its job labels, one per run in a chunk."""
-    header = fh.readline().rstrip("\n").split(",")
-    job, idx, typ, dphi = (header.index(col) for col in ("job", "step_idx", "type", "delta_phi"))
-    width, prev = len(header) + 1, -1  # width: a row's cells and its "\n"
-    while lines := fh.readlines(STEP_READ_BYTES):
-        text = "".join(lines)
-        cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")[:-1]
-        if cells[width - 1 :: width] != ["\n"] * len(lines):  # each row's "\n" after header-many cells
-            raise ValueError(f"steps.csv has a row without the header's {width - 1} fields")
-        jobs, labels = cells[job::width], cells[idx::width]
+def _rows(path: Path, header: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+    """The rows of a CSV log as ``_columns`` reads it."""
+    return (row for columns in _columns(path, header) for row in zip(*columns))
+
+
+def _step_rows(path: Path, blocks: list[list[str]]):
+    """The (job, step_idx, delta_phi) columns of each chunk of steps.csv. Each row must have
+    a type of A or B, and a step_idx of 0 or the previous row's + 1. Each block of rows from
+    a step_idx of 0 on goes to ``blocks`` as its job labels, one per run in a chunk."""
+    prev = -1
+    for jobs, labels, types, deltas in _columns(path, STEP_COLUMNS):
         steps, k, want = list(map(int, labels)), -1, []
         # The chunk's rows cut where a block starts; list.index finds each step_idx of 0.
         cuts = sorted({0, len(steps), *[k := steps.index(0, k + 1) for _ in range(steps.count(0))]})
@@ -497,26 +495,25 @@ def _step_rows(fh, blocks: list[list[str]]):
         if steps != want:
             k = next(k for k, (i, w) in enumerate(zip(steps, want)) if i != w)
             raise ValueError(f"steps.csv step_idx {steps[k]} follows {steps[k - 1] if k else prev}")
-        if bad := set(cells[typ::width]) - {TYPE_A, TYPE_B}:
+        if bad := set(types) - {TYPE_A, TYPE_B}:
             raise ValueError(f"steps.csv type {min(bad)!r} is not {TYPE_A} or {TYPE_B}")
         prev = steps[-1]
-        yield jobs, labels, list(map(float, cells[dphi::width]))
+        yield jobs, labels, list(map(float, deltas))
 
 
 def verify_logdir(logdir: str | Path) -> list[str]:
     """Re-run the live checks on the records loaded back from a run's logs.
 
-    The feasibility, step and rounding checks are the functions the run
-    itself calls, on phases rebuilt by the engine's rules (``_load_phases``)
-    and integer loads summed from ``assignments.csv``; the consistency audit
-    is live-only. Checked here only: ``config`` by ``RunConfig``'s rules, row k of
-    ``assignments.csv`` placing job k, its last ``cum_cost`` and the active set's
-    cost (``active_cost``) against the report's ``int_cost``, each phase's guess,
-    and the report row, rebuilt by ``build_report_row`` with the running max of
-    the integer loads as ``int_makespan``. Raises InstanceFormatError when the
-    directory or a log file is missing (invalid input); content problems, a
-    phase, job or machine id outside the run among them, come back as violation
-    messages.
+    The feasibility, step and rounding checks are the functions the run itself
+    calls, on phases rebuilt by the engine's rules (``_load_phases``) and integer
+    loads summed from ``assignments.csv``; the consistency audit is live-only.
+    Checked here only: ``config`` by ``RunConfig``'s rules, row k of ``assignments.csv``
+    placing job k, its ``cum_cost`` never falling, the last one and the active set's
+    cost (``active_cost``) against the report's ``int_cost``, each phase's guess, and
+    the report row, rebuilt by ``build_report_row`` with the running max of the integer
+    loads as ``int_makespan``. Raises InstanceFormatError when the directory or a log
+    file is missing (invalid input); content problems, a phase, job or machine id
+    outside the run among them, come back as violation messages.
     """
     logdir = Path(logdir)
     expected = ("instance.json", "meta.json", "y.csv", "steps.csv", "assignments.csv", "report.csv")
@@ -536,20 +533,18 @@ def _verify_logs(logdir: Path) -> list[str]:
     budget = instance.makespan_budget
     p = instance.scaled_ptimes()
     phases, kept = _load_phases(meta, logdir / "y.csv", instance, p)
-    with open(logdir / "report.csv", newline="", encoding="utf-8") as fh:
-        report_rows = list(_csv_records(fh, "report.csv"))
-    if len(report_rows) != 1:
+    if len(report_rows := list(_rows(logdir / "report.csv", REPORT_COLUMNS))) != 1:
         raise ValueError(f"report.csv has {len(report_rows)} rows (expected 1)")
     # The report cells with no other source: B in oracle mode, int_cost, fallback_count
     # and invariant_violations; the other columns are rebuilt from the other logs below.
-    (report,) = report_rows
+    report = dict(zip(REPORT_COLUMNS, report_rows[0]))
     B = float(report["B"]) if config.alpha_mode == "oracle" else None
     int_cost = float(report["int_cost"])
 
     problems = [msg for trace in phases for msg in audit_phase(trace)]
     blocks: list[list[str]] = []
-    with open(logdir / "steps.csv", encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
-        problems += [msg for cols in _step_rows(fh, blocks) for msg in audit_steps(*cols, instance.n)]
+    steps = _step_rows(logdir / "steps.csv", blocks)
+    problems += [msg for cols in steps for msg in audit_steps(*cols, instance.n)]
     for label in sorted({j for block in blocks for j in block}):  # sorted: the first bad id is fixed
         _id(label, instance.n, "steps.csv job")
     covering = [t for t in phases if t.covered_y]  # one block of steps each, through its jobs in order
@@ -562,15 +557,16 @@ def _verify_logs(logdir: Path) -> list[str]:
     assignment: dict[int, int] = {}
     int_load = [0.0] * instance.m
     cum = top = 0.0  # top: max(int_load), a running max as loads only grow
-    with open(logdir / "assignments.csv", newline="", encoding="utf-8") as fh:
-        for k, row in enumerate(_csv_records(fh, "assignments.csv")):  # row k places job k
-            if (j := _id(row["job"], instance.n, "assignments.csv job")) != k:
-                raise ValueError(f"assignments.csv row {k} holds job {j}, not job {k}")
-            i = assignment[j] = _id(row["machine"], instance.m, "assignments.csv machine")
-            int_load[i] += p[j][i]
-            top = max(top, int_load[i])
-            cum = float(row["cum_cost"])
-    if assignment and abs(cum - int_cost) > TOL:
+    for k, (job, machine, cum_cost) in enumerate(_rows(logdir / "assignments.csv", ASSIGNMENT_COLUMNS)):
+        if (j := _id(job, instance.n, "assignments.csv job")) != k:  # row k places job k
+            raise ValueError(f"assignments.csv row {k} holds job {j}, not job {k}")
+        i = assignment[j] = _id(machine, instance.m, "assignments.csv machine")
+        int_load[i] += p[j][i]
+        top = max(top, int_load[i])
+        if not (c := float(cum_cost)) >= cum:  # the active set only grows
+            problems.append(f"assignments.csv row {k}: cum_cost {c!r} falls below {cum!r}")
+        cum = c
+    if assignment and not abs(cum - int_cost) <= TOL:
         problems.append("final cum_cost does not match reported int_cost")
     if len(active := meta["rounding"]["active"]) != instance.m:
         raise ValueError(f"meta.json rounding.active holds {len(active)} values, not {instance.m}")

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -827,7 +828,7 @@ def _machine_two_as_minus_two(col):
 
 # Rows of a steps.csv that spans more than one read chunk of verify: jobs 0..7
 # in order, delta_phi 0.0 but for the last row's 1.0 (2/n = 0.25).
-LONG_STEPS = experiment.STEP_READ_BYTES // 8
+LONG_STEPS = experiment.READ_BYTES // 8
 
 
 def _long_steps_csv(logdir):
@@ -835,7 +836,7 @@ def _long_steps_csv(logdir):
     rows.append(f"7,{LONG_STEPS - 1},A,1.0\n")
     path = logdir / "steps.csv"
     path.write_text("job,step_idx,type,delta_phi\n" + "".join(rows))
-    assert path.stat().st_size > experiment.STEP_READ_BYTES
+    assert path.stat().st_size > experiment.READ_BYTES
 
 
 def _relabel_phase(logdir):
@@ -888,6 +889,21 @@ def _swap_jobs(a, b):
         rows[a][:2], rows[b][:2] = rows[b][:2], rows[a][:2]
 
     return edit
+
+
+def _swap_columns(name, a, b):
+    """A tamper of the CSV log ``name``: columns ``a`` and ``b`` swapped in its
+    header and in every row, a file that a reader by header names reads as
+    it was."""
+
+    def tamper(logdir):
+        path = logdir / name
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+    return tamper
 
 
 def _raise_y(row, by):
@@ -959,7 +975,18 @@ def _raise_y(row, by):
      "cannot load logs: steps.csv steps of phase 0 do not run through its covered jobs"),
     (_edit_rows("steps.csv", list.clear),
      "cannot load logs: steps.csv has 0 blocks from step_idx 0, not 1"),
-    (lambda logdir: (logdir / "steps.csv").write_text(""), "cannot load logs: 'job' is not in list"),
+    (lambda logdir: (logdir / "steps.csv").write_text(""),
+     "cannot load logs: steps.csv does not start with the header job,step_idx,type,delta_phi"),
+    # Each log needs its exact header: swapped columns are not read by their names.
+    (_swap_columns("steps.csv", 0, 1),
+     "cannot load logs: steps.csv does not start with the header job,step_idx,type,delta_phi"),
+    (_swap_columns("assignments.csv", 0, 1),
+     "cannot load logs: assignments.csv does not start with the header job,machine,cum_cost"),
+    (_swap_columns("report.csv", 3, 5),
+     "cannot load logs: report.csv does not start with the header " + ",".join(experiment.REPORT_COLUMNS)),
+    # Every cum_cost is 26.995849427947626: the active set opens on job 0.
+    (_edit_rows("assignments.csv", _set_cell(2, 2, "1")),
+     "assignments.csv row 2: cum_cost 1.0 falls below 26.995849427947626"),
     (lambda logdir: (logdir / "y.csv").write_text(""),
      "cannot load logs: y.csv does not start with the header phase,job,machine,y"),
     (_set_meta("config", "alpha_mode", value="bogus"), "cannot load logs: unknown alpha_mode 'bogus'"),
@@ -997,7 +1024,8 @@ def _raise_y(row, by):
         "assignments-extra-field", "assignments-short-row", "report-extra-field", "report-short-row",
         "steps-delta-phi-not-a-number", "steps-type-Z", "steps-type-in-a-later-chunk",
         "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-job-moved",
-        "steps-last-row-dropped", "steps-header-only", "steps-empty", "y-empty",
+        "steps-last-row-dropped", "steps-header-only", "steps-empty", "steps-columns-swapped",
+        "assignments-columns-swapped", "report-columns-swapped", "cum-cost-falls", "y-empty",
         "config-mode", "config-seed", "config-a", "report-L", "report-frac_cost",
         "report-frac_makespan", "report-int_makespan", "report-cost_ratio", "report-makespan_ratio",
         "report-clamp_count", "phase-clamps", "phase-x_final", "phase-x_final-too-long",
@@ -1092,12 +1120,40 @@ def test_verify_rejects_a_B_outside_oracle_mode(tmp_path):
     assert verify_logdir(logdir) == ["report column B: 5.0, derived None"]
 
 
-@pytest.mark.parametrize("read_bytes", [1, 64, experiment.STEP_READ_BYTES])
+# Read sizes of verify's chunks: 1 byte makes each row a chunk of its own.
+READ_SIZES = [1, 64, experiment.READ_BYTES]
+
+
+@pytest.mark.parametrize("read_bytes", READ_SIZES)
+def test_verify_reads_every_log_in_chunks_of_any_size(tmp_path, monkeypatch, read_bytes):
+    # Below the default size y.csv, steps.csv and assignments.csv span several
+    # chunks; at 1 byte each data row is one.
+    logdir = _clean_run(tmp_path)
+    monkeypatch.setattr(experiment, "READ_BYTES", read_bytes)
+    chunks, columns = Counter(), experiment._columns
+
+    def counted(path, header):
+        for cols in columns(path, header):
+            chunks[path.name] += 1
+            yield cols
+
+    monkeypatch.setattr(experiment, "_columns", counted)
+    assert verify_logdir(logdir) == []
+    rows = {name: len((logdir / name).read_text().splitlines()) - 1 for name in chunks}
+    assert set(rows) == {"y.csv", "steps.csv", "assignments.csv", "report.csv"}
+    if read_bytes == 1:
+        assert chunks == rows
+    elif read_bytes == 64:
+        assert min(chunks[name] for name in ("y.csv", "steps.csv", "assignments.csv")) > 1
+    else:
+        assert set(chunks.values()) == {1}
+
+
+@pytest.mark.parametrize("read_bytes", READ_SIZES)
 def test_verify_rejects_a_phase_steps_relabelled_as_the_phase_before(tmp_path, monkeypatch, read_bytes):
     # Restricted m=3, n=6, seed 2 doubles twice; its three phases cover 3, 2
     # and 1 jobs. Phase 1's steps numbered on from phase 0's read as one block.
-    # A read size of 1 byte makes each row a chunk of its own.
-    monkeypatch.setattr(experiment, "STEP_READ_BYTES", read_bytes)
+    monkeypatch.setattr(experiment, "READ_BYTES", read_bytes)
     path = gen_file(tmp_path, m=3, n=6, seed=2, model="restricted_assignment")
     logdir = tmp_path / "logs"
     assert main(["run", "--in", str(path), "--alpha", "double", "--seed", "0",

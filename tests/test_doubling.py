@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actsched import doubling, fractional
-from actsched.doubling import cost_bound, default_initial_guess, run_with_doubling
+from actsched.doubling import cost_bound, run_with_doubling
 from actsched.experiment import RunConfig, oracle_solve, run_pipeline, verify_logdir, write_run_logs
 from actsched.fractional import FractionalState, GuessTooSmallError, fractional_cost
 from actsched.instances import PTIME_MODELS, GeneratorConfig, Instance, Job, Machine, generate
@@ -16,22 +18,77 @@ def make_instance(costs, ptimes, budget=1.0):
     return Instance(machines=machines, jobs=jobs, makespan_budget=budget)
 
 
-def test_default_initial_guess_is_cheapest_feasible_cost():
-    inst = make_instance([5.0, 2.0], [[0.5, 2.0], [0.5, 0.5]])
-    # job 0 can only run on machine 0 (cost 5); job 1 on either (cheapest 2)
-    assert default_initial_guess(inst) == 2.0
+# Three machines at L = 1: job 0 fits machine 2 only, job 1 machines 1 and 2,
+# and job 2 fits machine 0 in one stream and machine 1 only in the other.
+ONLINE_COSTS = (1.0, 5.0, 9.0)
+ONLINE_HEAD = ((2.0, 2.0, 0.5), (2.0, 0.5, 0.5))
+ONLINE_TAILS = (((0.5, 2.0, 2.0),), ((2.0, 0.5, 2.0),))
+
+
+def test_double_mode_first_phase_runs_at_the_cheapest_cost():
+    # The first guess reads no job: it is the cheapest startup cost whatever
+    # job 2 is. A guess from each job's cheapest fitting machine would be 1 in
+    # one stream and 5 in the other, and so change how job 0 is covered.
+    for tail in ONLINE_TAILS:
+        inst = make_instance(ONLINE_COSTS, ONLINE_HEAD + tail)
+        artifacts = run_pipeline(inst, RunConfig(alpha_mode="double"))
+        assert [p.guess for p in artifacts.phases] == [1.0, 2.0, 4.0, 8.0, 16.0]
+        assert [p.jobs_processed for p in artifacts.phases] == [0, 0, 0, 0, 3]
+
+
+P_TIMES = st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 3.0]) | st.floats(0.01, 3.0)
+
+
+@st.composite
+def streams_sharing_a_prefix(draw):
+    """Costs, jobs 0..t and two streams of the jobs after t, with L = 1. Every
+    job fits (p <= L) on at least one machine."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    t = draw(st.integers(0, n - 2))
+    costs = tuple(draw(st.lists(st.floats(1.0, 10.0), min_size=m, max_size=m)))
+
+    def job():
+        row = draw(st.lists(P_TIMES, min_size=m, max_size=m))
+        fits = draw(st.integers(0, m - 1))
+        row[fits] = min(row[fits], 1.0)
+        return tuple(row)
+
+    head = tuple(job() for _ in range(t + 1))
+    return costs, head, tuple(tuple(job() for _ in range(n - t - 1)) for _ in range(2))
+
+
+def _left_for_jobs_up_to(artifacts, t):
+    """What a run leaves for jobs 0..t: their records, their steps and y rows
+    by phase, and their rows of the rounding log."""
+    steps = [(p.phase, *entry) for p in artifacts.phases for entry in p.step_entries if entry[0] <= t]
+    ys = [(p.phase, j, yrow) for p in artifacts.phases for j, yrow in p.covered_y if j <= t]
+    return artifacts.records[: t + 1], steps, ys, artifacts.rounding.log[: t + 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=streams_sharing_a_prefix())
+@example(case=(ONLINE_COSTS, ONLINE_HEAD, ONLINE_TAILS))
+def test_jobs_up_to_t_are_run_alike_whatever_jobs_follow(case):
+    # The online contract: a job is covered and rounded on arrival, so two
+    # streams that share jobs 0..t leave the same for those jobs. Oracle mode
+    # solves the whole instance first and is offline by design.
+    costs, head, tails = case
+    t = len(head) - 1
+    for config in (RunConfig(alpha_mode="fixed", alpha_value=sum(costs)), RunConfig(alpha_mode="double")):
+        a, b = (run_pipeline(make_instance(costs, head + tail), config) for tail in tails)
+        assert _left_for_jobs_up_to(a, t) == _left_for_jobs_up_to(b, t), config.alpha_mode
 
 
 def test_default_guess_keeps_the_machine_it_names():
-    # The default guess is some machine's cost c; pre-processing must keep
-    # that machine. Uniform m=3, n=4, seed 12: the guess is machine 2's
+    # Double mode's first guess is the cheapest cost c; pre-processing must
+    # keep that machine. Uniform m=3, n=4, seed 12: the guess is machine 2's
     # cost, whose rescaled cost c * (m / c) rounds to 3.0000000000000004 > m.
     inst = generate(GeneratorConfig(m=3, n=4, seed=12))
-    guess = default_initial_guess(inst)
+    guess = min(inst.costs())
     assert guess == inst.costs()[2] == 2.7038834608578517
     assert guess * (inst.m / guess) > inst.m
     assert FractionalState(inst, guess).discarded == [True, True, False]
-    result = run_with_doubling(inst, default_initial_guess(inst))
+    result = run_with_doubling(inst, guess)
     assert [p.guess for p in result.phases] == [guess]
     assert result.phases[0].jobs_processed == 4
 
@@ -50,7 +107,7 @@ def test_oracle_guess_runs_single_phase():
 
 def test_zero_jobs_zero_phases_zero_cost():
     inst = make_instance([1.0, 2.0], [])
-    result = run_with_doubling(inst, default_initial_guess(inst))
+    result = run_with_doubling(inst, min(inst.costs()))
     assert result.phases == [] and result.records == []
     for mode in ("double", "oracle"):
         artifacts = run_pipeline(inst, RunConfig(alpha_mode=mode))
@@ -203,7 +260,7 @@ def test_rounding_the_kept_records_equals_online_rounding(mode):
             guess = config.alpha_value
         else:
             config = RunConfig(alpha_mode="double", seed=s)
-            guess = default_initial_guess(inst)
+            guess = min(inst.costs())
         artifacts = run_pipeline(inst, config)
         assert _round_online(inst, guess, mode == "double", s) == artifacts.rounding.log
         phase_counts.append(len(artifacts.phases))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actsched import fractional
-from actsched.doubling import default_initial_guess, snapshot_phase
+from actsched.doubling import snapshot_phase
 from actsched.experiment import oracle_solve
 from actsched.fractional import (
     COVERAGE_TOL,
@@ -742,15 +742,15 @@ def test_engine_is_deterministic():
 
 
 def test_step_log_keeps_no_python_object_per_step():
-    # One phase of 11,257 steps: uniform m=20, n=100, seed 0 at its default
-    # guess. The step log keeps typed columns, so the cyclic collector gets
+    # One phase of 11,257 steps: uniform m=20, n=100, seed 0 at its cheapest
+    # cost, double mode's first guess. The step log keeps typed columns, so the cyclic collector gets
     # no object per step to rescan, and a step retains a few bytes of them.
     inst = generate(GeneratorConfig(m=20, n=100, seed=0))
     gc.collect()
     tracked = len(gc.get_objects())
     tracemalloc.start()
     try:
-        fs = run_all(inst, default_initial_guess(inst))
+        fs = run_all(inst, min(inst.costs()))
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
