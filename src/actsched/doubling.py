@@ -2,12 +2,15 @@
 
 The fractional engine needs a guess for the offline optimum cost. From the
 first guess it is given, the controller runs covering phases: whenever
-a phase's fractional cost outgrows its budget, or a job fits within the budget
-on no machine that pre-processing kept (possibly none), the guess doubles and
-a fresh fractional state takes over. The job that triggered a doubling is
-covered again in the new phase. Every phase, a tripped one included, leaves
-one ``PhaseTrace`` behind, and each kept job one ``JobFraction`` record, taken
-right after its update; every check runs on those finished records.
+a phase's fractional cost, left by the jobs it covered, has outgrown its budget
+before the next job, or that job fits within the budget on no machine that
+pre-processing kept (possibly none), the guess doubles and a fresh fractional
+state takes over. Both trips end a phase before a job, which is first covered
+in the new phase: a phase keeps every job it covers. The cost trip cannot fire
+below m = 342, as each kept machine has c*x <= m and m^2 < ``cost_bound(m)``
+there. Every phase, a tripped one included, leaves one ``PhaseTrace`` behind,
+and each kept job one ``JobFraction`` record, taken right after its update;
+every check runs on those finished records.
 
 The controller is online: it reads job j only when it covers it (n is known in
 advance). Double mode's first guess, the cheapest startup cost, reads no job.
@@ -39,7 +42,6 @@ class PhaseTrace:
 
     phase: int
     guess: float
-    jobs_processed: int  # jobs whose coverage this phase kept
     x_final: tuple[float, ...]
     load_final: tuple[float, ...]
     scaled_costs: tuple[float, ...]
@@ -51,6 +53,10 @@ class PhaseTrace:
     step_entries: StepLog = field(default_factory=StepLog)
 
     @property
+    def jobs_processed(self) -> int:
+        return len(self.covered_y)
+
+    @property
     def frac_cost(self) -> float:
         return fractional_cost(self.x_final, self.scaled_costs, self.discarded)
 
@@ -60,11 +66,10 @@ class PhaseTrace:
         return max((load for load, d in zip(self.load_final, self.discarded) if not d), default=0.0)
 
 
-def snapshot_phase(fstate: FractionalState, phase: int, kept: int) -> PhaseTrace:
+def snapshot_phase(fstate: FractionalState, phase: int, kept: list[JobFraction]) -> PhaseTrace:
     return PhaseTrace(
         phase=phase,
         guess=fstate.alpha,
-        jobs_processed=kept,
         phi=fstate.phi,
         x_final=tuple(fstate.x),
         load_final=tuple(fstate.load),
@@ -72,7 +77,7 @@ def snapshot_phase(fstate: FractionalState, phase: int, kept: int) -> PhaseTrace
         discarded=tuple(fstate.discarded),
         fraction_clamps=fstate.fraction_clamps,
         coverage_clamps=fstate.coverage_clamps,
-        covered_y=[(j, tuple(yrow)) for j, yrow in sorted(fstate.y.items())],
+        covered_y=[(f.job, f.y) for f in kept],
         step_entries=fstate.step_log,  # no copy: the controller drops fstate next
     )
 
@@ -108,9 +113,9 @@ def run_with_doubling(instance: Instance, initial_guess: float, double: bool = T
         first = j
         try:
             while j < n:
-                fstate.process_job(j)
                 if double and fractional_cost(fstate.x, fstate.scaled_costs, fstate.discarded) > bound:
                     break
+                fstate.process_job(j)
                 records.append(fstate.job_fraction(j))
                 j += 1
         except GuessTooSmallError:
@@ -121,8 +126,8 @@ def run_with_doubling(instance: Instance, initial_guess: float, double: bool = T
             # sum(c)*m/guess + m <= 2m < cost_bound(m), so the cost trip stops.
             if not double or not any(fstate.discarded):
                 raise
-            # The job fits on no kept machine: re-cover it at a larger guess.
-        phases.append(snapshot_phase(fstate, len(phases), j - first))
+            # The job fits on no kept machine: cover it at a larger guess.
+        phases.append(snapshot_phase(fstate, len(phases), records[first:]))
         if j == n:
             break
         guess *= 2.0

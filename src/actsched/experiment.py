@@ -69,7 +69,7 @@ ASSIGNMENT_COLUMNS = ("job", "machine", "cum_cost")
 Y_COLUMNS = ("phase", "job", "machine", "y")
 # The PhaseTrace fields a phase entry of meta.json holds. Its phase is its index;
 # verify derives the rest from the instance, the guess and y.csv.
-PHASE_META_KEYS = ("guess", "jobs_processed", "x_final", "fraction_clamps", "coverage_clamps")
+PHASE_META_KEYS = ("guess", "x_final", "fraction_clamps", "coverage_clamps")
 
 
 @dataclass
@@ -427,8 +427,8 @@ def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> tuple[list[
     """The phases of ``meta.json``, numbered by position, with their y rows from
     ``y.csv`` and what they derive by the engine's rules (pre-processing at the
     guess, the loads summed from the y rows once; no potential, no steps), and the
-    kept jobs as ``audit_rounding`` takes them: a phase keeps ``jobs_processed`` jobs
-    on from the previous phase's, n in all, and its y rows are those and at most the next."""
+    kept jobs as ``audit_rounding`` takes them: a phase keeps the jobs of its y rows,
+    which continue the previous phases' jobs, n in all."""
     m, n = instance.m, instance.n
     ys: list[dict[int, list[float]]] = [{} for _ in meta["phases"]]
     for ph, job, mach, y in _rows(y_path, Y_COLUMNS):
@@ -443,16 +443,15 @@ def _load_phases(meta: dict, y_path: Path, instance: Instance, p) -> tuple[list[
         if len(x := pmeta["x_final"]) != m:
             raise ValueError(f"meta.json phase {k}: {len(x)} x_final values, not {m}")
         covered_y = [(j, tuple(row)) for j, row in sorted(ys[k].items())]
-        jobs = range(len(kept), len(kept) + pmeta["jobs_processed"])
-        if [j for j, _ in covered_y] not in (list(jobs), [*jobs, jobs.stop]):
-            raise ValueError(f"y.csv jobs of phase {k} are not the jobs it kept")
+        if [j for j, _ in covered_y] != list(range(len(kept), len(kept) + len(covered_y))):
+            raise ValueError(f"y.csv jobs of phase {k} do not follow the jobs of the phases before it")
         discarded, costs = map(tuple, preprocess(instance.costs(), m, pmeta["guess"]))
         eligible = tuple(not d for d in discarded)
-        kept += [(j, p[j], eligible) for j in jobs]
+        kept += [(j, p[j], eligible) for j, _ in covered_y]
         phases.append(PhaseTrace(phase=k, **pmeta, load_final=tuple(phase_loads(covered_y, p, m)),
                                  scaled_costs=costs, discarded=discarded, covered_y=covered_y))
     if len(kept) != n:
-        raise ValueError(f"meta.json phases keep {len(kept)} jobs, not {n}")
+        raise ValueError(f"y.csv phases keep {len(kept)} jobs, not {n}")
     return phases, kept
 
 

@@ -199,11 +199,6 @@ class FractionalState:
 
     # -- steps ---------------------------------------------------------------
 
-    def execute_step(self, j: int) -> StepOutcome:
-        """One step of job j, as ``process_job`` takes them (see ``_advance``)."""
-        self._advance(j, 1)
-        return StepOutcome(chr(self.step_log.kind[-1]), self.step_log.delta[-1])
-
     def _advance(self, j: int, limit: int) -> None:
         """Take steps of job j, at least one and at most ``limit``, until its
         coverage reaches 1 - COVERAGE_TOL (the state is written back also if

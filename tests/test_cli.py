@@ -369,7 +369,9 @@ def test_run_doubling_mode(tmp_path):
     meta = json.loads((logdir / "meta.json").read_text())
     assert len(meta["phases"]) == 1
     phase = meta["phases"][0]
-    assert (phase["guess"], phase["jobs_processed"]) == (2.7038834608578517, 4)
+    assert phase["guess"] == 2.7038834608578517
+    y_rows = (logdir / "y.csv").read_text().splitlines()[1:]
+    assert sorted({row.split(",")[1] for row in y_rows}) == ["0", "1", "2", "3"]
     discarded, _ = preprocess(load_instance(path).costs(), 3, phase["guess"])
     assert discarded == [True, True, False]
     assert main(["verify", "--logdir", str(logdir)]) == 0
@@ -667,9 +669,7 @@ def test_meta_json_copies_no_other_log_file(tmp_path):
 def test_meta_phase_entries_hold_the_kept_keys_only(tmp_path):
     # The guess, x and the counters; a phase's index is its position, and
     # verify derives the rest of a phase.
-    assert experiment.PHASE_META_KEYS == (
-        "guess", "jobs_processed", "x_final", "fraction_clamps", "coverage_clamps"
-    )
+    assert experiment.PHASE_META_KEYS == ("guess", "x_final", "fraction_clamps", "coverage_clamps")
     meta = json.loads((_clean_run(tmp_path) / "meta.json").read_text())
     assert [tuple(phase) for phase in meta["phases"]] == [experiment.PHASE_META_KEYS]
 
@@ -994,6 +994,10 @@ def _raise_y(row, by):
     # A config with a, as meta.json held it before a became a constant, does not load.
     (_set_meta("config", "a", value=1.05),
      "cannot load logs: RunConfig.__init__() got an unexpected keyword argument 'a'"),
+    # A phase with jobs_processed, as meta.json held it before a phase's jobs
+    # were its y.csv jobs alone, does not load.
+    (_set_meta("phases", 0, "jobs_processed", value=8),
+     "cannot load logs: PhaseTrace.__init__() got an unexpected keyword argument 'jobs_processed'"),
     (_set_report("L", 2.0), "report column L: 2.0, derived 1.0"),
     (_set_report("frac_cost", 3.0), "report column frac_cost: 3.0, derived 3.2459666848343693"),
     (_set_report("frac_makespan", 1.9), "report column frac_makespan: 1.9, derived 1.9482782622732013"),
@@ -1026,7 +1030,7 @@ def _raise_y(row, by):
         "steps-blank-line", "steps-idx-swapped", "steps-long-file", "steps-job-moved",
         "steps-last-row-dropped", "steps-header-only", "steps-empty", "steps-columns-swapped",
         "assignments-columns-swapped", "report-columns-swapped", "cum-cost-falls", "y-empty",
-        "config-mode", "config-seed", "config-a", "report-L", "report-frac_cost",
+        "config-mode", "config-seed", "config-a", "phase-jobs-processed", "report-L", "report-frac_cost",
         "report-frac_makespan", "report-int_makespan", "report-cost_ratio", "report-makespan_ratio",
         "report-clamp_count", "phase-clamps", "phase-x_final", "phase-x_final-too-long",
         "phase-guess-zero", "y-overflows-the-potential", "y-not-positive", "y-repeated"])
@@ -1085,20 +1089,27 @@ def _drop_rows(col, value):
     return edit
 
 
-def _keep_one_job_less(logdir):
-    """Phase 0 keeps seven jobs, and job 7, the last, has no assignments.csv row."""
-    _set_meta("phases", 0, "jobs_processed", value=7)(logdir)
-    _edit_rows("assignments.csv", list.pop)(logdir)
+def _drop_job(job, *names):
+    """A tamper that drops every row of ``job`` from the logs ``names``."""
+    col = {"y.csv": 1, "steps.csv": 0, "assignments.csv": 0}
+
+    def tamper(logdir):
+        for name in names:
+            _edit_rows(name, _drop_rows(col[name], str(job)))(logdir)
+
+    return tamper
 
 
 @pytest.mark.parametrize("tamper,message", [
-    (lambda logdir: [_edit_rows("y.csv", _drop_rows(1, "7"))(logdir),
-                     _edit_rows("steps.csv", _drop_rows(0, "7"))(logdir)],
-     "cannot load logs: y.csv jobs of phase 0 are not the jobs it kept"),
-    (_keep_one_job_less, "cannot load logs: meta.json phases keep 7 jobs, not 8"),
-], ids=["job-7-dropped", "one-job-less-kept"])
+    (_drop_job(7, "y.csv", "steps.csv", "assignments.csv"),
+     "cannot load logs: y.csv phases keep 7 jobs, not 8"),
+    (_drop_job(3, "y.csv", "steps.csv"),
+     "cannot load logs: y.csv jobs of phase 0 do not follow the jobs of the phases before it"),
+], ids=["job-7-dropped", "job-3-dropped"])
 def test_verify_requires_the_phases_to_cover_the_jobs_they_kept(tmp_path, tamper, message):
-    # Uniform m=4, n=8, seed 5 in oracle mode: one phase keeps all eight jobs.
+    # Uniform m=4, n=8, seed 5 in oracle mode: one phase keeps all eight jobs,
+    # those of its y.csv rows. Dropping the last job everywhere leaves seven;
+    # dropping a job mid-phase leaves the jobs after it out of sequence.
     path = gen_file(tmp_path, m=4, n=8, seed=5)
     logdir = tmp_path / "logs"
     assert main(["run", "--in", str(path), "--alpha", "oracle", "--seed", "0",

@@ -77,6 +77,8 @@ def test_jobs_up_to_t_are_run_alike_whatever_jobs_follow(case):
     for config in (RunConfig(alpha_mode="fixed", alpha_value=sum(costs)), RunConfig(alpha_mode="double")):
         a, b = (run_pipeline(make_instance(costs, head + tail), config) for tail in tails)
         assert _left_for_jobs_up_to(a, t) == _left_for_jobs_up_to(b, t), config.alpha_mode
+        for run in (a, b):  # each job is covered by one phase, which keeps it
+            assert [j for p in run.phases for j, _ in p.covered_y] == list(range(run.instance.n))
 
 
 def test_default_guess_keeps_the_machine_it_names():
@@ -144,15 +146,16 @@ def test_cost_trigger_doubles_and_reprocesses_job(monkeypatch):
     assert sum(p.jobs_processed for p in result.phases) == 4
 
 
-def test_cost_tripped_run_verifies_with_the_job_it_did_not_keep(monkeypatch, tmp_path):
-    # The cost trip above: phase 0 covers jobs 0..2 and keeps 0 and 1, and
-    # phase 1 covers and keeps 2 and 3. A phase's y rows may hold the one
-    # job after the jobs it kept.
+def test_cost_tripped_phase_keeps_every_job_it_covers(monkeypatch, tmp_path):
+    # The cost trip above, checked before each job on the cost of the jobs
+    # before it: phase 0 covers and keeps jobs 0..2, whose cost passes the
+    # bound, and phase 1 covers and keeps job 3.
     monkeypatch.setattr(doubling, "BOUND_CONSTANT", 0.8)
     inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 4)
     artifacts = run_pipeline(inst, RunConfig(alpha_mode="double"))
-    assert [[j for j, _ in p.covered_y] for p in artifacts.phases] == [[0, 1, 2], [2, 3]]
-    assert [p.jobs_processed for p in artifacts.phases] == [2, 2]
+    assert [p.guess for p in artifacts.phases] == [1.0, 2.0]
+    assert [[j for j, _ in p.covered_y] for p in artifacts.phases] == [[0, 1, 2], [3]]
+    assert [p.jobs_processed for p in artifacts.phases] == [3, 1]
     assert verify_logdir(write_run_logs(artifacts, tmp_path / "logs")) == []
 
 
@@ -205,6 +208,15 @@ def test_cost_trip_cannot_fire_at_a_guess_of_total_cost(model):
         assert fractional_cost(fs.x, fs.scaled_costs, fs.discarded) <= 2 * m < cost_bound(m)
 
 
+def test_cost_trip_cannot_fire_below_342_machines():
+    # Each kept machine has a scaled cost of at most m and x <= 1, so a
+    # phase's fractional cost is at most m^2, which stays below the cost
+    # bound up to m = 341: there the trip never fires, and a double run
+    # doubles on jobs that fit no kept machine only.
+    assert all(m * m < cost_bound(m) for m in range(1, 342))
+    assert not 342 * 342 < cost_bound(342)
+
+
 @pytest.mark.parametrize("double", [True, False])
 def test_a_guess_of_at_most_zero_is_rejected_by_the_engine(double):
     inst = make_instance([1.0, 1.0], [[0.6, 0.6]] * 2)
@@ -237,9 +249,9 @@ def _round_online(inst, guess, double, seed):
         fs = FractionalState(inst, guess)
         try:
             while j < inst.n:
-                fs.process_job(j)
                 if fractional_cost(fs.x, fs.scaled_costs, fs.discarded) > bound:
                     break
+                fs.process_job(j)
                 rounding.process_job(score_job(inst, fs.job_fraction(j)))
                 j += 1
         except GuessTooSmallError:

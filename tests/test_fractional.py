@@ -73,10 +73,14 @@ def test_preprocess_potential_at_most_m():
 def test_preprocess_potential_at_most_m_property(costs, alpha, alpha_is_a_cost):
     # Every kept machine starts at phi_i <= 1: scaled cost 1 at x = 1, or
     # scaled cost c <= m at x = 1/m. A machine whose cost is the guess is kept.
+    # So does its c*x, and a fresh phase's fractional cost is at most m, below
+    # the doubling bound: the cost trip never fires before a phase's first job,
+    # so each phase covers a job or doubles on one no kept machine fits.
     if alpha_is_a_cost:
         alpha = costs[-1]
     fs = FractionalState(make_instance(costs, [[0.5] * len(costs)]), alpha)
     assert fs.phi <= fs.m + 1e-9
+    assert fractional_cost(fs.x, fs.scaled_costs, fs.discarded) <= fs.m + 1e-9
     if alpha_is_a_cost:
         assert not fs.discarded[-1]
 
@@ -187,19 +191,25 @@ def reference_split(fs, j):
     return prefix, None
 
 
-def process_by_steps(fs, j):
-    """``fs.process_job(j)`` taken one ``fs.execute_step(j)`` call at a time,
-    so that a wrapper on ``fs.execute_step`` sees every step; process_job
-    itself covers the job in runs of steps. Returns the indices of the job's
-    steps in ``fs.step_log``, as process_job does. A job with no usable
-    machine goes to process_job, which raises GuessTooSmallError."""
+def execute_step(fs, j):
+    """One step of job j, as ``process_job`` takes them (see ``_advance``)."""
+    fs._advance(j, 1)
+    return StepOutcome(chr(fs.step_log.kind[-1]), fs.step_log.delta[-1])
+
+
+def process_by_steps(fs, j, step=execute_step):
+    """``fs.process_job(j)`` taken one ``step(fs, j)`` call at a time, so
+    that a wrapper passed as ``step`` sees every step; process_job itself
+    covers the job in runs of steps. Returns the indices of the job's steps
+    in ``fs.step_log``, as process_job does. A job with no usable machine
+    goes to process_job, which raises GuessTooSmallError."""
     if not usable_machines(fs, j):
         return fs.process_job(j)
     start = len(fs.step_log)
     fs.y[j] = [0.0] * fs.m
     fs.coverage[j] = 0.0
     while fs.coverage[j] < 1.0 - COVERAGE_TOL:
-        fs.execute_step(j)
+        step(fs, j)
     return range(start, len(fs.step_log))
 
 
@@ -220,20 +230,18 @@ def test_incremental_ranking_matches_a_fresh_sort(data):
     ]
     alpha = data.draw(st.floats(0.5, 40.0), label="alpha")
     fs = FractionalState(make_instance(costs, ptimes, budget), alpha)
-    step = fs.execute_step
 
-    def checked(j):
+    def checked(fs, j):
         assert fs.order_and_split(j) == reference_split(fs, j)
-        return step(j)
+        return execute_step(fs, j)
 
-    fs.execute_step = checked
     for j in range(n):
         # The one-pass ranking over the kept machines, against a fresh sort
         # of the list usable_machines builds, keys to the bit.
         want = sorted((virtual_cost(fs, i, j), i) for i in usable_machines(fs, j))
         assert rank_bits(fs._rank(j)) == rank_bits(want)
         if want:
-            process_by_steps(fs, j)
+            process_by_steps(fs, j, checked)
         else:
             with pytest.raises(GuessTooSmallError):
                 process_by_steps(fs, j)
@@ -249,10 +257,10 @@ def test_ranking_moves_a_machine_whose_key_fell():
     fs.y[0] = [0.0, 0.0]
     fs.coverage[0] = 0.0
     assert fs.order_and_split(0) == ([0], 1)
-    assert fs.execute_step(0).step_type == TYPE_A
+    assert execute_step(fs, 0).step_type == TYPE_A
     assert fs.x[1] == 1.0 and fs.load[1] == pytest.approx(0.24, rel=1e-12)
     assert fs.order_and_split(0) == reference_split(fs, 0) == ([], 1)
-    assert fs.execute_step(0).step_type == TYPE_B
+    assert execute_step(fs, 0).step_type == TYPE_B
 
 
 # -- steps --------------------------------------------------------------------------
@@ -268,7 +276,7 @@ def test_type_b_grant_size():
     fs.load[0] = 1.0 + math.log(2.0) / math.log(a)  # eta = 1 * a^(load-1) * 1 = 2
     fs.y[0] = [0.0]
     fs.coverage[0] = 0.0
-    outcome = fs.execute_step(0)
+    outcome = execute_step(fs, 0)
     assert outcome.step_type == TYPE_B
     assert fs.y[0][0] == pytest.approx(0.3, rel=1e-12)
     assert fs.coverage[0] == pytest.approx(0.3, rel=1e-12)
@@ -282,7 +290,7 @@ def test_type_a_multiplicative_x_update():
     assert fs.x == [0.25] * 4
     fs.y[0] = [0.0] * 4
     fs.coverage[0] = 0.0
-    outcome = fs.execute_step(0)
+    outcome = execute_step(fs, 0)
     assert outcome.step_type == TYPE_A
     for x in fs.x:
         assert x == pytest.approx(0.2625, rel=1e-12)
@@ -521,14 +529,12 @@ def run_in_lockstep(inst, alpha, drawn, x=None):
     if x is not None:
         for state in (fs, ref):
             start_at(state, x)
-    step = fs.execute_step
-
-    def lockstep(j):
+    def lockstep(fs, j):
         if j not in ref.y:
             ref.y[j] = [0.0] * ref.m
             ref.coverage[j] = 0.0
         x_before = list(fs.x)
-        outcome = step(j)
+        outcome = execute_step(fs, j)
         expected = ref.execute_step(j)
         assert outcome.step_type == expected.step_type
         assert bits([outcome.delta_potential, fs.phi]) == bits([expected.delta_potential, ref.phi])
@@ -543,12 +549,11 @@ def run_in_lockstep(inst, alpha, drawn, x=None):
         drawn["crossing"] += any(a < 1.0 and b == 1.0 for a, b in zip(x_before, fs.x))
         return outcome
 
-    fs.execute_step = lockstep
     for j in range(inst.n):
         # Each job's first ranking: the one pass against the reference's sort.
         assert rank_bits(fs._rank(j)) == rank_bits(ref._rank(j))
         if usable_machines(fs, j):
-            process_by_steps(fs, j)
+            process_by_steps(fs, j, lockstep)
         else:
             with pytest.raises(GuessTooSmallError):
                 process_by_steps(fs, j)
@@ -573,8 +578,8 @@ def test_one_pass_step_matches_the_per_machine_reference():
 
 def test_runs_match_the_one_step_path():
     # process_job covers a job in runs of steps that share one split; a twin
-    # takes the same steps one execute_step call at a time. After every job
-    # both must hold the same floats to the bit. Type-B steps, crossings to
+    # takes the same steps one execute_step(twin, j) call at a time. After
+    # every job both must hold the same floats to the bit. Type-B steps, crossings to
     # x = 1, both clamps, a split with no pivot and a run of more than one
     # step must each be drawn at least once.
     drawn = dict.fromkeys(
@@ -590,7 +595,7 @@ def test_runs_match_the_one_step_path():
             start_at(fs, x)
             start_at(twin, x)
         splits = {"runs": 0}
-        split, twin_split, twin_step = fs.order_and_split, twin.order_and_split, twin.execute_step
+        split, twin_split = fs.order_and_split, twin.order_and_split
 
         def counted_split(j):
             splits["runs"] += 1
@@ -601,15 +606,15 @@ def test_runs_match_the_one_step_path():
             drawn["no_pivot"] += pivot is None
             return prefix, pivot
 
-        def recorded_step(j):
+        def recorded_step(twin, j):
             x_before = list(twin.x)
-            outcome = twin_step(j)
+            outcome = execute_step(twin, j)
             drawn["type_b"] += outcome.step_type == TYPE_B
             drawn["crossing"] += any(a < 1.0 and b == 1.0 for a, b in zip(x_before, twin.x))
             return outcome
 
         fs.order_and_split = counted_split
-        twin.order_and_split, twin.execute_step = recorded_split, recorded_step
+        twin.order_and_split = recorded_split
         for j in range(inst.n):
             if not usable_machines(fs, j):
                 for state in (fs, twin):
@@ -618,7 +623,7 @@ def test_runs_match_the_one_step_path():
                 continue
             splits["runs"] = 0
             steps = fs.process_job(j)
-            twin_steps = process_by_steps(twin, j)
+            twin_steps = process_by_steps(twin, j, recorded_step)
             assert log_bits(entries_at(fs.step_log, steps)) == log_bits(
                 entries_at(twin.step_log, twin_steps)
             )
@@ -663,21 +668,19 @@ def run_all(inst, alpha):
     return fs
 
 
-def record_steps(fs):
-    """Wrap ``fs.execute_step`` on this instance so that each step appends
-    (coverage before, coverage after, x before, x after, load before) to the
-    returned list, in step order; drive the jobs with ``process_by_steps``."""
-    step = fs.execute_step
+def record_steps():
+    """A list and a step for ``process_by_steps`` that appends (coverage
+    before, coverage after, x before, x after, load before) to it, in step
+    order."""
     records = []
 
-    def recorded(j):
+    def recorded(fs, j):
         cov, x, load = fs.coverage[j], list(fs.x), list(fs.load)
-        outcome = step(j)
+        outcome = execute_step(fs, j)
         records.append((cov, fs.coverage[j], x, list(fs.x), load))
         return outcome
 
-    fs.execute_step = recorded
-    return records
+    return records, recorded
 
 
 def sweep_instances(count=25):
@@ -791,9 +794,9 @@ def test_process_job_ranges_tile_the_step_log_in_job_order():
 def test_every_step_makes_progress():
     for inst, alpha in sweep_instances(12):
         fs = FractionalState(inst, alpha)
-        steps = record_steps(fs)
+        steps, recorded = record_steps()
         for j in range(inst.n):
-            process_by_steps(fs, j)
+            process_by_steps(fs, j, recorded)
         assert len(steps) == len(fs.step_log)
         assert all(after > before for before, after, *_ in steps)
         assert [idx for _, idx, _ in fs.step_log] == list(range(len(fs.step_log)))
@@ -834,9 +837,9 @@ def test_full_activation_under_load_can_jump_potential():
         (at_b, 12.746888992435357, (83, 277)),
     ]:
         fs = FractionalState(inst, alpha)
-        steps = record_steps(fs)
+        steps, recorded = record_steps()
         for j in range(inst.n):
-            process_by_steps(fs, j)
+            process_by_steps(fs, j, recorded)
         cap = 2.0 / fs.n + 1e-9
         job_start_load = {}
         jumps = []
@@ -869,7 +872,7 @@ def test_fractional_cost_fresh_state():
 def test_makespan_of_empty_instance_is_zero():
     inst = make_instance([1.0, 2.0], [])
     fs = FractionalState(inst, alpha=1.0)
-    assert snapshot_phase(fs, 0, 0).frac_makespan == 0.0
+    assert snapshot_phase(fs, 0, []).frac_makespan == 0.0
 
 
 def test_potential_examples():
